@@ -35,7 +35,11 @@ void print_ablation() {
 
     double batch_s = 0.0;
     for (const auto& layer : net.conv_layers)
-      batch_s += dataflow::plan_layer(layer, array).seconds_per_batch(128);
+      batch_s += static_cast<double>(
+                     dataflow::layer_cycles(dataflow::plan_layer(layer, array),
+                                            array)
+                         .total(128)) /
+                 array.clock_hz;
 
     // Power: calibrated activity at the new clock, PE energy scaled by
     // the flop-count change.

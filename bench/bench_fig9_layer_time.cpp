@@ -76,11 +76,11 @@ SimMeasurement simulate_layer(const nn::ConvLayerParams& full,
   m.bit_exact = res.accumulators == nn::conv2d_fixed_accum(p, x, w);
   // Cycles scale with channels streamed (c) and with m-groups; recover
   // the full-size count through the plan ratio.
-  const auto plan_full = acc.plan(full);
-  const auto plan_small = res.plan;
-  const double ratio =
-      static_cast<double>(plan_full.cycles_per_image()) /
-      static_cast<double>(plan_small.cycles_per_image());
+  const auto conv_cycles = [](const dataflow::ExecutionPlan& plan) {
+    const dataflow::LayerCycles c = dataflow::layer_cycles(plan, plan.array);
+    return static_cast<double>(c.stream_per_image + c.drain);
+  };
+  const double ratio = conv_cycles(acc.plan(full)) / conv_cycles(res.plan);
   m.scaled_cycles =
       static_cast<double>(res.stats.stream_cycles + res.stats.drain_cycles) *
       ratio;
@@ -108,15 +108,15 @@ bool print_fig9(chain::ExecMode mode, bool compare) {
   for (std::size_t i = 0; i < net.conv_layers.size(); ++i) {
     const auto& layer = net.conv_layers[i];
     const auto plan = dataflow::plan_layer(layer, array);
+    const dataflow::LayerCycles cycles = dataflow::layer_cycles(plan, array);
     const double paper_model_ms =
         static_cast<double>(plan.paper_model_cycles_per_image()) * batch /
         array.clock_hz * 1e3;
     const double ours_ms =
-        static_cast<double>(plan.cycles_per_image()) * batch /
+        static_cast<double>(cycles.total(batch) - cycles.kernel_load) /
         array.clock_hz * 1e3;
     const double load_ms =
-        static_cast<double>(plan.kernel_load_cycles_per_batch()) /
-        array.clock_hz * 1e3;
+        static_cast<double>(cycles.kernel_load) / array.clock_hz * 1e3;
     SimMeasurement sim;
     if (compare) {
       const SimMeasurement fast =
@@ -163,10 +163,12 @@ bool print_fig9(chain::ExecMode mode, bool compare) {
   const double fps128_paper_model =
       batch / ((total_paper_model + total_load) / 1e3);
   double ours4 = 0.0;
-  for (const auto& layer : net.conv_layers) {
-    const auto plan = dataflow::plan_layer(layer, array);
-    ours4 += plan.seconds_per_batch(4);
-  }
+  for (const auto& layer : net.conv_layers)
+    ours4 += static_cast<double>(
+                 dataflow::layer_cycles(dataflow::plan_layer(layer, array),
+                                        array)
+                     .total(4)) /
+             array.clock_hz;
   const double fps4_ours = 4.0 / ours4;
 
   report::ComparisonTable fps("fps (AlexNet, 5 conv layers)", "fps");
@@ -192,7 +194,8 @@ void BM_PlanAlexNet(benchmark::State& state) {
   for (auto _ : state) {
     for (const auto& layer : net.conv_layers)
       benchmark::DoNotOptimize(
-          dataflow::plan_layer(layer, array).cycles_per_image());
+          dataflow::layer_cycles(dataflow::plan_layer(layer, array), array)
+              .total(1));
   }
 }
 BENCHMARK(BM_PlanAlexNet);

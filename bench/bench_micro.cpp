@@ -126,7 +126,8 @@ void BM_PlanVgg16(benchmark::State& state) {
   for (auto _ : state)
     for (const auto& layer : net.conv_layers)
       benchmark::DoNotOptimize(
-          dataflow::plan_layer(layer, array).cycles_per_image());
+          dataflow::layer_cycles(dataflow::plan_layer(layer, array), array)
+              .total(1));
 }
 BENCHMARK(BM_PlanVgg16);
 

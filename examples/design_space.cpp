@@ -34,12 +34,15 @@ using namespace chainnn;
 
 namespace {
 
-double network_seconds_per_batch(const nn::NetworkModel& net,
-                                 const dataflow::ArrayShape& array,
-                                 std::int64_t batch) {
+double network_batch_seconds(const nn::NetworkModel& net,
+                             const dataflow::ArrayShape& array,
+                             std::int64_t batch) {
   double s = 0.0;
   for (const auto& layer : net.conv_layers)
-    s += dataflow::plan_layer(layer, array).seconds_per_batch(batch);
+    s += static_cast<double>(
+             dataflow::layer_cycles(dataflow::plan_layer(layer, array), array)
+                 .total(batch)) /
+         array.clock_hz;
   return s;
 }
 
@@ -54,7 +57,7 @@ void print_closed_form_tables(const nn::NetworkModel& net,
   for (const std::int64_t pes : {144, 288, 576, 1152, 2304}) {
     dataflow::ArrayShape array;
     array.num_pes = pes;
-    const double sec = network_seconds_per_batch(net, array, batch);
+    const double sec = network_batch_seconds(net, array, batch);
     const double fps = static_cast<double>(batch) / sec;
     // Time-weighted activity across layers: use the largest layer's plan
     // as representative (conservative for power).
@@ -78,7 +81,7 @@ void print_closed_form_tables(const nn::NetworkModel& net,
   for (const double mhz : {200.0, 350.0, 500.0, 700.0, 900.0}) {
     dataflow::ArrayShape array;
     array.clock_hz = mhz * 1e6;
-    const double sec = network_seconds_per_batch(net, array, batch);
+    const double sec = network_batch_seconds(net, array, batch);
     const auto power = model.power(energy::paper_calibration_rates(),
                                    array.clock_hz, 576);
     t2.add_row({strings::fmt_fixed(mhz, 0),
@@ -97,12 +100,13 @@ void print_closed_form_tables(const nn::NetworkModel& net,
   t3.set_header({"batch", "fps", "load share"});
   dataflow::ArrayShape array;
   for (const std::int64_t b : {1, 4, 16, 64, 128, 512}) {
-    const double sec = network_seconds_per_batch(net, array, b);
+    const double sec = network_batch_seconds(net, array, b);
     double load_cycles = 0.0, total_cycles = 0.0;
     for (const auto& layer : net.conv_layers) {
-      const auto plan = dataflow::plan_layer(layer, array);
-      load_cycles += static_cast<double>(plan.kernel_load_cycles_per_batch());
-      total_cycles += static_cast<double>(plan.cycles_per_batch(b));
+      const dataflow::LayerCycles cycles =
+          dataflow::layer_cycles(dataflow::plan_layer(layer, array), array);
+      load_cycles += static_cast<double>(cycles.kernel_load);
+      total_cycles += static_cast<double>(cycles.total(b));
     }
     t3.add_row({std::to_string(b),
                 strings::fmt_fixed(static_cast<double>(b) / sec, 1),

@@ -131,8 +131,11 @@ int main(int argc, char** argv) {
   for (const auto& layer : net.conv_layers) {
     const auto plan = dataflow::plan_layer(layer, array);
     const auto traffic = dataflow::model_traffic(plan, batch);
-    const double ms =
-        static_cast<double>(plan.cycles_per_image()) / array.clock_hz * 1e3;
+    // Conv time per image of the batch, kernel loads excluded.
+    const dataflow::LayerCycles cycles = dataflow::layer_cycles(plan, array);
+    const double ms = static_cast<double>(cycles.total(batch) -
+                                          cycles.kernel_load) /
+                      static_cast<double>(batch) / array.clock_hz * 1e3;
     const auto rates = energy::rates_from_plan(plan);
     const auto power = energy_model.power(rates, array.clock_hz,
                                           array.num_pes);

@@ -18,10 +18,11 @@ namespace {
 // the existing closed-form tests (Accelerator.MeasuredCyclesMatchPlanClosedForm).
 RunStats analytical_stats(const dataflow::ExecutionPlan& plan,
                           std::int64_t batch) {
+  const dataflow::LayerCycles cycles = dataflow::layer_cycles(plan, plan.array);
   RunStats stats;
-  stats.kernel_load_cycles = plan.kernel_load_cycles_per_batch();
-  stats.stream_cycles = batch * plan.stream_cycles_per_image();
-  stats.drain_cycles = plan.drain_cycles();  // overlaps streams; paid once
+  stats.kernel_load_cycles = cycles.kernel_load;
+  stats.stream_cycles = batch * cycles.stream_per_image;
+  stats.drain_cycles = cycles.drain;
   stats.windows_collected = batch * plan.windows_per_image();
   // The chain MACs zero-padding taps like real ones (phases partition the
   // K x K taps), so the streamed MAC count is the nominal layer count.

@@ -15,9 +15,9 @@
 // 0's delayed by 2*q*T cycles (its channel taps sit 2*q*T registers
 // deeper). The simulator evaluates all primitives phase-aligned — the
 // outputs are the same values and the constant chain delay is charged
-// analytically (ExecutionPlan::drain_cycles) — which keeps the per-cycle
-// work at O(active PEs) with a short tap history instead of a
-// 2*576-deep one.
+// analytically (the drain term of dataflow::layer_cycles) — which keeps
+// the per-cycle work at O(active PEs) with a short tap history instead
+// of a 2*576-deep one.
 #pragma once
 
 #include <cstdint>

@@ -277,7 +277,7 @@ Tensor<std::int64_t> LayerController::run(const Tensor<std::int16_t>& ifmaps,
           static_cast<std::uint64_t>(layer.batch) * wb);
 
   enter_state(ControllerState::kDrain);
-  stats.drain_cycles = plan_.drain_cycles();
+  stats.drain_cycles = dataflow::layer_cycles(plan_, plan_.array).drain;
   enter_state(ControllerState::kIdle);
   return acc;
 }

@@ -15,14 +15,6 @@ double NetworkRunResult::total_seconds() const {
   return s;
 }
 
-double NetworkRunResult::kernel_load_seconds() const {
-  double s = 0.0;
-  for (const auto& l : layers)
-    s += static_cast<double>(l.run.stats.kernel_load_cycles) /
-         l.run.plan.array.clock_hz;
-  return s;
-}
-
 double NetworkRunResult::total_energy_j() const {
   double e = 0.0;
   for (const auto& l : layers) e += l.power.total() * l.run.seconds();
@@ -31,10 +23,14 @@ double NetworkRunResult::total_energy_j() const {
 
 double NetworkRunResult::fps(std::int64_t batch) const {
   CHAINNN_CHECK(batch > 0);
-  const double per_image = total_seconds() - kernel_load_seconds();
-  const double batch_time =
-      kernel_load_seconds() + static_cast<double>(batch) * per_image;
-  return static_cast<double>(batch) / batch_time;
+  double batch_seconds = 0.0;
+  for (const auto& l : layers)
+    batch_seconds +=
+        static_cast<double>(
+            dataflow::layer_cycles(l.run.plan, l.run.plan.array)
+                .total(batch)) /
+        l.run.clock_hz();
+  return static_cast<double>(batch) / batch_seconds;
 }
 
 bool NetworkRunResult::all_verified() const {

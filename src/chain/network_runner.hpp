@@ -102,10 +102,10 @@ struct NetworkRunResult {
   Tensor<std::int16_t> final_activations;
 
   [[nodiscard]] double total_seconds() const;
-  [[nodiscard]] double kernel_load_seconds() const;
   // Energy integrates each layer's modelled power over its time.
   [[nodiscard]] double total_energy_j() const;
-  // Frames/s for a batch: per-image conv time plus once-per-batch loads.
+  // Frames/s for a batch of `batch` images on these layers' plans: the
+  // batch over the total_seconds() a batch-`batch` run would take.
   [[nodiscard]] double fps(std::int64_t batch) const;
   [[nodiscard]] bool all_verified() const;
 };

@@ -122,42 +122,25 @@ ExecutionPlan plan_layer(const nn::ConvLayerParams& layer,
   return plan;
 }
 
-std::int64_t ExecutionPlan::stream_slots_per_channel_pass() const {
-  return stream_slots_per_channel_pass_on(array);
-}
-
-std::int64_t ExecutionPlan::stream_slots_per_channel_pass_on(
-    const ArrayShape& a) const {
-  std::int64_t slots = 0;
-  for (const SubConvPlan& sp : subconvs)
-    slots += a.dual_channel ? sp.stream_slots_total()
-                            : sp.stream_slots_single_channel();
-  return slots;
-}
-
-std::int64_t ExecutionPlan::cycles_per_image() const {
-  // m_group -> c_tile -> sub -> strip -> c: one strip pattern per channel.
-  return m_groups * layer.channels_per_group() *
-             stream_slots_per_channel_pass() +
-         drain_cycles();
-}
-
-std::int64_t ExecutionPlan::drain_cycles() const {
-  return drain_cycles_on(array);
-}
-
-std::int64_t ExecutionPlan::drain_cycles_on(const ArrayShape& a) const {
+LayerCycles layer_cycles(const ExecutionPlan& plan, const ArrayShape& array) {
+  // One strip pattern per channel pass; single-channel PEs (Fig. 5(a))
+  // need K_r*in_cols slots per output row.
+  std::int64_t slots_per_channel = 0;
+  for (const SubConvPlan& sp : plan.subconvs)
+    slots_per_channel +=
+        array.dual_channel
+            ? sp.stream_slots_total()
+            : sp.out_rows * sp.sub.kernel_rows * sp.sub.in_cols;
+  LayerCycles c;
+  c.kernel_load = plan.kernel_words_total();
+  // m_group -> c_tile -> sub -> strip -> c.
+  c.stream_per_image =
+      plan.m_groups * plan.layer.channels_per_group() * slots_per_channel;
   // Channel delay through the chain (2 registers per PE), the psum chain
   // of the last primitive, and the extra MAC pipeline stages.
-  return 2 * (primitives - 1) * taps + taps + (a.pipeline_stages - 1);
-}
-
-std::int64_t ExecutionPlan::cycles_per_batch(std::int64_t batch) const {
-  return kernel_load_cycles_per_batch() + batch * cycles_per_image();
-}
-
-double ExecutionPlan::seconds_per_batch(std::int64_t batch) const {
-  return static_cast<double>(cycles_per_batch(batch)) / array.clock_hz;
+  c.drain = 2 * (plan.primitives - 1) * plan.taps + plan.taps +
+            (array.pipeline_stages - 1);
+  return c;
 }
 
 std::int64_t ExecutionPlan::passes_per_image() const {
@@ -175,9 +158,10 @@ std::int64_t ExecutionPlan::windows_per_image() const {
 }
 
 double ExecutionPlan::utilization_per_image() const {
+  const LayerCycles c = layer_cycles(*this, array);
   const double macs = static_cast<double>(layer.macs_per_image());
   const double cap = static_cast<double>(array.num_pes) *
-                     static_cast<double>(cycles_per_image());
+                     static_cast<double>(c.stream_per_image + c.drain);
   return cap == 0.0 ? 0.0 : macs / cap;
 }
 
@@ -197,7 +181,7 @@ std::int64_t ExecutionPlan::paper_model_cycles_per_image() const {
 double ExecutionPlan::paper_model_seconds_per_batch(
     std::int64_t batch) const {
   const std::int64_t cycles =
-      kernel_load_cycles_per_batch() + batch * paper_model_cycles_per_image();
+      kernel_words_total() + batch * paper_model_cycles_per_image();
   return static_cast<double>(cycles) / array.clock_hz;
 }
 
@@ -251,31 +235,6 @@ std::size_t PlanKey::hash() const {
   mix(omemory_bytes);
   mix(word_bytes);
   return static_cast<std::size_t>(h);
-}
-
-bool RequestCycleEstimate::feasible_within(double clock_hz,
-                                           double backlog_seconds,
-                                           double deadline_seconds) const {
-  CHAINNN_CHECK_MSG(clock_hz > 0.0, "clock must be positive");
-  return backlog_seconds + seconds(clock_hz) <= deadline_seconds;
-}
-
-RequestCycleEstimate estimate_request_cycles(const ExecutionPlan& plan,
-                                             std::int64_t batch) {
-  return estimate_request_cycles(plan, plan.array, batch);
-}
-
-RequestCycleEstimate estimate_request_cycles(const ExecutionPlan& plan,
-                                             const ArrayShape& array,
-                                             std::int64_t batch) {
-  CHAINNN_CHECK_MSG(batch >= 1, "batch must be >= 1, got " << batch);
-  RequestCycleEstimate est;
-  est.kernel_load_cycles = plan.kernel_load_cycles_per_batch();
-  est.stream_cycles = batch * plan.m_groups *
-                      plan.layer.channels_per_group() *
-                      plan.stream_slots_per_channel_pass_on(array);
-  est.drain_cycles = batch * plan.drain_cycles_on(array);
-  return est;
 }
 
 UtilizationRow utilization_row(const ArrayShape& array, std::int64_t kernel) {

@@ -15,9 +15,10 @@
 //               partial sums accumulate in oMemory.
 //
 // Two timing views:
-//   * cycles_*() — the schedule the cycle-accurate simulator executes;
-//     tests assert the simulator's measured counts equal these closed
-//     forms exactly.
+//   * layer_cycles() — the schedule the cycle-accurate simulator
+//     executes; tests assert the simulator's measured counts equal this
+//     closed form exactly. It is the only one: every engine, router and
+//     cost model reads its cycles from it.
 //   * paper_model_cycles_*() — the idealized model the paper's Fig. 9
 //     numbers follow (MACs / active-PEs, x stride for strided layers,
 //     x K for single-channel PEs).
@@ -61,11 +62,6 @@ struct SubConvPlan {
     return sub.kernel_rows * (sub.in_cols - 1) + strip_rows(strip);
   }
   [[nodiscard]] std::int64_t stream_slots_total() const;
-  // Single-channel variant (Fig. 5(a)): one output row per K_r*in_cols
-  // slots.
-  [[nodiscard]] std::int64_t stream_slots_single_channel() const {
-    return out_rows * sub.kernel_rows * sub.in_cols;
-  }
 };
 
 struct ExecutionPlan {
@@ -93,34 +89,9 @@ struct ExecutionPlan {
   // iMemory across m-groups (the DRAM policy of traffic.hpp).
   bool all_kernels_resident = false;
 
-  // --- kernel loading ------------------------------------------------------
+  // Kernel words of the layer; they load at 1 word/cycle (§V.B).
   [[nodiscard]] std::int64_t kernel_words_total() const {
     return layer.weight_count();
-  }
-  // Once per batch at 1 word/cycle (§V.B, Fig. 9).
-  [[nodiscard]] std::int64_t kernel_load_cycles_per_batch() const {
-    return kernel_words_total();
-  }
-
-  // --- streaming cycles (our schedule) --------------------------------------
-  [[nodiscard]] std::int64_t stream_slots_per_channel_pass() const;
-  [[nodiscard]] std::int64_t cycles_per_image() const;
-  [[nodiscard]] std::int64_t drain_cycles() const;
-  // The two closed forms above evaluated against `a` instead of
-  // this->array: dual_channel and pipeline_stages are the only array
-  // fields they read, and both are outside PlanKey, so a plan shared
-  // through serve::PlanCache must be costed with the caller's array.
-  [[nodiscard]] std::int64_t stream_slots_per_channel_pass_on(
-      const ArrayShape& a) const;
-  [[nodiscard]] std::int64_t drain_cycles_on(const ArrayShape& a) const;
-  [[nodiscard]] std::int64_t cycles_per_batch(std::int64_t batch) const;
-  [[nodiscard]] double seconds_per_batch(std::int64_t batch) const;
-
-  // Stream slots the controller spends on one image (cycles_per_image
-  // without the once-per-run drain). The analytical engine replays this
-  // and the two counts below in place of the measured RunStats.
-  [[nodiscard]] std::int64_t stream_cycles_per_image() const {
-    return cycles_per_image() - drain_cycles();
   }
 
   // Strip passes the controller issues per image (one per
@@ -130,7 +101,8 @@ struct ExecutionPlan {
   // Window completions per image (one per (m, c, phase, output site)).
   [[nodiscard]] std::int64_t windows_per_image() const;
 
-  // MAC utilization over the whole chain: MACs / (num_pes x cycles).
+  // MAC utilization over the whole chain: MACs / (num_pes x cycles) for
+  // one image's stream plus the drain (the kernel load excluded).
   [[nodiscard]] double utilization_per_image() const;
 
   // --- the paper's idealized timing model -----------------------------------
@@ -179,43 +151,28 @@ struct PlanKeyHash {
   std::size_t operator()(const PlanKey& k) const { return k.hash(); }
 };
 
-// Closed-form cost of one serving request — `batch` images of the plan's
-// layer on the plan's array — broken into the components a router wants
-// to reason about. total() equals cycles_per_batch(batch) exactly, so a
-// modelled completion time is as trustworthy as the analytical engine
-// itself (which the test suite pins against the cycle-accurate
-// simulator). Routing layers fetch the plan by PlanKey through a shared
-// serve::PlanCache and call this, so sizing a request costs a hash
-// lookup, not a planning pass.
-struct RequestCycleEstimate {
-  std::int64_t kernel_load_cycles = 0;  // once per request (§V.B)
-  std::int64_t stream_cycles = 0;       // batch x per-image streaming
-  std::int64_t drain_cycles = 0;        // batch x per-image chain drain
+// The closed form for a layer's cycles: the schedule the cycle-accurate
+// controller executes and the analytical engine replays, count for count
+// (tests/chain/test_exec_mode.cpp). Kernels load once per batch at 1
+// word/cycle (§V.B); every image streams each phase's strips once per
+// (m-group, channel); the chain drain overlaps the next pass's stream,
+// so it is paid once per run, not once per image.
+struct LayerCycles {
+  std::int64_t kernel_load = 0;       // once per batch
+  std::int64_t stream_per_image = 0;  // stream slots of one image
+  std::int64_t drain = 0;             // once per run
 
-  [[nodiscard]] std::int64_t total() const {
-    return kernel_load_cycles + stream_cycles + drain_cycles;
+  [[nodiscard]] std::int64_t total(std::int64_t batch) const {
+    return kernel_load + batch * stream_per_image + drain;
   }
-  [[nodiscard]] double seconds(double clock_hz) const {
-    return static_cast<double>(total()) / clock_hz;
-  }
-  // Deadline-feasibility closed form (admission control): can this
-  // request, queued behind `backlog_seconds` of modelled work on a chip
-  // clocked at `clock_hz`, finish within `deadline_seconds` of now? The
-  // estimate is exact for the chain time (the analytical engine executes
-  // these very closed forms), so an infeasible verdict is a modelling
-  // fact, not a heuristic — only host-side overheads (queue pickup,
-  // worker scheduling) sit outside it.
-  [[nodiscard]] bool feasible_within(double clock_hz, double backlog_seconds,
-                                     double deadline_seconds) const;
+
+  friend bool operator==(const LayerCycles&, const LayerCycles&) = default;
 };
-[[nodiscard]] RequestCycleEstimate estimate_request_cycles(
-    const ExecutionPlan& plan, std::int64_t batch);
-// Same closed forms, but dual_channel / pipeline_stages read from
-// `array` — for costing a plan fetched by shared pointer out of
-// serve::PlanCache, whose stored array may differ from the caller's in
-// exactly those (non-key) fields.
-[[nodiscard]] RequestCycleEstimate estimate_request_cycles(
-    const ExecutionPlan& plan, const ArrayShape& array, std::int64_t batch);
+// dual_channel and pipeline_stages are read from `array`, not from
+// plan.array: both sit outside PlanKey, so a plan shared through
+// serve::PlanCache is costed with the caller's array.
+[[nodiscard]] LayerCycles layer_cycles(const ExecutionPlan& plan,
+                                       const ArrayShape& array);
 
 // Table II helper: active primitive/PE counts for a square kernel K
 // (pure chain regrouping — no memory constraints).

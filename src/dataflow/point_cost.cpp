@@ -7,12 +7,7 @@
 namespace chainnn::dataflow {
 
 LayerCostModel layer_cost_model(const ExecutionPlan& plan) {
-  LayerCostModel m;
-  m.kernel_load_cycles = plan.kernel_load_cycles_per_batch();
-  m.stream_cycles_per_image = plan.stream_cycles_per_image();
-  m.drain_cycles = plan.drain_cycles();
-  m.rates = energy::rates_from_plan(plan);
-  return m;
+  return {layer_cycles(plan, plan.array), energy::rates_from_plan(plan)};
 }
 
 PointCost accumulate_point_cost(
@@ -24,13 +19,10 @@ PointCost accumulate_point_cost(
   PointCost cost;
   cost.area_gates = area_gates;
   for (const LayerCostModel* m : layers) {
-    // The engines' accounting exactly: kernel loads once per batch,
-    // streaming per image, the chain drain overlapping the streams and
-    // paid once per run (chain::analytical_stats, which the
-    // cycle-accurate simulator matches count for count).
-    const std::int64_t cycles = m->kernel_load_cycles +
-                                batch * m->stream_cycles_per_image +
-                                m->drain_cycles;
+    // The engines' accounting exactly (chain::analytical_stats reads the
+    // same closed form, and the cycle-accurate simulator matches it
+    // count for count).
+    const std::int64_t cycles = m->cycles.total(batch);
     const double seconds = static_cast<double>(cycles) / clock_hz;
     const energy::PowerBreakdown power =
         energy.power(m->rates, clock_hz, num_pes);

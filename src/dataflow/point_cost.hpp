@@ -2,15 +2,12 @@
 // search evaluates millions of points with (ROADMAP item 4).
 //
 // The executed path (ChainAccelerator → NetworkRunner → SweepDriver)
-// computes per-layer cycles from the very closed forms the plan carries,
-// then *also* allocates tensors, streams them, and charges a
-// mem::MemoryHierarchy — none of which changes the rolled-up
-// cycles/seconds/energy figures. estimate_point_cost() keeps only the
-// arithmetic:
+// computes per-layer cycles from dataflow::layer_cycles, then *also*
+// allocates tensors, streams them, and charges a mem::MemoryHierarchy —
+// none of which changes the rolled-up cycles/seconds/energy figures.
+// estimate_point_cost() keeps only the arithmetic:
 //
-//   cycles_l  = kernel_load_cycles_per_batch()
-//             + batch * stream_cycles_per_image()
-//             + drain_cycles()            // paid once, as the engines do
+//   cycles_l  = layer_cycles(plan, array).total(batch)
 //   seconds_l = cycles_l / clock_hz
 //   energy_l  = power(rates_from_plan(plan)).total() * seconds_l
 //   area      = AreaModel logic + on-chip SRAM gates
@@ -46,16 +43,14 @@ namespace chainnn::dataflow {
 // batch size. Derived once per (layer, chain structure, channel mode)
 // and reused across every point sharing them.
 struct LayerCostModel {
-  std::int64_t kernel_load_cycles = 0;      // once per batch (§V.B)
-  std::int64_t stream_cycles_per_image = 0;
-  std::int64_t drain_cycles = 0;            // overlaps streams; paid once
-  energy::ActivityRates rates;              // per-cycle, clock-free
+  LayerCycles cycles;
+  energy::ActivityRates rates;  // per-cycle, clock-free
 };
 
-// Reads the closed forms off a plan whose `array` field is the array the
-// point actually runs (plan_layer and PlanCache::plan_for both stamp the
-// caller's array, so plans from either are safe here; a shared_plan_for
-// entry is not — its stored array may differ in dual_channel).
+// Costs a plan whose `array` field is the array the point actually runs
+// (plan_layer and PlanCache::plan_for both stamp the caller's array, so
+// plans from either are safe here; a shared_plan_for entry is not — its
+// stored array may differ in dual_channel, which rates_from_plan reads).
 [[nodiscard]] LayerCostModel layer_cost_model(const ExecutionPlan& plan);
 
 struct PointCost {

@@ -92,9 +92,11 @@ double EnergyModel::energy_j(const ActivityRates& rates, double clock_hz,
 }
 
 ActivityRates rates_from_plan(const dataflow::ExecutionPlan& plan) {
+  // Per cycle of one image's stream plus the drain (the kernel load
+  // excluded).
+  const dataflow::LayerCycles c = dataflow::layer_cycles(plan, plan.array);
+  const auto cycles = static_cast<double>(c.stream_per_image + c.drain);
   ActivityRates r;
-  const auto cycles =
-      static_cast<double>(plan.cycles_per_image());
   r.active_pe_fraction = static_cast<double>(plan.active_pes) /
                          static_cast<double>(plan.array.num_pes);
 

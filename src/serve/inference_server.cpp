@@ -526,9 +526,9 @@ void InferenceServer::drain_loop() {
       }
     }
 
-    lock.Lock();
-    if (is_resume) ++state_->stats.resumes;
     if (preempted) {
+      lock.Lock();
+      if (is_resume) ++state_->stats.resumes;
       // Give the checkpointed request its queue slot back (bypassing
       // backpressure — a drain cannot block on its own submit gate).
       ++state_->stats.preemptions;
@@ -555,6 +555,32 @@ void InferenceServer::drain_loop() {
       }
       continue;
     }
+    // The hook runs *before* the promise resolves, so by the time a
+    // caller observes the result the routed backlog has already been
+    // retired (and test observers have recorded the completion). It runs
+    // before the counters too: a hook that throws fails its request.
+    if (opts_.completion_hook) {
+      try {
+        if (error) {
+          // The promise carries the error; the hook still needs the id
+          // and routed accounting to retire the request.
+          InferenceResult failed;
+          failed.request_id = task.id;
+          failed.tag = task.options.tag;
+          failed.chip = opts_.name;
+          failed.modelled_seconds = task.options.modelled_seconds;
+          failed.modelled_seconds_retired = task.modelled_retired;
+          failed.status = RequestStatus::kFailed;
+          opts_.completion_hook(failed);
+        } else {
+          opts_.completion_hook(result);
+        }
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    lock.Lock();
+    if (is_resume) ++state_->stats.resumes;
     if (error) {
       ++state_->stats.failed;
     } else if (result.status == RequestStatus::kCancelled) {
@@ -574,26 +600,7 @@ void InferenceServer::drain_loop() {
     }
     lock.Unlock();
     // Fulfill outside the lock: future continuations must not run under
-    // the server mutex. The hook runs *before* the promise resolves, so
-    // by the time a caller observes the result the routed backlog has
-    // already been retired (and test observers have recorded the
-    // completion).
-    if (opts_.completion_hook) {
-      if (error) {
-        // The promise carries the error; the hook still needs the id
-        // and routed accounting to retire the request.
-        InferenceResult failed;
-        failed.request_id = task.id;
-        failed.tag = task.options.tag;
-        failed.chip = opts_.name;
-        failed.modelled_seconds = task.options.modelled_seconds;
-        failed.modelled_seconds_retired = task.modelled_retired;
-        failed.status = RequestStatus::kFailed;
-        opts_.completion_hook(failed);
-      } else {
-        opts_.completion_hook(result);
-      }
-    }
+    // the server mutex.
     if (error) {
       task.promise.set_exception(error);
     } else {

@@ -112,12 +112,11 @@ struct RequestOptions {
   // Deadline-feasibility admission control (opt-in, honoured by
   // Fleet::submit; a standalone InferenceServer ignores it — it has no
   // router to size the request against). With admission set and a
-  // deadline_ms given, a request whose modelled finish time
-  // (backlog + closed-form chain seconds, see
-  // dataflow::RequestCycleEstimate::feasible_within) exceeds the
-  // deadline on *every* chip is refused at submit: its future resolves
-  // immediately with RequestStatus::kRejected, nothing is charged to any
-  // backlog, and the request never executes.
+  // deadline_ms given, a request whose modelled finish time (backlog +
+  // closed-form chain seconds, serve::RouteDecision::finish_seconds)
+  // exceeds the deadline on *every* chip is refused at submit: its
+  // future resolves immediately with RequestStatus::kRejected, nothing
+  // is charged to any backlog, and the request never executes.
   bool admission = false;
   // Modelled execution seconds, stamped by the Fleet router when it
   // dispatches the request; echoed back on InferenceResult so completion
@@ -281,6 +280,12 @@ struct ServerOptions {
   // receives a stub with status kFailed and only request_id / chip /
   // modelled_seconds populated (the promise carries the error itself).
   // wait_idle() returns only after all hooks have fired.
+  // Hooks should not throw (the Fleet's can: a failed journal append
+  // throws JournalError). If one does, the server catches it: the
+  // request counts once in ServerStats::failed (not completed or
+  // cancelled), its future rethrows the hook's exception (a request that
+  // had already thrown keeps its own error), and the hook is not called
+  // again for it.
   std::function<void(const InferenceResult&)> completion_hook;
   // TEST HOOK: mutates the fidelity replay before the cross-check, so
   // tests can prove an injected divergence is caught and counted.

@@ -94,7 +94,7 @@ class PlanCache {
   // outside the key (batch, name, clock, dual_channel, pipeline_stages,
   // iMemory/kMemory capacities) — so callers must read only key-derived
   // structure, or closed forms taking the caller's array explicitly
-  // (dataflow::estimate_request_cycles(plan, array, batch)).
+  // (dataflow::layer_cycles(plan, array)).
   [[nodiscard]] std::shared_ptr<const dataflow::ExecutionPlan>
   shared_plan_for(const nn::ConvLayerParams& layer,
                   const dataflow::ArrayShape& array,

@@ -72,7 +72,7 @@ Router::Router(std::vector<ChipSpec> chips, std::shared_ptr<PlanCache> cache)
   CHAINNN_CHECK_MSG(cache_ != nullptr, "router needs a shared PlanCache");
 }
 
-dataflow::RequestCycleEstimate Router::cycles_for_resolved(
+std::int64_t Router::cycles_for_resolved(
     std::size_t chip, const std::vector<nn::ConvLayerParams>& layers,
     std::int64_t batch,
     const std::optional<dataflow::ArrayShape>& array_override) const {
@@ -80,24 +80,20 @@ dataflow::RequestCycleEstimate Router::cycles_for_resolved(
                     "chip " << chip << " out of range");
   const dataflow::ArrayShape& array =
       array_override ? *array_override : chips_[chip].array;
-  dataflow::RequestCycleEstimate total;
+  std::int64_t total = 0;
   for (const nn::ConvLayerParams& layer : layers) {
     // Shared fetch: sizing a request stays a hash lookup per layer, not
-    // a deep plan copy; the caller's array goes to the closed forms
+    // a deep plan copy; the caller's array goes to the closed form
     // explicitly since the cached entry's array may differ outside the
     // key.
     const std::shared_ptr<const dataflow::ExecutionPlan> plan =
         cache_->shared_plan_for(layer, array, chips_[chip].memory);
-    const dataflow::RequestCycleEstimate est =
-        dataflow::estimate_request_cycles(*plan, array, batch);
-    total.kernel_load_cycles += est.kernel_load_cycles;
-    total.stream_cycles += est.stream_cycles;
-    total.drain_cycles += est.drain_cycles;
+    total += dataflow::layer_cycles(*plan, array).total(batch);
   }
   return total;
 }
 
-dataflow::RequestCycleEstimate Router::modelled_request_cycles(
+std::int64_t Router::modelled_request_cycles(
     std::size_t chip, const nn::NetworkModel& net, std::int64_t batch,
     std::int64_t in_height, std::int64_t in_width,
     const std::vector<chain::InterLayerOp>& inter_layer,
@@ -114,9 +110,10 @@ double Router::modelled_request_seconds(
     const std::optional<dataflow::ArrayShape>& array_override) const {
   const dataflow::ArrayShape& array =
       array_override ? *array_override : chips_[chip].array;
-  return modelled_request_cycles(chip, net, batch, in_height, in_width,
-                                 inter_layer, array_override)
-      .seconds(array.clock_hz);
+  return static_cast<double>(modelled_request_cycles(
+             chip, net, batch, in_height, in_width, inter_layer,
+             array_override)) /
+         array.clock_hz;
 }
 
 Router::Estimates Router::estimate_all(
@@ -136,7 +133,7 @@ Router::Estimates Router::estimate_all(
     est.cycles[c] = cycles_for_resolved(c, layers, batch, array_override);
     const dataflow::ArrayShape& array =
         array_override ? *array_override : chips_[c].array;
-    est.seconds[c] = est.cycles[c].seconds(array.clock_hz);
+    est.seconds[c] = static_cast<double>(est.cycles[c]) / array.clock_hz;
   }
   return est;
 }
@@ -152,7 +149,7 @@ RouteDecision Router::pick_locked(const Estimates& est) const {
       best.chip_name = chips_[c].name;
       best.request_seconds = est.seconds[c];
       best.backlog_seconds = backlog_[c];
-      best.request_cycles = est.cycles[c].total();
+      best.request_cycles = est.cycles[c];
     }
   }
   return best;
@@ -179,17 +176,12 @@ RouteDecision Router::route_and_dispatch(
                                      inter_layer, array_override);
   MutexLock lock(mu_);
   RouteDecision decision = pick_locked(est);
-  if (admission_deadline_s) {
-    const dataflow::ArrayShape& array =
-        array_override ? *array_override : chips_[decision.chip].array;
-    if (!est.cycles[decision.chip].feasible_within(
-            array.clock_hz, decision.backlog_seconds,
-            *admission_deadline_s)) {
-      // Earliest finish already misses the deadline => so does every
-      // chip. Reject without charging anything.
-      decision.admitted = false;
-      return decision;
-    }
+  if (admission_deadline_s &&
+      decision.finish_seconds() > *admission_deadline_s) {
+    // Earliest finish already misses the deadline => so does every chip.
+    // Reject without charging anything.
+    decision.admitted = false;
+    return decision;
   }
   backlog_[decision.chip] += decision.request_seconds;
   dispatched_[decision.chip] += decision.request_seconds;

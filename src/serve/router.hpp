@@ -1,17 +1,16 @@
 // Router — deadline-aware, model-driven request placement.
 //
 // Chain-NN's fixed dataflow makes a layer's latency a *closed form* of
-// (layer geometry, array shape) — dataflow::estimate_request_cycles over
-// a cached ExecutionPlan. The router exploits that: instead of guessing
-// from load averages, it computes the modelled chain seconds a request
-// will take on every chip of a heterogeneous fleet (plans fetched by
-// PlanKey through the shared serve::PlanCache, so sizing is a hash
-// lookup after the first sighting of a shape), adds the chip's current
-// modelled backlog, and picks the earliest finish time. The estimate is
-// exact for the request's chain time — the analytical engine executes
-// the very same closed forms — so routing quality degrades only through
-// host-side effects (queueing granularity, worker scheduling), not
-// through model error.
+// (layer geometry, array shape) — dataflow::layer_cycles over a cached
+// ExecutionPlan. The router exploits that: instead of guessing from load
+// averages, it computes the modelled chain seconds a request will take
+// on every chip of a heterogeneous fleet (plans fetched by PlanKey
+// through the shared serve::PlanCache, so sizing is a hash lookup after
+// the first sighting of a shape), adds the chip's current modelled
+// backlog, and picks the earliest finish time. The estimate equals the
+// executed cycles on both engines (tests/serve/test_router.cpp), so
+// routing quality degrades only through host-side effects (queueing
+// granularity, worker scheduling), not through model error.
 //
 // The router is execution-agnostic: it never runs anything. Fleet calls
 // route()/dispatch() at submission and complete() from the per-chip
@@ -79,10 +78,11 @@ class Router {
 
   [[nodiscard]] const std::vector<ChipSpec>& chips() const { return chips_; }
 
-  // Modelled chain time of `batch` images of `net` on chip `chip`.
+  // Modelled chain cycles of `batch` images of `net` on chip `chip`:
+  // the total_cycles() a NetworkRunner run on that chip records.
   // `array_override`, when set, replaces the chip's array (a request
   // pinning its own ArrayShape still gets backlog-aware placement).
-  [[nodiscard]] dataflow::RequestCycleEstimate modelled_request_cycles(
+  [[nodiscard]] std::int64_t modelled_request_cycles(
       std::size_t chip, const nn::NetworkModel& net, std::int64_t batch,
       std::int64_t in_height, std::int64_t in_width,
       const std::vector<chain::InterLayerOp>& inter_layer,
@@ -109,12 +109,11 @@ class Router {
   //
   // `admission_deadline_s`, when set, turns the call into admission
   // control: the earliest-finish chip is still chosen, but if even its
-  // modelled finish (backlog + closed-form request seconds, see
-  // dataflow::RequestCycleEstimate::feasible_within) exceeds the
-  // deadline — and earliest-finish minimizes that figure, so every other
-  // chip is worse — the decision comes back with admitted == false and
-  // NOTHING is dispatched: no backlog charge, no routed count, nothing
-  // to retract.
+  // modelled finish (RouteDecision::finish_seconds) exceeds the deadline
+  // — and earliest-finish minimizes that figure, so every other chip is
+  // worse — the decision comes back with admitted == false and NOTHING
+  // is dispatched: no backlog charge, no routed count, nothing to
+  // retract.
   [[nodiscard]] RouteDecision route_and_dispatch(
       const nn::NetworkModel& net, std::int64_t batch,
       std::int64_t in_height, std::int64_t in_width,
@@ -143,7 +142,7 @@ class Router {
   // Per-chip request seconds (and total cycles), estimated without
   // touching the backlogs; requires no lock.
   struct Estimates {
-    std::vector<dataflow::RequestCycleEstimate> cycles;
+    std::vector<std::int64_t> cycles;
     std::vector<double> seconds;
   };
   [[nodiscard]] Estimates estimate_all(
@@ -152,7 +151,7 @@ class Router {
       const std::vector<chain::InterLayerOp>& inter_layer,
       const std::optional<dataflow::ArrayShape>& array_override) const;
   // Cycle cost of already-resolved layers on one chip; requires no lock.
-  [[nodiscard]] dataflow::RequestCycleEstimate cycles_for_resolved(
+  [[nodiscard]] std::int64_t cycles_for_resolved(
       std::size_t chip, const std::vector<nn::ConvLayerParams>& layers,
       std::int64_t batch,
       const std::optional<dataflow::ArrayShape>& array_override) const;

@@ -144,13 +144,14 @@ TEST(Accelerator, MeasuredCyclesMatchPlanClosedForm) {
     const TestData d = make_data(p, 10);
     ChainAccelerator acc(small_config(256));
     const LayerRunResult res = acc.run_layer(p, d.ifmaps, d.kernels);
-    const dataflow::ExecutionPlan& plan = res.plan;
-    EXPECT_EQ(res.stats.stream_cycles + res.stats.drain_cycles,
-              plan.cycles_per_image() * p.batch -
-                  plan.drain_cycles() * (p.batch - 1))
+    const dataflow::LayerCycles cycles =
+        dataflow::layer_cycles(res.plan, res.plan.array);
+    EXPECT_EQ(res.stats.stream_cycles, cycles.stream_per_image * p.batch)
         << p.to_string();
-    EXPECT_EQ(res.stats.kernel_load_cycles,
-              plan.kernel_load_cycles_per_batch())
+    EXPECT_EQ(res.stats.drain_cycles, cycles.drain) << p.to_string();
+    EXPECT_EQ(res.stats.kernel_load_cycles, cycles.kernel_load)
+        << p.to_string();
+    EXPECT_EQ(res.stats.total_cycles(), cycles.total(p.batch))
         << p.to_string();
   }
 }

@@ -67,9 +67,8 @@ TEST_P(AcceleratorSweep, BitExactAndAccountingConsistent) {
   EXPECT_EQ(res.stats.macs_performed, p.macs_total());
 
   // 3) Cycle accounting matches the closed-form plan.
-  EXPECT_EQ(res.stats.stream_cycles + res.stats.drain_cycles,
-            res.plan.cycles_per_image() * p.batch -
-                res.plan.drain_cycles() * (p.batch - 1));
+  EXPECT_EQ(res.stats.total_cycles(),
+            dataflow::layer_cycles(res.plan, res.plan.array).total(p.batch));
 }
 
 INSTANTIATE_TEST_SUITE_P(

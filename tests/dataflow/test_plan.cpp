@@ -110,7 +110,8 @@ TEST(Plan, StridedLayerRowBlockIsLcm) {
 TEST(Plan, KernelLoadCyclesEqualWeightCount) {
   for (const auto& layer : nn::alexnet().conv_layers) {
     const ExecutionPlan plan = plan_layer(layer, ArrayShape{});
-    EXPECT_EQ(plan.kernel_load_cycles_per_batch(), layer.weight_count());
+    EXPECT_EQ(layer_cycles(plan, plan.array).kernel_load,
+              layer.weight_count());
   }
 }
 
@@ -128,7 +129,9 @@ TEST(Plan, PaperModelMatchesFig9) {
         report::kFig9[i].conv_ms + report::kFig9[i].kernel_load_ms;
     const double idealized =
         plan.paper_model_seconds_per_batch(128) * 1e3;
-    const double ours = plan.seconds_per_batch(128) * 1e3;
+    const double ours =
+        static_cast<double>(layer_cycles(plan, array).total(128)) /
+        array.clock_hz * 1e3;
     const double err = std::min(std::abs(idealized / paper - 1.0),
                                 std::abs(ours / paper - 1.0));
     EXPECT_LT(err, 0.17) << layers[i].name << ": idealized " << idealized
@@ -156,8 +159,8 @@ TEST(Plan, SingleChannelIsKTimesSlower) {
   // Fig. 5: single-channel PEs reach only 1/K of the streaming
   // throughput (drain latency is common to both, so compare streams).
   const double ratio =
-      static_cast<double>(ps.stream_slots_per_channel_pass()) /
-      static_cast<double>(pd.stream_slots_per_channel_pass());
+      static_cast<double>(layer_cycles(ps, single).stream_per_image) /
+      static_cast<double>(layer_cycles(pd, dual).stream_per_image);
   EXPECT_NEAR(ratio, 3.0, 0.25);
 }
 

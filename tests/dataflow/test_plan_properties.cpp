@@ -67,9 +67,10 @@ void check_plan_invariants(const nn::ConvLayerParams& layer,
   EXPECT_GE(window_macs, layer.macs_per_image()) << ctx;
 
   // Cycle views consistent.
-  EXPECT_GT(plan.cycles_per_image(), 0) << ctx;
-  EXPECT_EQ(plan.cycles_per_batch(1),
-            plan.kernel_load_cycles_per_batch() + plan.cycles_per_image())
+  const LayerCycles cycles = layer_cycles(plan, plan.array);
+  EXPECT_GT(cycles.stream_per_image, 0) << ctx;
+  EXPECT_EQ(cycles.kernel_load, layer.weight_count()) << ctx;
+  EXPECT_EQ(cycles.total(2) - cycles.total(1), cycles.stream_per_image)
       << ctx;
   EXPECT_GT(plan.utilization_per_image(), 0.0) << ctx;
   EXPECT_LE(plan.utilization_per_image(), 1.0) << ctx;
@@ -129,7 +130,8 @@ TEST(PlanProperties, CyclesMonotoneInWork) {
   std::int64_t prev = 0;
   for (const std::int64_t m : {8, 64, 128, 256}) {
     p.out_channels = m;
-    const std::int64_t cycles = plan_layer(p, array).cycles_per_image();
+    const std::int64_t cycles =
+        layer_cycles(plan_layer(p, array), array).total(1);
     EXPECT_GE(cycles, prev) << m;
     prev = cycles;
   }
@@ -145,7 +147,8 @@ TEST(PlanProperties, BiggerChainNeverSlower) {
   for (const std::int64_t pes : {72, 144, 288, 576, 1152}) {
     ArrayShape array;
     array.num_pes = pes;
-    const std::int64_t cycles = plan_layer(p, array).cycles_per_image();
+    const std::int64_t cycles =
+        layer_cycles(plan_layer(p, array), array).total(1);
     EXPECT_LE(cycles, prev) << pes;
     prev = cycles;
   }

@@ -83,17 +83,20 @@ TEST(PaperClaims, KernelLoadOncePerBatchAmortizes) {
   // we just load kernels once per batch".
   const auto conv3 = nn::alexnet().conv_layers[2];
   const auto plan = dataflow::plan_layer(conv3, dataflow::ArrayShape{});
-  const double f128 =
-      128.0 / plan.seconds_per_batch(128);
-  const double f4 = 4.0 / plan.seconds_per_batch(4);
+  const dataflow::LayerCycles cycles = dataflow::layer_cycles(plan, plan.array);
+  const auto seconds = [&](std::int64_t batch) {
+    return static_cast<double>(cycles.total(batch)) / plan.array.clock_hz;
+  };
+  const double f128 = 128.0 / seconds(128);
+  const double f4 = 4.0 / seconds(4);
   EXPECT_GT(f128, f4);  // larger batch -> higher fps
   const double load_share_128 =
-      static_cast<double>(plan.kernel_load_cycles_per_batch()) /
-      static_cast<double>(plan.cycles_per_batch(128));
+      static_cast<double>(cycles.kernel_load) /
+      static_cast<double>(cycles.total(128));
   EXPECT_LT(load_share_128, 0.02);  // ~2% at batch 128 (Fig. 9: 1.23/58.4)
   const double load_share_4 =
-      static_cast<double>(plan.kernel_load_cycles_per_batch()) /
-      static_cast<double>(plan.cycles_per_batch(4));
+      static_cast<double>(cycles.kernel_load) /
+      static_cast<double>(cycles.total(4));
   EXPECT_GT(load_share_4, 10.0 * load_share_128);
 }
 

@@ -95,7 +95,7 @@ TEST(ConcurrencyStress, PlanCacheLookupsDuringLruEviction) {
         // comparison (test_plan_cache pins that): geometry mismatches
         // would show up here first.
         if (!(plan.layer == stress_layer(v)) ||
-            plan.cycles_per_image() <= 0)
+            dataflow::layer_cycles(plan, array).stream_per_image <= 0)
           mismatches.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -114,7 +114,8 @@ TEST(ConcurrencyStress, PlanCacheLookupsDuringLruEviction) {
   for (int v = 0; v < kVariants; ++v) {
     const auto warm = cache.plan_for(stress_layer(v), array, memory);
     const auto fresh = cold.plan_for(stress_layer(v), array, memory);
-    EXPECT_EQ(warm.cycles_per_image(), fresh.cycles_per_image());
+    EXPECT_TRUE(dataflow::layer_cycles(warm, array) ==
+                dataflow::layer_cycles(fresh, array));
     EXPECT_EQ(warm.primitives, fresh.primitives);
   }
 }

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <future>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -268,6 +269,35 @@ TEST(InferenceServer, RequestErrorsResolveTheFuture) {
   EXPECT_ANY_THROW((void)future.get());
   server.wait_idle();
   EXPECT_EQ(server.stats().failed, 1);
+}
+
+TEST(InferenceServer, ThrowingCompletionHookFailsOnlyItsRequest) {
+  // The Fleet's hook appends to the journal, which throws on a failed
+  // write. The drain thread must survive it: that request resolves with
+  // the hook's exception and counts once as failed, and serving goes on.
+  std::atomic<int> hook_calls{0};
+  ServerOptions so;
+  so.num_threads = 1;
+  so.completion_hook = [&](const InferenceResult&) {
+    if (hook_calls.fetch_add(1) == 0)
+      throw std::runtime_error("journal append failed");
+  };
+  ServerStats stats;
+  {
+    InferenceServer server(so);
+    const nn::NetworkModel net = tiny_net();
+    auto first = server.submit(net, 1);
+    EXPECT_THROW((void)first.get(), std::runtime_error);
+    auto second = server.submit(net, 1);
+    EXPECT_EQ(second.get().status, RequestStatus::kOk);
+    server.wait_idle();
+    stats = server.stats();
+  }  // and the destructor returns
+  EXPECT_EQ(hook_calls.load(), 2);
+  EXPECT_EQ(stats.failed, 1);
+  EXPECT_EQ(stats.completed, 1);
+  EXPECT_EQ(stats.completed + stats.cancelled + stats.failed,
+            stats.submitted);
 }
 
 TEST(InferenceServer, PastDeadlineAtSubmitResolvesCancelled) {

@@ -1,9 +1,11 @@
 // Router: layer-geometry resolution matches NetworkRunner, modelled
-// request seconds equal the plan closed forms, and earliest-finish-time
-// placement over per-chip backlogs.
+// request cycles equal executed runs on both engines, and
+// earliest-finish-time placement over per-chip backlogs.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "chain/network_runner.hpp"
 #include "common/rng.hpp"
@@ -73,65 +75,118 @@ TEST(Router, ResolvedLayersMatchTheExecutedNetwork) {
         << "layer " << i << " geometry drifted from NetworkRunner";
 }
 
-TEST(Router, ModelledSecondsEqualPlanClosedForms) {
-  auto cache = std::make_shared<PlanCache>();
-  Router router(default_fleet_chips(), cache);
-  const nn::NetworkModel net = pooled_net();
-  const std::int64_t batch = 2;
+// A small net with its input size and inter-layer ops.
+struct SizedNet {
+  nn::NetworkModel net;
+  std::int64_t in_size = 0;
+  std::vector<chain::InterLayerOp> inter;
+};
 
-  for (std::size_t c = 0; c < router.chips().size(); ++c) {
-    const ChipSpec& chip = router.chips()[c];
-    std::int64_t expect_cycles = 0;
-    for (const nn::ConvLayerParams& layer :
-         resolve_network_layers(net, batch, 16, 16, {})) {
-      const auto plan = dataflow::plan_layer(layer, chip.array, chip.memory);
-      expect_cycles += plan.cycles_per_batch(batch);
-    }
-    EXPECT_EQ(
-        router.modelled_request_cycles(c, net, batch, 16, 16, {}).total(),
-        expect_cycles)
-        << chip.name;
-    EXPECT_DOUBLE_EQ(
-        router.modelled_request_seconds(c, net, batch, 16, 16, {}),
-        static_cast<double>(expect_cycles) / chip.array.clock_hz)
-        << chip.name;
-  }
-  // Sizing went through the shared cache.
-  EXPECT_GT(cache->stats().lookups(), 0u);
+// One random conv layer (strided and padded ones included) that every
+// default fleet chip can map.
+SizedNet random_net(Rng& rng, int index) {
+  nn::ConvLayerParams l;
+  l.name = "r" + std::to_string(index);
+  l.in_channels = rng.uniform_int(1, 3);
+  l.out_channels = rng.uniform_int(1, 4);
+  l.kernel = 2 * rng.uniform_int(0, 2) + 1;  // 1, 3 or 5
+  l.stride = rng.uniform_int(1, 2);
+  l.pad = rng.uniform_int(0, l.kernel / 2);
+  l.in_height = l.in_width = rng.uniform_int(l.kernel + 1, 12);
+  l.validate();
+  SizedNet r;
+  r.net.name = l.name;
+  r.net.conv_layers = {l};
+  r.in_size = l.in_height;
+  return r;
 }
 
-TEST(Router, SharedPlanEstimateHonorsCallersNonKeyArrayFields) {
-  // dual_channel and pipeline_stages shape the cycle closed forms but
-  // sit outside PlanKey, so two arrays differing only there share one
-  // cache entry. Costing through the shared entry must still use the
-  // caller's values, not whichever array populated the entry first.
-  PlanCache cache;
-  nn::ConvLayerParams layer;
-  layer.in_channels = 2;
-  layer.out_channels = 3;
-  layer.in_height = layer.in_width = 12;
-  layer.kernel = 3;
-  layer.pad = 1;
-  layer.validate();
-  const mem::HierarchyConfig memory;
+// The cycles a NetworkRunner run records: the figure the router models.
+std::int64_t executed_cycles(const ChipSpec& chip,
+                             const dataflow::ArrayShape& array,
+                             chain::ExecMode mode, const SizedNet& n,
+                             std::int64_t batch) {
+  chain::AcceleratorConfig cfg;
+  cfg.array = array;
+  cfg.memory = chip.memory;
+  cfg.exec_mode = mode;
+  chain::ChainAccelerator acc(cfg);
+  const auto energy = energy::EnergyModel::paper_calibrated();
+  chain::NetworkRunner runner(acc, energy);
+  Tensor<std::int16_t> input(Shape{
+      batch, n.net.conv_layers.front().in_channels, n.in_size, n.in_size});
+  Rng rng(static_cast<std::uint64_t>(batch) * 977 + 3);
+  input.fill_random(rng, -64, 64);
+  chain::NetworkRunOptions ro;
+  ro.inter_layer = n.inter;
+  ro.verify_against_golden = false;
+  std::int64_t cycles = 0;
+  for (const auto& l : runner.run(n.net, input, ro).layers)
+    cycles += l.run.stats.total_cycles();
+  return cycles;
+}
 
-  dataflow::ArrayShape first;  // populates the entry
-  dataflow::ArrayShape second = first;
-  second.pipeline_stages = first.pipeline_stages + 4;
-  second.dual_channel = false;
-  const std::int64_t batch = 2;
+// Fills the shared cache entries a request on `memory` will hit through
+// `array`, which differs from the array the request is costed with only
+// outside the plan key.
+void populate(PlanCache& cache, const SizedNet& n, std::int64_t batch,
+              const dataflow::ArrayShape& array,
+              const mem::HierarchyConfig& memory) {
+  for (const nn::ConvLayerParams& layer :
+       resolve_network_layers(n.net, batch, n.in_size, n.in_size, n.inter))
+    (void)cache.shared_plan_for(layer, array, memory);
+}
 
-  const auto shared = cache.shared_plan_for(layer, first, memory);
-  const auto cached_again = cache.shared_plan_for(layer, second, memory);
-  EXPECT_EQ(shared.get(), cached_again.get());  // one entry, no copy
-  EXPECT_EQ(cache.stats().hits, 1u);
+TEST(Router, ModelledCyclesEqualExecutedRunsOnBothEngines) {
+  Rng rng(0x5EED);
+  std::vector<SizedNet> nets;
+  for (int i = 0; i < 5; ++i) nets.push_back(random_net(rng, i));
+  nets.push_back({pooled_net(), 16, pool_after_first()});
 
-  const auto direct = dataflow::plan_layer(layer, second, memory);
-  EXPECT_EQ(dataflow::estimate_request_cycles(*shared, second, batch).total(),
-            direct.cycles_per_batch(batch));
-  // And the one-argument form still matches the plan's own array.
-  EXPECT_EQ(dataflow::estimate_request_cycles(direct, batch).total(),
-            direct.cycles_per_batch(batch));
+  auto cache = std::make_shared<PlanCache>();
+  Router router(default_fleet_chips(), cache);
+  for (const SizedNet& n : nets) {
+    for (const std::int64_t batch : {1, 2, 7}) {
+      for (std::size_t c = 0; c < router.chips().size(); ++c) {
+        const ChipSpec& chip = router.chips()[c];
+        dataflow::ArrayShape other = chip.array;
+        other.dual_channel = !other.dual_channel;
+        other.pipeline_stages += 2;
+        other.clock_hz *= 2;
+        populate(*cache, n, batch, other, chip.memory);
+
+        const std::uint64_t misses = cache->stats().misses;
+        const std::int64_t modelled = router.modelled_request_cycles(
+            c, n.net, batch, n.in_size, n.in_size, n.inter);
+        EXPECT_EQ(cache->stats().misses, misses);  // costed shared entries
+        for (const chain::ExecMode mode :
+             {chain::ExecMode::kAnalytical, chain::ExecMode::kCycleAccurate})
+          EXPECT_EQ(modelled,
+                    executed_cycles(chip, chip.array, mode, n, batch))
+              << chip.name << " " << chain::exec_mode_name(mode) << " "
+              << n.net.conv_layers.front().to_string() << " batch "
+              << batch;
+      }
+    }
+  }
+
+  // A request pinning its own array is costed with that array.
+  const ChipSpec& chip = router.chips()[0];
+  dataflow::ArrayShape pinned = router.chips()[1].array;
+  pinned.dual_channel = false;
+  pinned.pipeline_stages += 3;
+  const SizedNet& n = nets.back();
+  for (const std::int64_t batch : {1, 2, 7}) {
+    populate(*cache, n, batch, router.chips()[1].array, chip.memory);
+    const std::uint64_t misses = cache->stats().misses;
+    const std::int64_t modelled = router.modelled_request_cycles(
+        0, n.net, batch, n.in_size, n.in_size, n.inter, pinned);
+    EXPECT_EQ(cache->stats().misses, misses);
+    for (const chain::ExecMode mode :
+         {chain::ExecMode::kAnalytical, chain::ExecMode::kCycleAccurate})
+      EXPECT_EQ(modelled, executed_cycles(chip, pinned, mode, n, batch))
+          << chain::exec_mode_name(mode) << " batch " << batch;
+  }
 }
 
 TEST(Router, RoutesToEarliestModelledFinish) {
