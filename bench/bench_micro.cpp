@@ -3,9 +3,10 @@
 // simulation substrate itself rather than reproduce a paper figure.
 //
 // Batch mode: `bench_micro --batch 8 --workers 4 [--layer-size 32]
-// [--channels 4] [--kernel 3] [--repeats 3]` times the serial path
-// against the BatchExecutor worker pool on the same batch, checks the
-// results are bit-identical, and prints one JSON object to stdout.
+// [--channels 4] [--kernel 3] [--repeats 3]` times the in-place path
+// against ChainAccelerator::run_layer sharded over --workers pool
+// workers on the same batch, checks the results are bit-identical, and
+// prints one JSON object to stdout.
 //
 // Serve mode: `bench_micro --serve [--requests 12] [--serve-threads 2]
 // [--serve-model lenet] [--serve-scale 2] [--serve-batch 2]
@@ -46,7 +47,6 @@
 #include <vector>
 
 #include "chain/accelerator.hpp"
-#include "chain/batch_executor.hpp"
 #include "chain/scan_pattern.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
@@ -143,11 +143,12 @@ void BM_QuantizeTensor(benchmark::State& state) {
 }
 BENCHMARK(BM_QuantizeTensor)->Unit(benchmark::kMillisecond);
 
-double run_once(chain::BatchExecutor& exec, const nn::ConvLayerParams& layer,
+double run_once(chain::ChainAccelerator& acc, std::int64_t workers,
+                const nn::ConvLayerParams& layer,
                 const Tensor<std::int16_t>& x, const Tensor<std::int16_t>& w,
                 chain::LayerRunResult* out) {
   const auto t0 = std::chrono::steady_clock::now();
-  *out = exec.run_layer(layer, x, w);
+  *out = acc.run_layer(layer, x, w, nullptr, workers);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
@@ -195,14 +196,14 @@ int run_batch_bench(int argc, const char* const* argv) {
   const chain::AcceleratorConfig cfg;
   const std::int64_t workers = flags.get_int("workers");
   const std::int64_t repeats = std::max<std::int64_t>(1, flags.get_int("repeats"));
-  chain::BatchExecutor serial(cfg, {.num_workers = 1});
-  chain::BatchExecutor parallel(cfg, {.num_workers = workers});
+  chain::ChainAccelerator serial(cfg);
+  chain::ChainAccelerator parallel(cfg);
 
   chain::LayerRunResult rs, rp;
   double serial_ms = 0.0, parallel_ms = 0.0;
   for (std::int64_t i = 0; i < repeats; ++i) {
-    const double s = run_once(serial, p, x, w, &rs);
-    const double q = run_once(parallel, p, x, w, &rp);
+    const double s = run_once(serial, 1, p, x, w, &rs);
+    const double q = run_once(parallel, workers, p, x, w, &rp);
     if (i == 0 || s < serial_ms) serial_ms = s;      // best-of-N
     if (i == 0 || q < parallel_ms) parallel_ms = q;
   }

@@ -17,11 +17,10 @@
 //
 // Both engines of a compare run resolve plans through one shared
 // serve::PlanCache (the second run hits on every layer — VGG's repeated
-// 3x3 shapes already hit within one run), and --workers shards the batch
-// through BatchExecutor.
+// 3x3 shapes already hit within one run).
 //
 //   ./vgg16_profile [--batch=4] [--pes=576] [--exec-mode=analytical]
-//                   [--exec-scale=16] [--workers=1]
+//                   [--exec-scale=16]
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -49,7 +48,7 @@ struct ExecutedRun {
 
 ExecutedRun execute_proxy(const nn::NetworkModel& proxy,
                           const dataflow::ArrayShape& array,
-                          chain::ExecMode mode, std::int64_t workers,
+                          chain::ExecMode mode,
                           const std::shared_ptr<serve::PlanCache>& cache) {
   chain::AcceleratorConfig cfg;
   cfg.array = array;
@@ -67,8 +66,6 @@ ExecutedRun execute_proxy(const nn::NetworkModel& proxy,
 
   chain::NetworkRunOptions opts;
   opts.verify_against_golden = false;  // compare mode checks equality
-  opts.num_workers = workers;
-  opts.plan_cache = cache;
   // VGG-16 pool placement (2x2/2 after blocks 1..5) so the flowing
   // activations shrink spatially the way the real network does.
   opts.inter_layer.assign(proxy.conv_layers.size(), chain::InterLayerOp{});
@@ -96,8 +93,7 @@ int main(int argc, char** argv) {
       {"batch", "4"},
       {"pes", "576"},
       {"exec-mode", "analytical"},
-      {"exec-scale", "16"},
-      {"workers", "1"}};
+      {"exec-scale", "16"}};
   if (!flags.parse(argc, argv, defaults, &err)) {
     std::cerr << err << "\n" << CliFlags::usage(defaults);
     return 1;
@@ -107,11 +103,6 @@ int main(int argc, char** argv) {
   if (!parse_exec_mode_selection(flags.get_string("exec-mode"),
                                  /*allow_compare=*/true,
                                  /*allow_none=*/true, &sel, &err)) {
-    std::cerr << err << "\n";
-    return 1;
-  }
-  std::int64_t workers = 1;
-  if (!parse_workers_flag(flags, "workers", &workers, &err)) {
     std::cerr << err << "\n";
     return 1;
   }
@@ -176,12 +167,12 @@ int main(int argc, char** argv) {
 
   std::cout << "\nexecuting " << proxy.name
             << " (channels/" << scale << ", one image) — exec-mode "
-            << sel.name() << ", workers " << workers << "\n";
+            << sel.name() << "\n";
   if (sel.compare) {
-    const ExecutedRun fast = execute_proxy(
-        proxy, array, chain::ExecMode::kAnalytical, workers, cache);
-    const ExecutedRun slow = execute_proxy(
-        proxy, array, chain::ExecMode::kCycleAccurate, workers, cache);
+    const ExecutedRun fast =
+        execute_proxy(proxy, array, chain::ExecMode::kAnalytical, cache);
+    const ExecutedRun slow =
+        execute_proxy(proxy, array, chain::ExecMode::kCycleAccurate, cache);
     std::string why;
     const bool identical =
         serve::network_runs_identical(fast.result, slow.result, &why);
@@ -198,8 +189,7 @@ int main(int argc, char** argv) {
               << ") across both engines\n";
     return identical ? 0 : 2;
   }
-  const ExecutedRun run =
-      execute_proxy(proxy, array, sel.mode, workers, cache);
+  const ExecutedRun run = execute_proxy(proxy, array, sel.mode, cache);
   const serve::PlanCacheStats cs = cache->stats();
   std::cout << "wall: " << strings::fmt_fixed(run.wall_ms, 1)
             << " ms for " << run.result.layers.size()

@@ -76,8 +76,8 @@ struct AcceleratorConfig {
   // Pooled allocator for the run's working tensors (accumulator and
   // ofmap surfaces, shard input slices). Semantics-free — results are
   // bit-identical with or without it; nullptr allocates from the heap
-  // as before. Travels with config copies, so BatchExecutor shard
-  // clones and per-request accelerators share the owner's pool.
+  // as before. Travels with config copies, so shard clones share their
+  // accelerator's pool.
   std::shared_ptr<TensorArena> arena;
 };
 

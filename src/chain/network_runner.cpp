@@ -1,8 +1,8 @@
 #include "chain/network_runner.hpp"
 
 #include <memory>
+#include <optional>
 
-#include "chain/batch_executor.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "nn/golden.hpp"
@@ -67,24 +67,19 @@ NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
     rng = cp.weight_rng;
   }
 
-  CHAINNN_CHECK_MSG(options.num_workers >= 1,
-                    "num_workers must be >= 1, got " << options.num_workers);
-  AcceleratorConfig effective_cfg = acc_.config();
-  if (options.exec_mode) effective_cfg.exec_mode = *options.exec_mode;
-  if (options.arena) effective_cfg.arena = options.arena;
-  std::unique_ptr<BatchExecutor> executor;
-  if (options.num_workers > 1 ||
-      effective_cfg.exec_mode != acc_.config().exec_mode ||
-      options.plan_cache || options.arena) {
-    // The executor owns per-shard accelerator clones carrying the
-    // effective config; with one worker it runs serially on the calling
-    // thread, so an exec-mode override or injected plan cache never
-    // mutates the caller's accelerator.
-    BatchExecutorConfig exec_cfg;
-    exec_cfg.num_workers = options.num_workers;
-    exec_cfg.plan_cache = options.plan_cache;
-    executor = std::make_unique<BatchExecutor>(effective_cfg, exec_cfg);
-  }
+  // One accelerator runs every layer: the caller's, unless the options
+  // change its engine, arena or plan cache. Then the run gets one
+  // accelerator of its own, so the caller's is never reconfigured.
+  AcceleratorConfig cfg = acc_.config();
+  if (options.exec_mode) cfg.exec_mode = *options.exec_mode;
+  if (options.arena) cfg.arena = options.arena;
+  const std::shared_ptr<serve::PlanCache>& cache =
+      options.plan_cache ? options.plan_cache : acc_.plan_cache();
+  std::optional<ChainAccelerator> own;
+  if (cfg.exec_mode != acc_.config().exec_mode ||
+      cfg.arena != acc_.config().arena || cache != acc_.plan_cache())
+    own.emplace(cfg, cache);
+  ChainAccelerator& acc = own ? *own : acc_;
 
   for (std::size_t i = first_layer; i < net.conv_layers.size(); ++i) {
     if (options.cancel_check && options.cancel_check())
@@ -118,12 +113,12 @@ NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
 
     NetworkLayerResult lr;
     lr.layer = layer;
-    lr.run = executor ? executor->run_layer(layer, act, kernels)
-                      : acc_.run_layer(layer, act, kernels);
+    lr.run =
+        acc.run_layer(layer, act, kernels, nullptr, options.num_workers);
     if (!options.verify_against_golden) {
       lr.verified = true;
-    } else if (effective_cfg.exec_mode == ExecMode::kAnalytical &&
-               effective_cfg.psum_storage == PsumStorage::kWide) {
+    } else if (cfg.exec_mode == ExecMode::kAnalytical &&
+               cfg.psum_storage == PsumStorage::kWide) {
       // The analytical wide path computes its accumulators *with* the
       // golden model; re-deriving the oracle would compare it to itself.
       lr.verified = true;

@@ -119,17 +119,22 @@ struct NetworkRunOptions {
   std::function<void(std::int64_t layer_index, Tensor<std::int16_t>&)>
       weight_init;
   // Batch-parallel execution: shard each layer's batch across this many
-  // worker threads (BatchExecutor). 1 = today's serial path, bit-exactly;
-  // any value produces bit-identical ofmaps, cycles and traffic.
+  // pool workers (ChainAccelerator::run_layer). 1 runs in place; any
+  // value produces bit-identical ofmaps, cycles and traffic.
   std::int64_t num_workers = 1;
+  // The three overrides below leave the caller's accelerator untouched:
+  // a run that changes any of them executes on one accelerator built
+  // for the run from the effective config and cache. A run that changes
+  // none executes on the caller's accelerator.
+  //
   // Overrides the accelerator's configured ExecMode for this run (e.g. a
   // cycle-accurate-configured accelerator can profile a network on the
   // analytical fast path without being reconfigured). nullopt keeps the
   // accelerator's own cfg.exec_mode.
   std::optional<ExecMode> exec_mode;
-  // Plan cache for this run, shared with whoever else holds it (server
-  // workers, other runs, sweep points). nullptr keeps the accelerator's
-  // own cache. Semantics-free: results are bit-identical either way.
+  // Plan cache for this run, shared with whoever else holds it (other
+  // runs, sweep points). nullptr keeps the accelerator's own cache.
+  // Semantics-free: results are bit-identical either way.
   std::shared_ptr<serve::PlanCache> plan_cache;
   // Tensor pool for this run's working buffers (see tensor/arena.hpp).
   // nullptr keeps the accelerator config's own arena (which may also be

@@ -1,10 +1,9 @@
 // Process-wide work-stealing thread pool (ROADMAP item 3).
 //
-// Before this pool, every BatchExecutor owned a private task pool and
-// every InferenceServer a private vector of blocking worker threads, so
-// a fleet of S servers each sharding over W workers could pin S*W
-// threads on a host with far fewer cores. WorkPool::shared() is the one
-// pool all of them now submit to, sized to hardware_concurrency.
+// Batch shards (ChainAccelerator::run_layer with num_workers > 1) and
+// InferenceServer drains all submit to WorkPool::shared(), one pool
+// sized to hardware_concurrency, so a fleet of S servers each sharding
+// over W workers never pins S*W threads on a host with fewer cores.
 //
 // Structure: one deque per worker plus a global injection queue.
 //   * submit() from a pool thread pushes onto that worker's own deque
@@ -34,9 +33,9 @@
 //     servers make progress simultaneously on a single-core host.
 //
 // Bit-identity note: the pool schedules *which thread* runs a task, but
-// BatchExecutor's per-shard RNG streams and result slots are indexed by
-// shard number, not by thread, so sharded results remain bit-identical
-// to the serial order no matter how tasks land on workers.
+// a sharded layer's result slots are indexed by shard number, not by
+// thread, so sharded results remain bit-identical to the serial order
+// no matter how tasks land on workers.
 //
 // Shutdown: the destructor stops and joins the workers. Tasks still
 // queued via submit() may be dropped — owners of state referenced by

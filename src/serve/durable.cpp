@@ -234,7 +234,6 @@ void write_layer_run_result(ByteWriter& w, const chain::LayerRunResult& lr) {
   write_run_stats(w, lr.stats);
   write_traffic(w, lr.traffic);
   write_narrowing(w, lr.narrowing);
-  w.f64(lr.clock_hz());
 }
 
 chain::LayerRunResult read_layer_run_result(ByteReader& r) {
@@ -248,7 +247,6 @@ chain::LayerRunResult read_layer_run_result(ByteReader& r) {
   lr.stats = read_run_stats(r);
   lr.traffic = read_traffic(r);
   lr.narrowing = read_narrowing(r);
-  lr.restore_clock_hz(r.f64());
   return lr;
 }
 

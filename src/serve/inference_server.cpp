@@ -285,8 +285,6 @@ chain::NetworkRunResult InferenceServer::run_network(
   ro.inter_layer = task.options.inter_layer;
   ro.weight_init = task.options.weight_init;
   ro.num_workers = task.options.num_workers;
-  ro.plan_cache = cache_;
-  ro.arena = arena_;
   ro.cancel_check = cancel_check;
   ro.preempt_check = preempt_check;
   ro.resume = std::move(resume);
@@ -306,6 +304,7 @@ std::optional<InferenceResult> InferenceServer::execute_request(Task& task) {
       task.checkpoint ? task.checkpoint->layers.size() : 0;
 
   chain::AcceleratorConfig cfg = opts_.accelerator;
+  cfg.arena = arena_;
   if (task.options.array) cfg.array = *task.options.array;
   if (task.options.exec_mode) cfg.exec_mode = *task.options.exec_mode;
   out.exec_mode = cfg.exec_mode;

@@ -9,11 +9,12 @@
 // whenever the queue grows and fewer than num_threads are live, runs
 // requests until the queue is empty, and retires, so an idle server
 // costs nothing and a fleet of servers shares one thread cache instead
-// of pinning num_threads threads apiece. Every request runs a whole
-// network through NetworkRunner on its own accelerator instance; all
-// plan lookups of all drains resolve through one shared PlanCache, so a
-// request only pays planning cost the first time its (layer, array)
-// shape is seen by the process.
+// of pinning num_threads threads apiece. Every execution attempt runs a
+// whole network through NetworkRunner on one accelerator of its own,
+// built with the server's PlanCache and TensorArena; all plan lookups of
+// all drains resolve through that one shared cache, so a request only
+// pays planning cost the first time its (layer, array) shape is seen by
+// the process.
 //
 // Scheduling: the queue is a priority heap, not a FIFO. Higher
 // RequestOptions::priority tiers always dequeue first; within a tier the
@@ -41,7 +42,8 @@
 //     path, fidelity-sensitive ones cycle-accurately, in one process;
 //   * array    — a per-request ArrayShape override, which is what lets
 //     SweepDriver push whole design-space points through one server;
-//   * num_workers — batch sharding via BatchExecutor inside the request.
+//   * num_workers — batch sharding inside the request
+//     (ChainAccelerator::run_layer's pool workers).
 //
 // Fidelity sampling: with ServerOptions::fidelity_sample_every_n = N,
 // every Nth request is re-executed on the *other* engine (analytical ↔
@@ -97,7 +99,8 @@ struct RequestOptions {
   // (PE count, clock, ...). Plans are still shared through the cache
   // with every other request whose structural key matches.
   std::optional<dataflow::ArrayShape> array;
-  // Batch sharding inside the request (BatchExecutor worker threads).
+  // Batch sharding inside the request: each layer's batch is split
+  // across this many pool workers (ChainAccelerator::run_layer).
   std::int64_t num_workers = 1;
   // Scheduling tier: higher values always dequeue before lower ones.
   std::int32_t priority = 0;
@@ -221,7 +224,8 @@ struct ServerStats {
 }
 
 struct ServerOptions {
-  // Base accelerator config; requests override exec_mode / array.
+  // Base accelerator config; requests override exec_mode / array, and
+  // the server's arena replaces the config's own.
   chain::AcceleratorConfig accelerator = analytical_accelerator_config();
   energy::EnergyModel energy = energy::EnergyModel::paper_calibrated();
   // Name stamped on every InferenceResult::chip — lets fleet members be

@@ -69,9 +69,8 @@ std::vector<SweepPointResult> SweepDriver::run(
     }
     r.seconds = r.run.total_seconds();
     r.energy_j = r.run.total_energy_j();
-    // The run executed the whole batch (kernel loads already amortized
-    // in-run), so fps is direct — NetworkRunResult::fps() extrapolates
-    // from a single-image run and would be ~batch-fold off here.
+    // The run executed the whole batch, so fps is the batch over its
+    // seconds (equal to NetworkRunResult::fps(batch) by construction).
     r.fps = r.seconds == 0.0
                 ? 0.0
                 : static_cast<double>(opts_.batch) / r.seconds;

@@ -3,13 +3,13 @@
 // accumulators, identical RunStats (every field) and identical per-level
 // traffic — across strides, asymmetric padding, grouped convolutions,
 // 1x1 kernels, staged psums, single-channel streaming, bias, batch
-// sharding (BatchExecutor) and whole networks (NetworkRunner).
+// sharding (ChainAccelerator::run_layer's num_workers) and whole networks
+// (NetworkRunner).
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "chain/accelerator.hpp"
-#include "chain/batch_executor.hpp"
 #include "chain/network_runner.hpp"
 #include "common/rng.hpp"
 #include "energy/energy_model.hpp"
@@ -162,7 +162,7 @@ TEST(ExecModeEquivalence, MultipleCTilesWithPsumSpill) {
   expect_modes_equivalent(cfg, p, 61);
 }
 
-TEST(ExecModeEquivalence, BatchExecutorShardsAnalytically) {
+TEST(ExecModeEquivalence, ShardsAnalytically) {
   // Analytical mode under the worker pool: merged shard results must
   // equal the serial cycle-accurate run bit for bit.
   const auto p = layer_of(5, 2, 3, 9, 3, 1, 1);
@@ -174,8 +174,9 @@ TEST(ExecModeEquivalence, BatchExecutorShardsAnalytically) {
 
   cfg.exec_mode = ExecMode::kAnalytical;
   for (const std::int64_t workers : {1, 2, 4}) {
-    BatchExecutor exec(cfg, {.num_workers = workers});
-    const LayerRunResult ra = exec.run_layer(p, d.ifmaps, d.kernels);
+    ChainAccelerator analytical(cfg);
+    const LayerRunResult ra =
+        analytical.run_layer(p, d.ifmaps, d.kernels, nullptr, workers);
     EXPECT_EQ(ra.ofmaps, rc.ofmaps) << workers << " workers";
     EXPECT_EQ(ra.accumulators, rc.accumulators) << workers << " workers";
     EXPECT_EQ(ra.stats.total_cycles(), rc.stats.total_cycles())

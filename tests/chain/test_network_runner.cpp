@@ -185,5 +185,81 @@ TEST(NetworkRunner, CancelCheckStopsBetweenLayers) {
   EXPECT_EQ(res.layers.size(), 2u);
 }
 
+// A run that passes no plan_cache resolves every plan through the
+// accelerator's own cache, sharded or under an engine override: the
+// second run of a network misses nothing, and the accelerator's cache
+// counts every lookup the runs report.
+TEST(NetworkRunner, ShardedAndOverrideRunsUseTheAcceleratorsPlanCache) {
+  const auto model = energy::EnergyModel::paper_calibrated();
+  Rng rng(6);
+  Tensor<std::int16_t> input(Shape{4, 1, 12, 12});
+  input.fill_random(rng, -64, 64);
+
+  NetworkRunOptions sharded;
+  sharded.num_workers = 2;
+  NetworkRunOptions analytical;
+  analytical.exec_mode = ExecMode::kAnalytical;
+  for (const NetworkRunOptions& opts : {sharded, analytical}) {
+    ChainAccelerator acc(small_cfg());
+    NetworkRunner runner(acc, model);
+    std::int64_t reported = 0;
+    for (int run = 0; run < 2; ++run) {
+      const NetworkRunResult res = runner.run(tiny_net(), input, opts);
+      for (const NetworkLayerResult& l : res.layers) {
+        if (run == 1) {
+          EXPECT_EQ(l.run.stats.plan_cache_misses, 0)
+              << l.layer.name << ", workers " << opts.num_workers;
+        }
+        reported +=
+            l.run.stats.plan_cache_hits + l.run.stats.plan_cache_misses;
+      }
+    }
+    EXPECT_GT(reported, 0);
+    EXPECT_EQ(acc.plan_cache()->stats().lookups(),
+              static_cast<std::uint64_t>(reported))
+        << "workers " << opts.num_workers;
+  }
+}
+
+// Naming the accelerator's own cache and arena overrides nothing, so the
+// run executes on that accelerator: its hierarchy counts exactly the
+// traffic the run reports, sharded or not.
+TEST(NetworkRunner, RunNamingTheAcceleratorsOwnCacheAndArenaExecutesOnIt) {
+  const auto model = energy::EnergyModel::paper_calibrated();
+  Rng rng(7);
+  Tensor<std::int16_t> input(Shape{4, 1, 12, 12});
+  input.fill_random(rng, -64, 64);
+
+  for (const std::int64_t workers : {1, 2}) {
+    AcceleratorConfig cfg = small_cfg();
+    cfg.arena = std::make_shared<TensorArena>();
+    ChainAccelerator acc(cfg);
+    NetworkRunner runner(acc, model);
+    NetworkRunOptions opts;
+    opts.plan_cache = acc.plan_cache();
+    opts.arena = cfg.arena;
+    opts.num_workers = workers;
+    const NetworkRunResult res = runner.run(tiny_net(), input, opts);
+
+    mem::LayerTraffic sum;
+    for (const NetworkLayerResult& l : res.layers) {
+      sum.dram_bytes += l.run.traffic.dram_bytes;
+      sum.imemory_bytes += l.run.traffic.imemory_bytes;
+      sum.kmemory_bytes += l.run.traffic.kmemory_bytes;
+      sum.omemory_bytes += l.run.traffic.omemory_bytes;
+    }
+    const mem::MemoryHierarchy& h = acc.hierarchy();
+    EXPECT_GT(sum.dram_bytes, 0u);
+    EXPECT_EQ(h.dram().stats().total_bytes(), sum.dram_bytes)
+        << workers << " workers";
+    EXPECT_EQ(h.imemory().stats().total_bytes(), sum.imemory_bytes)
+        << workers << " workers";
+    EXPECT_EQ(h.kmemory().stats().total_bytes(), sum.kmemory_bytes)
+        << workers << " workers";
+    EXPECT_EQ(h.omemory().stats().total_bytes(), sum.omemory_bytes)
+        << workers << " workers";
+  }
+}
+
 }  // namespace
 }  // namespace chainnn::chain

@@ -1,11 +1,11 @@
-// BatchExecutor: sharding a batch across a worker pool must be an exact
-// refactoring of the serial path — bit-identical ofmaps, accumulators,
-// cycle counts and traffic for any worker count, including worker counts
-// that do not divide the batch (and exceed it).
-#include "chain/batch_executor.hpp"
-
+// Sharded ChainAccelerator::run_layer: splitting a batch across pool
+// workers must be an exact refactoring of the in-place path —
+// bit-identical ofmaps, accumulators, cycle counts and traffic for any
+// worker count, including worker counts that do not divide the batch
+// (and exceed it).
 #include <gtest/gtest.h>
 
+#include "chain/accelerator.hpp"
 #include "chain/network_runner.hpp"
 #include "common/rng.hpp"
 #include "energy/energy_model.hpp"
@@ -82,47 +82,60 @@ void expect_identical(const LayerRunResult& serial,
   EXPECT_DOUBLE_EQ(serial.utilization(), merged.utilization());
 }
 
-class BatchExecutorWorkers : public ::testing::TestWithParam<std::int64_t> {};
+// Runs `p` sharded on a fresh accelerator and checks that its own
+// hierarchy counted exactly the merged result's traffic.
+LayerRunResult run_sharded(const AcceleratorConfig& cfg,
+                           const nn::ConvLayerParams& p, const TestData& d,
+                           std::int64_t workers,
+                           const Tensor<std::int16_t>* bias = nullptr) {
+  ChainAccelerator acc(cfg);
+  LayerRunResult r = acc.run_layer(p, d.ifmaps, d.kernels, bias, workers);
+  const mem::MemoryHierarchy& h = acc.hierarchy();
+  EXPECT_EQ(h.dram().stats().total_bytes(), r.traffic.dram_bytes);
+  EXPECT_EQ(h.imemory().stats().total_bytes(), r.traffic.imemory_bytes);
+  EXPECT_EQ(h.kmemory().stats().total_bytes(), r.traffic.kmemory_bytes);
+  EXPECT_EQ(h.omemory().stats().total_bytes(), r.traffic.omemory_bytes);
+  return r;
+}
+
+class ShardedRunLayer : public ::testing::TestWithParam<std::int64_t> {};
 
 // Divisible and non-divisible batches: 8 images over {1, 2, 8} workers
 // and 5 images over {1, 2, 8} workers (5 % 2 != 0 and 8 > 5, so the
 // sharder must handle both remainders and idle workers).
-TEST_P(BatchExecutorWorkers, BitIdenticalToSerialDivisibleBatch) {
+TEST_P(ShardedRunLayer, BitIdenticalToSerialDivisibleBatch) {
   const auto p = layer_of(8, 2, 3, 8, 3);
   const TestData d = make_data(p, 11);
   ChainAccelerator acc(small_config());
   const LayerRunResult serial = acc.run_layer(p, d.ifmaps, d.kernels);
 
-  BatchExecutor exec(small_config(), {.num_workers = GetParam()});
-  expect_identical(serial, exec.run_layer(p, d.ifmaps, d.kernels));
+  expect_identical(serial, run_sharded(small_config(), p, d, GetParam()));
 }
 
-TEST_P(BatchExecutorWorkers, BitIdenticalToSerialNonDivisibleBatch) {
+TEST_P(ShardedRunLayer, BitIdenticalToSerialNonDivisibleBatch) {
   const auto p = layer_of(5, 2, 3, 8, 3);
   const TestData d = make_data(p, 12);
   ChainAccelerator acc(small_config());
   const LayerRunResult serial = acc.run_layer(p, d.ifmaps, d.kernels);
 
-  BatchExecutor exec(small_config(), {.num_workers = GetParam()});
-  expect_identical(serial, exec.run_layer(p, d.ifmaps, d.kernels));
+  expect_identical(serial, run_sharded(small_config(), p, d, GetParam()));
 }
 
 // Strided + padded + grouped layer: exercises the sub-convolution phase
 // decomposition, psum spills and multiple m-groups under sharding.
-TEST_P(BatchExecutorWorkers, BitIdenticalToSerialStridedGrouped) {
+TEST_P(ShardedRunLayer, BitIdenticalToSerialStridedGrouped) {
   const auto p = layer_of(6, 4, 4, 9, 3, /*stride=*/2, /*pad=*/1,
                           /*groups=*/2);
   const TestData d = make_data(p, 13);
   ChainAccelerator acc(small_config());
   const LayerRunResult serial = acc.run_layer(p, d.ifmaps, d.kernels);
 
-  BatchExecutor exec(small_config(), {.num_workers = GetParam()});
-  expect_identical(serial, exec.run_layer(p, d.ifmaps, d.kernels));
+  expect_identical(serial, run_sharded(small_config(), p, d, GetParam()));
 }
 
 // Asymmetric (per-axis) padding flows through the plan, the controller's
 // pixel fetch and the merge unchanged.
-TEST_P(BatchExecutorWorkers, BitIdenticalToSerialAsymmetricPadding) {
+TEST_P(ShardedRunLayer, BitIdenticalToSerialAsymmetricPadding) {
   auto p = layer_of(5, 2, 2, 8, 3);
   p.pad_h = 1;
   p.pad_w = 0;
@@ -133,13 +146,12 @@ TEST_P(BatchExecutorWorkers, BitIdenticalToSerialAsymmetricPadding) {
   EXPECT_EQ(serial.accumulators,
             nn::conv2d_fixed_accum(p, d.ifmaps, d.kernels));
 
-  BatchExecutor exec(small_config(), {.num_workers = GetParam()});
-  expect_identical(serial, exec.run_layer(p, d.ifmaps, d.kernels));
+  expect_identical(serial, run_sharded(small_config(), p, d, GetParam()));
 }
 
 // The staged 16-bit psum policy uses a different accumulate path; the
 // merge must be exact there too.
-TEST_P(BatchExecutorWorkers, BitIdenticalToSerialStaged16) {
+TEST_P(ShardedRunLayer, BitIdenticalToSerialStaged16) {
   AcceleratorConfig cfg = small_config();
   cfg.psum_storage = PsumStorage::kStaged16;
   const auto p = layer_of(5, 2, 3, 8, 3);
@@ -147,11 +159,10 @@ TEST_P(BatchExecutorWorkers, BitIdenticalToSerialStaged16) {
   ChainAccelerator acc(cfg);
   const LayerRunResult serial = acc.run_layer(p, d.ifmaps, d.kernels);
 
-  BatchExecutor exec(cfg, {.num_workers = GetParam()});
-  expect_identical(serial, exec.run_layer(p, d.ifmaps, d.kernels));
+  expect_identical(serial, run_sharded(cfg, p, d, GetParam()));
 }
 
-TEST_P(BatchExecutorWorkers, BitIdenticalToSerialWithBias) {
+TEST_P(ShardedRunLayer, BitIdenticalToSerialWithBias) {
   const auto p = layer_of(5, 2, 3, 8, 3);
   const TestData d = make_data(p, 16);
   Rng rng(17);
@@ -161,21 +172,19 @@ TEST_P(BatchExecutorWorkers, BitIdenticalToSerialWithBias) {
   ChainAccelerator acc(small_config());
   const LayerRunResult serial = acc.run_layer(p, d.ifmaps, d.kernels, &bias);
 
-  BatchExecutor exec(small_config(), {.num_workers = GetParam()});
-  expect_identical(serial, exec.run_layer(p, d.ifmaps, d.kernels, &bias));
+  expect_identical(serial, run_sharded(small_config(), p, d, GetParam(), &bias));
 }
 
-INSTANTIATE_TEST_SUITE_P(Workers, BatchExecutorWorkers,
+INSTANTIATE_TEST_SUITE_P(Workers, ShardedRunLayer,
                          ::testing::Values<std::int64_t>(1, 2, 8));
 
-TEST(BatchExecutor, ShardRangesPartitionTheBatch) {
+TEST(Sharding, ShardRangesPartitionTheBatch) {
   for (std::int64_t batch : {1, 2, 5, 7, 8, 16}) {
     for (std::int64_t workers : {1, 2, 3, 8}) {
       std::int64_t next = 0;
       std::int64_t largest = 0, smallest = batch;
       for (std::int64_t w = 0; w < workers; ++w) {
-        const auto [first, last] = BatchExecutor::shard_range(batch, w,
-                                                              workers);
+        const auto [first, last] = shard_range(batch, w, workers);
         EXPECT_EQ(first, next) << "batch=" << batch << " w=" << w;
         EXPECT_LE(first, last);
         next = last;
@@ -188,26 +197,10 @@ TEST(BatchExecutor, ShardRangesPartitionTheBatch) {
   }
 }
 
-TEST(BatchExecutor, WorkerRngStreamsAreDeterministicAndIndependent) {
-  BatchExecutor a(small_config(), {.num_workers = 4, .seed = 99});
-  BatchExecutor b(small_config(), {.num_workers = 4, .seed = 99});
-  for (std::int64_t w = 0; w < 4; ++w)
-    EXPECT_EQ(a.worker_rng(w).next_u64(), b.worker_rng(w).next_u64())
-        << "stream " << w << " not reproducible";
-
-  BatchExecutor c(small_config(), {.num_workers = 4, .seed = 99});
-  std::uint64_t first[4];
-  for (std::int64_t w = 0; w < 4; ++w) first[w] = c.worker_rng(w).next_u64();
-  for (std::int64_t i = 0; i < 4; ++i)
-    for (std::int64_t j = i + 1; j < 4; ++j)
-      EXPECT_NE(first[i], first[j]) << "streams " << i << "/" << j
-                                    << " collide";
-}
-
 // NetworkRunner with num_workers > 1 must reproduce the serial network
 // run exactly: activations, per-layer cycles/traffic, verification flags
 // and the modelled power/energy roll-ups.
-TEST(BatchExecutor, NetworkRunnerParallelMatchesSerial) {
+TEST(Sharding, NetworkRunnerParallelMatchesSerial) {
   const auto energy = energy::EnergyModel::paper_calibrated();
   nn::NetworkModel net;
   net.name = "tiny2";
@@ -247,17 +240,22 @@ TEST(BatchExecutor, NetworkRunnerParallelMatchesSerial) {
 
 // Repeated parallel runs are deterministic run-to-run (no dependence on
 // thread scheduling).
-TEST(BatchExecutor, RunToRunDeterminism) {
+TEST(Sharding, RunToRunDeterminism) {
   const auto p = layer_of(7, 2, 3, 10, 3, 1, 1);
   const TestData d = make_data(p, 31);
-  BatchExecutor exec(small_config(), {.num_workers = 4});
-  const LayerRunResult first = exec.run_layer(p, d.ifmaps, d.kernels);
+  ChainAccelerator acc(small_config());
+  const LayerRunResult first =
+      acc.run_layer(p, d.ifmaps, d.kernels, nullptr, 4);
   for (int i = 0; i < 3; ++i)
-    expect_identical(first, exec.run_layer(p, d.ifmaps, d.kernels));
+    expect_identical(first,
+                     acc.run_layer(p, d.ifmaps, d.kernels, nullptr, 4));
 }
 
-TEST(BatchExecutor, RejectsInvalidWorkerCount) {
-  EXPECT_THROW(BatchExecutor(small_config(), {.num_workers = 0}),
+TEST(Sharding, RejectsInvalidWorkerCount) {
+  const auto p = layer_of(2, 1, 1, 4, 3);
+  const TestData d = make_data(p, 32);
+  ChainAccelerator acc(small_config());
+  EXPECT_THROW((void)acc.run_layer(p, d.ifmaps, d.kernels, nullptr, 0),
                std::logic_error);
 }
 

@@ -13,6 +13,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -365,9 +366,13 @@ TEST(Recovery, LivePreemptionCheckpointSurvivesTheCrash) {
   const nn::NetworkModel net = tiny_net(3);
 
   // Keep the chip busy with slow (cycle-accurate) low-priority work so
-  // the high-priority arrival preempts whichever request is running.
-  // The race is benign — submits take microseconds, runs milliseconds —
-  // but a handful of attempts makes the test robust to any scheduler.
+  // the high-priority arrival preempts the first request. It can do so
+  // only before that request reaches its last layer boundary, so the
+  // urgent request is submitted once a request is executing, and the
+  // first request's batch of 20 puts that boundary over 100 ms in (a
+  // batch of 8 reaches it in ≈50 ms on one Xeon core, Release build), a
+  // window no scheduler stall of a loaded host closes. The retries
+  // remain a backstop.
   for (int attempt = 0; attempt < 5; ++attempt) {
     const std::string path =
         temp_path("live_ckpt_" + std::to_string(attempt) + ".jrnl");
@@ -380,8 +385,16 @@ TEST(Recovery, LivePreemptionCheckpointSurvivesTheCrash) {
         RequestOptions slow;
         slow.priority = 0;
         slow.exec_mode = chain::ExecMode::kCycleAccurate;
-        futures.push_back(
-            fleet.submit(net, request_input(net, 2, 500 + i), slow));
+        futures.push_back(fleet.submit(
+            net, request_input(net, i == 0 ? 20 : 2, 500 + i), slow));
+      }
+      // Routing looks plans up inside submit(), so the shared cache's
+      // lookup count grows past this value only once a request executes
+      // (or never, if every request already finished).
+      const std::uint64_t routed = fleet.plan_cache()->stats().lookups();
+      while (fleet.plan_cache()->stats().lookups() == routed &&
+             futures.back().wait_for(std::chrono::milliseconds(1)) !=
+                 std::future_status::ready) {
       }
       RequestOptions urgent;
       urgent.priority = 2;
