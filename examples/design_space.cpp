@@ -10,10 +10,11 @@
 //      of the network actually runs end to end at every design point
 //      through one InferenceServer, with a single PlanCache shared
 //      across the points — per-point executed cycles / energy / fps plus
-//      the plan-cache hit rate the sharing bought. Clock-variant points
-//      share every plan with the 576-PE point (the clock is outside the
-//      plan key), so the reported hit rate must be > 0; the binary exits
-//      non-zero if it is not, or if any fidelity sample diverges.
+//      the cache's totals. Clock-variant points share every plan with
+//      the 576-PE point (the clock is outside the plan key), so the
+//      cache must end up with fewer entries (distinct keys) than layers
+//      executed; the binary exits non-zero if it does not, or if any
+//      fidelity sample diverges.
 //
 //   ./design_space [--model=alexnet] [--batch=128]
 //                  [--exec-mode=analytical|cycle-accurate|none]
@@ -117,7 +118,7 @@ void print_closed_form_tables(const nn::NetworkModel& net,
 
 // Executes the proxy network at every design point through the server,
 // prints the per-point executed figures, and returns the exit code
-// (0 unless the shared cache never hit or a fidelity sample diverged).
+// (0 unless no two points shared a plan or a fidelity sample diverged).
 int run_executed_sweep(const nn::NetworkModel& net, const CliFlags& flags,
                        const ExecModeSelection& sel, std::int64_t workers) {
   const std::int64_t scale =
@@ -143,11 +144,11 @@ int run_executed_sweep(const nn::NetworkModel& net, const CliFlags& flags,
               std::to_string(opts.batch) + ", " +
               chain::exec_mode_name(sel.mode) + ", shared PlanCache)");
   t.set_header({"point", "PEs", "MHz", "Mcycles", "ms/img", "fps",
-                "mJ/img", "hits", "miss", "hit rate"});
-  std::uint64_t total_hits = 0;
+                "mJ/img"});
+  std::uint64_t layers_executed = 0;
   bool fidelity_ok = true;
   for (const auto& r : results) {
-    total_hits += r.cache_hits;
+    layers_executed += r.run.layers.size();
     fidelity_ok = fidelity_ok && !r.fidelity_diverged;
     const double per_image = static_cast<double>(opts.batch);
     t.add_row({r.point.label, std::to_string(r.point.array.num_pes),
@@ -156,10 +157,7 @@ int run_executed_sweep(const nn::NetworkModel& net, const CliFlags& flags,
                                   2),
                strings::fmt_fixed(r.seconds * 1e3 / per_image, 2),
                strings::fmt_fixed(r.fps, 1),
-               strings::fmt_fixed(r.energy_j * 1e3 / per_image, 2),
-               std::to_string(r.cache_hits),
-               std::to_string(r.cache_misses),
-               strings::fmt_pct(r.cache_hit_rate(), 1)});
+               strings::fmt_fixed(r.energy_j * 1e3 / per_image, 2)});
   }
   std::cout << t.to_ascii();
 
@@ -173,7 +171,10 @@ int run_executed_sweep(const nn::NetworkModel& net, const CliFlags& flags,
               << (fidelity_ok ? "clean" : "with DIVERGENCE") << "\n";
 
   if (!fidelity_ok) return 2;
-  if (results.size() >= 2 && total_hits == 0) {
+  // One entry per distinct key: a fidelity replay looks up its primary
+  // run's keys again, so only sharing between points (or between layers)
+  // can leave fewer entries than layers executed.
+  if (results.size() >= 2 && cache.entries >= layers_executed) {
     std::cout << "ERROR: shared plan cache never hit across "
               << results.size() << " points\n";
     return 2;

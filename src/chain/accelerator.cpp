@@ -99,10 +99,6 @@ LayerRunResult merge_shard_results(const dataflow::ExecutionPlan& plan,
     merged.stats.windows_collected += r.stats.windows_collected;
     merged.stats.macs_performed += r.stats.macs_performed;
     merged.stats.passes += r.stats.passes;
-    merged.stats.plan_cache_hits += r.stats.plan_cache_hits;
-    merged.stats.plan_cache_misses += r.stats.plan_cache_misses;
-    merged.stats.plan_cache_entries = std::max(
-        merged.stats.plan_cache_entries, r.stats.plan_cache_entries);
     merged.stats.kernel_fast_dispatches += r.stats.kernel_fast_dispatches;
     merged.stats.kernel_scalar_dispatches += r.stats.kernel_scalar_dispatches;
 
@@ -232,18 +228,10 @@ LayerRunResult ChainAccelerator::run_layer(
   for (const std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
 
-  serve::PlanCache::Lookup lookup;
   const dataflow::ExecutionPlan plan =
-      plan_cache_->plan_for(layer, cfg_.array, cfg_.memory, &lookup);
+      plan_cache_->plan_for(layer, cfg_.array, cfg_.memory);
   LayerRunResult merged =
       merge_shard_results(plan, cfg_.memory.word_bytes, results);
-  // The merge plan above is a lookup of this run too — keep RunStats'
-  // "hits + misses = plan lookups performed" invariant for sharded runs.
-  merged.stats.plan_cache_hits += lookup.hit ? 1 : 0;
-  merged.stats.plan_cache_misses += lookup.hit ? 0 : 1;
-  merged.stats.plan_cache_entries =
-      std::max(merged.stats.plan_cache_entries,
-               static_cast<std::int64_t>(lookup.entries));
   // The clones counted the traffic on their own hierarchies; charge the
   // batch's closed form here, which equals the merged (measured) totals
   // on both engines, so this hierarchy sees every run it executed.
@@ -257,8 +245,7 @@ LayerRunResult ChainAccelerator::run_in_place(
   if (bias) CHAINNN_CHECK(bias->shape() == Shape({layer.out_channels}));
 
   LayerRunResult result;
-  serve::PlanCache::Lookup lookup;
-  result.plan = plan_cache_->plan_for(layer, cfg_.array, cfg_.memory, &lookup);
+  result.plan = plan_cache_->plan_for(layer, cfg_.array, cfg_.memory);
 
   const mem::HierarchySnapshot before = mem::snapshot(hierarchy_);
   nn::ConvDispatch dispatch;
@@ -290,9 +277,6 @@ LayerRunResult ChainAccelerator::run_in_place(
   }
   // Host-side bookkeeping, set after the engines so the analytical path's
   // wholesale stats replacement cannot drop it.
-  result.stats.plan_cache_hits = lookup.hit ? 1 : 0;
-  result.stats.plan_cache_misses = lookup.hit ? 0 : 1;
-  result.stats.plan_cache_entries = static_cast<std::int64_t>(lookup.entries);
   if (dispatched) {
     result.stats.kernel_fast_dispatches = dispatch.fast ? 1 : 0;
     result.stats.kernel_scalar_dispatches = dispatch.fast ? 0 : 1;

@@ -35,20 +35,12 @@ struct RunStats {
   std::int64_t macs_performed = 0;  // real (non-masked) MACs
   std::int64_t passes = 0;
 
-  // Plan-cache behaviour of this run (hits + misses = plan lookups the
-  // run performed; entries = cache size afterwards). Host-side
-  // accounting only — never part of the modelled cycles; sharded runs
-  // sum hits/misses across shards.
-  std::int64_t plan_cache_hits = 0;
-  std::int64_t plan_cache_misses = 0;
-  std::int64_t plan_cache_entries = 0;
-
-  // Analytical MAC-kernel routing (host-side accounting like the
-  // plan-cache counters, never part of the modelled cycles): layer runs
-  // dispatched to the vectorized saturation-free fast path vs the exact
-  // scalar sticky-clamp reference (see nn/conv_kernel.hpp). Both stay 0
-  // for cycle-accurate and staged-psum runs, which don't go through the
-  // dispatcher; sharded runs sum across shards.
+  // Analytical MAC-kernel routing (host-side accounting, never part of
+  // the modelled cycles): layer runs dispatched to the vectorized
+  // saturation-free fast path vs the exact scalar sticky-clamp reference
+  // (see nn/conv_kernel.hpp). Both stay 0 for cycle-accurate and
+  // staged-psum runs, which don't go through the dispatcher; sharded
+  // runs sum across shards.
   std::int64_t kernel_fast_dispatches = 0;
   std::int64_t kernel_scalar_dispatches = 0;
 

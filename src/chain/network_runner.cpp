@@ -39,6 +39,22 @@ bool NetworkRunResult::all_verified() const {
   return true;
 }
 
+namespace {
+
+// A layer's kernel tensor shape, fixed by the model's nominal geometry
+// (resolving H/W from the activations does not change it).
+Shape kernel_shape(const nn::ConvLayerParams& layer) {
+  return Shape{layer.out_channels, layer.channels_per_group(), layer.kernel,
+               layer.kernel};
+}
+
+// The default weight initializer: one stream over the layers in order.
+void draw_default_kernels(Rng& rng, Tensor<std::int16_t>& kernels) {
+  kernels.fill_random(rng, -16, 16);
+}
+
+}  // namespace
+
 NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
                                     const Tensor<std::int16_t>& input,
                                     const NetworkRunOptions& options) {
@@ -64,7 +80,14 @@ NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
     first_layer = static_cast<std::size_t>(cp.next_layer);
     result.layers = cp.layers;
     act = cp.activations;
-    rng = cp.weight_rng;
+    // Re-draw the completed layers' default kernels so the stream stands
+    // where the uninterrupted run left it.
+    if (!options.weight_init) {
+      for (std::size_t i = 0; i < first_layer; ++i) {
+        Tensor<std::int16_t> discarded(kernel_shape(net.conv_layers[i]));
+        draw_default_kernels(rng, discarded);
+      }
+    }
   }
 
   // One accelerator runs every layer: the caller's, unless the options
@@ -89,7 +112,6 @@ NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
       cp->next_layer = static_cast<std::int64_t>(i);
       cp->layers = std::move(result.layers);
       cp->activations = std::move(act);
-      cp->weight_rng = rng;
       throw RunPreempted(std::move(cp));
     }
     nn::ConvLayerParams layer = net.conv_layers[i];
@@ -102,13 +124,11 @@ NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
                                << act.shape().dim(1));
     layer.validate();
 
-    Tensor<std::int16_t> kernels(Shape{layer.out_channels,
-                                       layer.channels_per_group(),
-                                       layer.kernel, layer.kernel});
+    Tensor<std::int16_t> kernels(kernel_shape(layer));
     if (options.weight_init) {
       options.weight_init(static_cast<std::int64_t>(i), kernels);
     } else {
-      kernels.fill_random(rng, -16, 16);
+      draw_default_kernels(rng, kernels);
     }
 
     NetworkLayerResult lr;

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "chain/accelerator.hpp"
-#include "common/rng.hpp"
 #include "energy/energy_model.hpp"
 #include "nn/layers.hpp"
 #include "nn/models.hpp"
@@ -55,14 +54,21 @@ struct NetworkLayerResult {
 
 // Everything a network run holds at an inter-layer boundary: the fully
 // executed prefix (per-layer results carry their accumulated RunStats,
-// traffic and modelled power verbatim), the activations feeding the next
-// conv layer, and the state of the default weight stream. Layer
-// boundaries are the only capture points — a layer is never interrupted
-// mid-flight, so there is no half-written accelerator state to save —
-// which makes the guarantee cheap and absolute: resuming a checkpoint on
-// the same configuration reproduces the uninterrupted run bit for bit
-// (ofmaps, cycles, traffic); resuming on a different ArrayShape re-plans
-// the remaining layers and stays value-identical on ofmaps.
+// traffic and modelled power verbatim) and the activations feeding the
+// next conv layer. Layer boundaries are the only capture points — a
+// layer is never interrupted mid-flight, so there is no half-written
+// accelerator state to save — which makes the guarantee cheap and
+// absolute: resuming a checkpoint on the same configuration reproduces
+// the uninterrupted run bit for bit (ofmaps, cycles, traffic); resuming
+// on a different ArrayShape re-plans the remaining layers and stays
+// value-identical on ofmaps.
+//
+// The default weights are not part of it: they are drawn layer by layer
+// from one fixed-seed stream, with each layer's kernel shape taken from
+// the model (not from the resolved H/W), so a resume re-draws and
+// discards the completed layers' kernels to reach the same point of the
+// stream. A caller-supplied weight_init is (layer, tensor)-pure and is
+// called for the remaining layers only.
 struct RunCheckpoint {
   // Index of the first conv layer not yet executed; layers[0..next_layer)
   // are complete. May equal the network size only on a resumed
@@ -71,12 +77,6 @@ struct RunCheckpoint {
   std::vector<NetworkLayerResult> layers;
   // Input to layer `next_layer` (inter-layer ReLU/pool already applied).
   Tensor<std::int16_t> activations;
-  // Default weight stream at the boundary. The default initializer draws
-  // all layers from one stateful stream, so a resume must continue it —
-  // not restart it — to draw the same kernels the uninterrupted run
-  // would. A caller-supplied weight_init is (layer, tensor)-pure and
-  // needs no state here.
-  Rng weight_rng;
 };
 
 // Thrown when NetworkRunOptions::preempt_check asks a run to yield at an

@@ -82,30 +82,6 @@ class Rng {
     return mean + stddev * gaussian();
   }
 
-  // Full generator state, for checkpoint serialization: restore()ing a
-  // snapshot() continues the stream exactly where it left off (including
-  // the Box-Muller cached half, which is part of the observable output
-  // sequence).
-  struct Snapshot {
-    std::uint64_t state[4] = {};
-    bool have_cached_gauss = false;
-    double cached_gauss = 0.0;
-
-    friend bool operator==(const Snapshot&, const Snapshot&) = default;
-  };
-  [[nodiscard]] Snapshot snapshot() const {
-    Snapshot s;
-    for (int i = 0; i < 4; ++i) s.state[i] = state_[i];
-    s.have_cached_gauss = have_cached_gauss_;
-    s.cached_gauss = cached_gauss_;
-    return s;
-  }
-  void restore(const Snapshot& s) {
-    for (int i = 0; i < 4; ++i) state_[i] = s.state[i];
-    have_cached_gauss_ = s.have_cached_gauss;
-    cached_gauss_ = s.cached_gauss;
-  }
-
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

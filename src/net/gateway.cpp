@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 #include "net/json.hpp"
@@ -227,6 +228,18 @@ HttpResponse Gateway::handle_submit(const HttpRequest& request) {
     model = slot;
   }
 
+  // A client-chosen array the model cannot be planned on (say, fewer PEs
+  // than a layer's taps) is a bad request, not a serving failure: plan
+  // the route without dispatching and answer the planner's refusal here,
+  // before anything reaches the fleet.
+  if (options.array) {
+    try {
+      (void)fleet_.plan_route(*model, batch, options);
+    } catch (const std::logic_error& e) {
+      return bad(e.what());
+    }
+  }
+
   const auto t0 = Clock::now();
   serve::InferenceResult result;
   try {
@@ -420,12 +433,8 @@ std::string Gateway::metrics_text() const {
             static_cast<double>(fleet.plan_cache.hits));
   w.counter("chainnn_plan_cache_misses_total", "Plan cache lookup misses.",
             static_cast<double>(fleet.plan_cache.misses));
-  w.counter("chainnn_plan_cache_evictions_total", "Plans evicted (LRU).",
-            static_cast<double>(fleet.plan_cache.evictions));
   w.gauge("chainnn_plan_cache_entries", "Plans currently cached.",
           static_cast<double>(fleet.plan_cache.entries));
-  w.gauge("chainnn_plan_cache_bytes", "Approximate bytes of cached plans.",
-          static_cast<double>(fleet.plan_cache.bytes));
   w.gauge("chainnn_plan_cache_hit_rate", "hits / lookups (0 when idle).",
           fleet.plan_cache.hit_rate());
 

@@ -20,13 +20,15 @@
 //                     latency histograms (buckets + p50/p99/p999).
 //   GET  /healthz     {"status": "ok"} — liveness only.
 //
-// Validation is strict: unknown body keys, wrong types, unknown models
-// and out-of-range batches are answered 400 with a reason, before
-// anything touches the fleet. A resolved future — kOk, kCancelled or
-// kRejected — is a 200 whose "status" field carries the verdict; HTTP
-// 5xx is reserved for requests that threw, so the soak driver's
-// "zero 5xx" gate means "the serving stack never errored", not "no
-// deadline was ever missed".
+// Validation is strict: unknown body keys, wrong types, unknown models,
+// out-of-range batches and an `array` the model cannot be planned on
+// (Fleet::plan_route refuses it) are answered 400 with a reason, before
+// anything is dispatched. A deadline_ms too large for the clock never
+// expires; one in the past resolves kCancelled. A resolved future —
+// kOk, kCancelled or kRejected — is a 200 whose "status" field carries
+// the verdict; HTTP 5xx is reserved for requests that threw, so the
+// soak driver's "zero 5xx" gate means "the serving stack never
+// errored", not "no deadline was ever missed".
 //
 // Model instances are cached per (name, scale): GatewayOptions::
 // model_scale runs named networks through channel_reduced_proxy so a

@@ -1,11 +1,6 @@
 #include "serve/durable.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <unordered_map>
 #include <utility>
 
@@ -147,9 +142,6 @@ void write_run_stats(ByteWriter& w, const chain::RunStats& s) {
   w.i64(s.windows_collected);
   w.i64(s.macs_performed);
   w.i64(s.passes);
-  w.i64(s.plan_cache_hits);
-  w.i64(s.plan_cache_misses);
-  w.i64(s.plan_cache_entries);
   w.i64(s.kernel_fast_dispatches);
   w.i64(s.kernel_scalar_dispatches);
 }
@@ -162,9 +154,6 @@ chain::RunStats read_run_stats(ByteReader& r) {
   s.windows_collected = r.i64();
   s.macs_performed = r.i64();
   s.passes = r.i64();
-  s.plan_cache_hits = r.i64();
-  s.plan_cache_misses = r.i64();
-  s.plan_cache_entries = r.i64();
   s.kernel_fast_dispatches = r.i64();
   s.kernel_scalar_dispatches = r.i64();
   return s;
@@ -275,10 +264,6 @@ void write_checkpoint(ByteWriter& w, const chain::RunCheckpoint& cp) {
   for (const chain::NetworkLayerResult& nl : cp.layers)
     write_network_layer_result(w, nl);
   write_tensor_i16(w, cp.activations);
-  const Rng::Snapshot rng = cp.weight_rng.snapshot();
-  for (const std::uint64_t s : rng.state) w.u64(s);
-  w.u8(rng.have_cached_gauss ? 1 : 0);
-  w.f64(rng.cached_gauss);
 }
 
 chain::RunCheckpoint read_checkpoint(ByteReader& r) {
@@ -290,11 +275,6 @@ chain::RunCheckpoint read_checkpoint(ByteReader& r) {
   for (std::uint64_t i = 0; i < n; ++i)
     cp.layers.push_back(read_network_layer_result(r));
   cp.activations = read_tensor_i16(r);
-  Rng::Snapshot rng;
-  for (std::uint64_t& s : rng.state) s = r.u64();
-  rng.have_cached_gauss = r.u8() != 0;
-  rng.cached_gauss = r.f64();
-  cp.weight_rng.restore(rng);
   return cp;
 }
 
@@ -491,10 +471,6 @@ JournalAnalysis analyze_journal(const JournalReadResult& log) {
         if (it != terminal.end()) it->second = true;
         break;
       }
-      case RecordType::kPlanEntry:
-        // Snapshot record in a journal: ignore (forward compatibility —
-        // the framing survives, the reader just has no use for it).
-        break;
     }
   }
 
@@ -505,59 +481,6 @@ JournalAnalysis analyze_journal(const JournalReadResult& log) {
 
 JournalAnalysis analyze_journal_file(const std::string& path) {
   return analyze_journal(read_journal_file(path));
-}
-
-// --- PlanCache snapshots ---------------------------------------------------
-
-std::int64_t save_plan_cache(const PlanCache& cache, const std::string& path) {
-  const std::vector<PlanCache::EntryInputs> entries = cache.entry_inputs();
-  std::string bytes;
-  {
-    ByteWriter header;
-    for (const char c : kSnapshotMagic)
-      header.u8(static_cast<std::uint8_t>(c));
-    header.u32(kJournalFormatVersion);
-    bytes = header.take();
-  }
-  for (const PlanCache::EntryInputs& e : entries) {
-    ByteWriter w;
-    w.u8(static_cast<std::uint8_t>(RecordType::kPlanEntry));
-    write_layer_params(w, e.layer);
-    write_array_shape(w, e.array);
-    write_hierarchy(w, e.memory);
-    bytes += frame_record(w.bytes());
-  }
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0)
-    throw JournalError("cannot open snapshot for writing: " + path + " (" +
-                       std::strerror(errno) + ")");
-  const bool ok = ::write(fd, bytes.data(), bytes.size()) ==
-                  static_cast<ssize_t>(bytes.size());
-  ::fsync(fd);
-  ::close(fd);
-  if (!ok) throw JournalError("cannot write snapshot: " + path);
-  return static_cast<std::int64_t>(entries.size());
-}
-
-SnapshotLoadResult load_plan_cache(PlanCache& cache, const std::string& path) {
-  const JournalReadResult log = read_journal_file(path, kSnapshotMagic);
-  SnapshotLoadResult out;
-  out.truncated_tail = log.truncated_tail;
-  out.checksum_errors = log.checksum_errors;
-  // Records are MRU-first; replay LRU-first so the rebuilt cache's
-  // recency order matches the one the snapshot captured.
-  for (auto it = log.records.rbegin(); it != log.records.rend(); ++it) {
-    if (it->type != RecordType::kPlanEntry) continue;
-    ByteReader r(it->payload);
-    const nn::ConvLayerParams layer = read_layer_params(r);
-    const dataflow::ArrayShape array = read_array_shape(r);
-    const mem::HierarchyConfig memory = read_hierarchy(r);
-    // plan_for re-plans (a miss) and inserts; purity makes the entry
-    // identical to the one that was snapshotted.
-    (void)cache.plan_for(layer, array, memory);
-    ++out.entries_loaded;
-  }
-  return out;
 }
 
 }  // namespace chainnn::serve

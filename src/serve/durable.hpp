@@ -13,18 +13,19 @@
 //   * chain::RunCheckpoint is captured only at layer boundaries, where
 //     the accelerator holds no in-flight state, so its serialization is
 //     exhaustive by construction: the executed layer prefix (results
-//     with RunStats / traffic / power verbatim), the boundary
-//     activations, and the weight-stream RNG state. Resuming a loaded
-//     checkpoint on the same chip is bit-identical to the uninterrupted
-//     run; on a different chip the remaining layers re-plan and the
-//     ofmaps stay value-identical (the PR-5 guarantee the router's
-//     cross-chip handoff leans on).
+//     with RunStats / traffic / power verbatim) and the boundary
+//     activations. The default weights need no state: a resume re-draws
+//     the completed layers' kernels from the fixed seed (see
+//     chain::RunCheckpoint). Resuming a loaded checkpoint on the same
+//     chip is bit-identical to the uninterrupted run; on a different
+//     chip the remaining layers re-plan and the ofmaps stay
+//     value-identical (the guarantee the router's cross-chip handoff
+//     leans on).
 //
 // The journal's request records (SUBMIT / CHECKPOINT / COMPLETE /
-// CANCEL / REJECT) and the PlanCache snapshot format live here too, plus
-// analyze_journal — the pure replay analysis Fleet::recover() is built
-// on (pure so that recovering twice from the same bytes reconstructs the
-// same in-flight set).
+// CANCEL / REJECT) live here, plus analyze_journal — the pure replay
+// analysis Fleet::recover() is built on (pure so that recovering twice
+// from the same bytes reconstructs the same in-flight set).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,6 @@
 #include "chain/network_runner.hpp"
 #include "nn/models.hpp"
 #include "serve/journal.hpp"
-#include "serve/plan_cache.hpp"
 
 namespace chainnn::serve {
 
@@ -155,23 +155,5 @@ struct JournalAnalysis {
 // read_journal_file + analyze_journal (throws JournalError on a missing
 // file, bad magic or version mismatch).
 [[nodiscard]] JournalAnalysis analyze_journal_file(const std::string& path);
-
-// --- PlanCache snapshots ---------------------------------------------------
-
-// Writes every resident entry's (layer, array, memory) inputs, MRU
-// first, under the snapshot magic. Returns entries written.
-std::int64_t save_plan_cache(const PlanCache& cache, const std::string& path);
-
-struct SnapshotLoadResult {
-  std::int64_t entries_loaded = 0;
-  bool truncated_tail = false;
-  std::int64_t checksum_errors = 0;
-};
-
-// Warm-starts `cache` by re-planning each snapshot entry (LRU-first, so
-// the rebuilt cache has the same recency order the snapshot captured).
-// Torn tails and checksum failures degrade gracefully — the valid prefix
-// still warms the cache; version mismatch refuses (JournalError).
-SnapshotLoadResult load_plan_cache(PlanCache& cache, const std::string& path);
 
 }  // namespace chainnn::serve

@@ -221,14 +221,8 @@ std::future<InferenceResult> Fleet::submit(const nn::NetworkModel& net,
   }
 }
 
-RecoveryReport Fleet::recover(const std::string& journal_path,
-                              const std::string& plan_snapshot_path) {
+RecoveryReport Fleet::recover(const std::string& journal_path) {
   RecoveryReport report;
-  if (!plan_snapshot_path.empty()) {
-    const SnapshotLoadResult snap =
-        load_plan_cache(*cache_, plan_snapshot_path);
-    report.plan_cache_entries_loaded = snap.entries_loaded;
-  }
   JournalAnalysis log = analyze_journal_file(journal_path);
   report.journal_submits = log.submits;
   report.journal_completed = log.completed;

@@ -138,7 +138,6 @@ struct RecoveryReport {
   std::int64_t replayed = 0;          // in-flight requests resubmitted
   std::int64_t resumed_from_checkpoint = 0;  // replays with a checkpoint
   std::int64_t checkpoint_handoffs = 0;  // resumed on a different chip
-  std::int64_t plan_cache_entries_loaded = 0;  // snapshot warm-start
   bool truncated_tail = false;   // the log ended in a torn record
   std::int64_t checksum_errors = 0;
   // One (tag, future) per replayed request, in original submission
@@ -188,9 +187,6 @@ class Fleet {
   // FleetStats::checkpoint_handoffs): remaining layers re-plan for the
   // new chip and the final ofmaps stay value-identical.
   //
-  // `plan_snapshot_path`, when non-empty, first warm-starts the shared
-  // PlanCache from a save_plan_cache() snapshot.
-  //
   // If this fleet journals (FleetOptions::journal), replayed requests
   // are re-journaled under their original tags, so recovery is
   // idempotent: a second recovery from the new log finds every replay
@@ -198,9 +194,7 @@ class Fleet {
   // Throws JournalError on a missing/garbled journal (bad magic,
   // version mismatch); a torn tail or checksum failure is NOT an error —
   // the valid prefix recovers and the report flags the damage.
-  [[nodiscard]] RecoveryReport recover(const std::string& journal_path,
-                                       const std::string& plan_snapshot_path =
-                                           "");
+  [[nodiscard]] RecoveryReport recover(const std::string& journal_path);
 
   // Blocks until every chip drained its queue.
   void wait_idle();

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
+#include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -19,6 +21,30 @@ using Clock = std::chrono::steady_clock;
 
 double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
+// `budget_ms` after `from`, saturated to the clock's range: a budget too
+// large for the clock never expires and one too negative has already
+// passed (a plain duration_cast overflows, which is undefined).
+Clock::time_point deadline_after(Clock::time_point from, double budget_ms) {
+  CHAINNN_CHECK_MSG(!std::isnan(budget_ms), "deadline_ms must not be NaN");
+  using Rep = Clock::rep;
+  const double ticks =
+      std::chrono::duration<double, Clock::period>(
+          std::chrono::duration<double, std::milli>(budget_ms))
+          .count();
+  // -min() is a power of two, so exact as a double; max() is not.
+  constexpr double kRange =
+      -static_cast<double>(std::numeric_limits<Rep>::min());
+  if (ticks >= kRange) return Clock::time_point::max();
+  if (ticks < -kRange) return Clock::time_point::min();
+  const auto budget = static_cast<Rep>(ticks);
+  const Rep at = from.time_since_epoch().count();
+  if (budget > 0 && at > std::numeric_limits<Rep>::max() - budget)
+    return Clock::time_point::max();
+  if (budget < 0 && at < std::numeric_limits<Rep>::min() - budget)
+    return Clock::time_point::min();
+  return from + Clock::duration(budget);
 }
 }  // namespace
 
@@ -223,10 +249,7 @@ std::int64_t InferenceServer::allocate_id() {
 std::future<InferenceResult> InferenceServer::enqueue(Task&& task) {
   task.enqueued = Clock::now();
   if (task.options.deadline_ms)
-    task.deadline =
-        task.enqueued + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double, std::milli>(
-                                *task.options.deadline_ms));
+    task.deadline = deadline_after(task.enqueued, *task.options.deadline_ms);
   std::future<InferenceResult> future = task.promise.get_future();
   {
     MutexLock lock(state_->mu);

@@ -107,7 +107,8 @@ struct RequestOptions {
   // Wall-clock budget in milliseconds from submission; nullopt = none.
   // Doubles as the EDF key within a priority tier. May be zero or
   // negative (a deadline already in the past): such a request resolves
-  // kCancelled without executing.
+  // kCancelled without executing. A budget too large for the clock
+  // never expires; NaN is refused at submit.
   std::optional<double> deadline_ms;
   // External cancellation: set to true at any time to abort the request
   // at its next inter-layer checkpoint (or before it starts).

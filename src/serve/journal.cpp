@@ -150,8 +150,7 @@ JournalReadResult read_records(std::string_view body) {
   return out;
 }
 
-JournalReadResult read_journal_file(const std::string& path,
-                                    std::span<const char, 8> magic) {
+JournalReadResult read_journal_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in)
     throw JournalError("cannot open journal file: " + path);
@@ -162,7 +161,7 @@ JournalReadResult read_journal_file(const std::string& path,
   const std::size_t header = 8 + 4;
   if (bytes.size() < header)
     throw JournalError("journal file too short for its header: " + path);
-  if (std::memcmp(bytes.data(), magic.data(), 8) != 0)
+  if (std::memcmp(bytes.data(), kJournalMagic, 8) != 0)
     throw JournalError("journal file has wrong magic: " + path);
   ByteReader version_reader(std::string_view(bytes).substr(8, 4));
   const std::uint32_t version = version_reader.u32();

@@ -115,13 +115,9 @@ class ByteReader {
 
 // --- record framing --------------------------------------------------------
 
-inline constexpr std::uint32_t kJournalFormatVersion = 2;
+inline constexpr std::uint32_t kJournalFormatVersion = 3;
 inline constexpr char kJournalMagic[8] = {'C', 'N', 'N', 'J',
                                           'R', 'N', 'L', '\0'};
-// PlanCache snapshots share the framing (header + checksummed records)
-// under their own magic, so a journal is never mistaken for a snapshot.
-inline constexpr char kSnapshotMagic[8] = {'C', 'N', 'N', 'S',
-                                           'N', 'A', 'P', '\0'};
 
 // First byte of every record payload.
 enum class RecordType : std::uint8_t {
@@ -131,8 +127,6 @@ enum class RecordType : std::uint8_t {
   kComplete = 3,    // terminal kOk
   kCancel = 4,      // terminal kCancelled / kFailed (reason byte)
   kReject = 5,      // admission refused the request at submit
-  kPlanEntry = 6,   // snapshot files: one cached plan's (layer, array,
-                    // memory) inputs
 };
 
 struct JournalRecord {
@@ -155,18 +149,16 @@ struct JournalReadResult {
 // Frames `payload` (type byte + body) into length/checksum/payload.
 [[nodiscard]] std::string frame_record(std::string_view payload);
 
-// Parses the body of a journal/snapshot file after its header has been
+// Parses the body of a journal file after its header has been
 // validated. Never throws on torn or corrupt data — that is the normal
 // crash case — only on programmer error.
 [[nodiscard]] JournalReadResult read_records(std::string_view body);
 
-// Reads a whole file under `magic`: validates header (JournalError on
-// missing file, short header, bad magic or version mismatch), then
-// parses records. A file holding only a valid header yields an empty
-// record list — an empty journal is a journal, not an error.
-[[nodiscard]] JournalReadResult read_journal_file(
-    const std::string& path,
-    std::span<const char, 8> magic = kJournalMagic);
+// Reads a whole journal file: validates header (JournalError on missing
+// file, short header, bad magic or version mismatch), then parses
+// records. A file holding only a valid header yields an empty record
+// list — an empty journal is a journal, not an error.
+[[nodiscard]] JournalReadResult read_journal_file(const std::string& path);
 
 // --- the append-only writer ------------------------------------------------
 

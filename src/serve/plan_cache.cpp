@@ -5,8 +5,8 @@
 namespace chainnn::serve {
 
 std::uint64_t plan_footprint_bytes(const dataflow::ExecutionPlan& plan) {
-  // Flat constant for the map node, LRU node and allocator slack; the
-  // variable part is the subconv/strip vectors and the layer name.
+  // Flat constant for the map node and allocator slack; the variable
+  // part is the subconv/strip vectors and the layer name.
   std::uint64_t bytes = sizeof(dataflow::ExecutionPlan) + 128;
   bytes += plan.layer.name.capacity();
   bytes += plan.subconvs.capacity() * sizeof(dataflow::SubConvPlan);
@@ -15,83 +15,39 @@ std::uint64_t plan_footprint_bytes(const dataflow::ExecutionPlan& plan) {
   return bytes;
 }
 
-PlanCache::PlanCache(PlanCacheOptions options) : opts_(options) {}
-
-void PlanCache::touch(Entry& entry) {
-  if (entry.lru != lru_.begin())
-    lru_.splice(lru_.begin(), lru_, entry.lru);
-}
-
-void PlanCache::evict_to_budget() {
-  if (opts_.max_bytes == 0) return;
-  // Never evict the most recently used entry: the caller of the insert
-  // that triggered this is about to use it, and a budget below one plan
-  // must not empty the cache entirely.
-  while (bytes_ > opts_.max_bytes && map_.size() > 1) {
-    const dataflow::PlanKey victim = lru_.back();
-    const auto it = map_.find(victim);
-    bytes_ -= it->second.bytes;
-    lru_.pop_back();
-    map_.erase(it);
-    ++evictions_;
-  }
-}
-
 std::shared_ptr<const dataflow::ExecutionPlan> PlanCache::shared_plan_for(
     const nn::ConvLayerParams& layer, const dataflow::ArrayShape& array,
-    const mem::HierarchyConfig& memory, Lookup* lookup) {
+    const mem::HierarchyConfig& memory) {
   // plan_layer validates too, but a cache hit must reject exactly the
   // same inputs a direct call would (batch is not part of the key).
   layer.validate();
   const dataflow::PlanKey key = dataflow::PlanKey::from(layer, array, memory);
-
-  std::shared_ptr<const dataflow::ExecutionPlan> entry;
   {
     MutexLock lock(mu_);
     const auto it = map_.find(key);
     if (it != map_.end()) {
-      entry = it->second.plan;
-      touch(it->second);
       ++hits_;
-      if (lookup) *lookup = {true, map_.size()};
+      return it->second;
     }
   }
-
-  if (!entry) {
-    // Plan outside the lock so concurrent misses don't serialize; a
-    // racing double-compute is benign (both produce the same plan, the
-    // first insert wins and the loser's copy is dropped).
-    auto fresh = std::make_shared<dataflow::ExecutionPlan>(
-        dataflow::plan_layer(layer, array, memory));
-    const std::uint64_t fresh_bytes = plan_footprint_bytes(*fresh);
-    MutexLock lock(mu_);
-    auto [it, inserted] = map_.try_emplace(key);
-    if (inserted) {
-      lru_.push_front(key);
-      it->second = Entry{std::move(fresh), fresh_bytes, lru_.begin()};
-      bytes_ += fresh_bytes;
-      evict_to_budget();
-    } else {
-      touch(it->second);
-    }
-    entry = it->second.plan;
-    ++misses_;
-    if (lookup) *lookup = {false, map_.size()};
-  }
-  return entry;
+  // Plan outside the lock so concurrent misses don't serialize; a racing
+  // double-compute is benign (both produce the same plan, the first
+  // insert wins and the loser's copy is dropped).
+  auto fresh = std::make_shared<const dataflow::ExecutionPlan>(
+      dataflow::plan_layer(layer, array, memory));
+  MutexLock lock(mu_);
+  ++misses_;
+  return map_.try_emplace(key, std::move(fresh)).first->second;
 }
 
-dataflow::ExecutionPlan PlanCache::plan_for(const nn::ConvLayerParams& layer,
-                                            const dataflow::ArrayShape& array,
-                                            const mem::HierarchyConfig& memory,
-                                            Lookup* lookup) {
-  const std::shared_ptr<const dataflow::ExecutionPlan> entry =
-      shared_plan_for(layer, array, memory, lookup);
+dataflow::ExecutionPlan PlanCache::plan_for(
+    const nn::ConvLayerParams& layer, const dataflow::ArrayShape& array,
+    const mem::HierarchyConfig& memory) {
   // Re-stamp the caller's exact inputs: the cached entry may have been
   // built for a different batch / name / clock (all outside the key), and
   // the derived structure is invariant to them, so the patched copy is
   // field-for-field what plan_layer(layer, array, memory) returns.
-  dataflow::ExecutionPlan plan = *entry;
+  dataflow::ExecutionPlan plan = *shared_plan_for(layer, array, memory);
   plan.layer = layer;
   plan.array = array;
   plan.memory = memory;
@@ -100,37 +56,7 @@ dataflow::ExecutionPlan PlanCache::plan_for(const nn::ConvLayerParams& layer,
 
 PlanCacheStats PlanCache::stats() const {
   MutexLock lock(mu_);
-  return {hits_, misses_, map_.size(), evictions_, bytes_};
-}
-
-std::uint64_t PlanCache::size() const {
-  MutexLock lock(mu_);
-  return map_.size();
-}
-
-std::vector<PlanCache::EntryInputs> PlanCache::entry_inputs() const {
-  MutexLock lock(mu_);
-  std::vector<EntryInputs> out;
-  out.reserve(map_.size());
-  // lru_ front = MRU, so snapshots preserve recency order (the loader
-  // replays them LRU-first to rebuild the same ordering).
-  for (const dataflow::PlanKey& key : lru_) {
-    const auto it = map_.find(key);
-    if (it == map_.end()) continue;  // unreachable; defensive
-    const dataflow::ExecutionPlan& plan = *it->second.plan;
-    out.push_back({plan.layer, plan.array, plan.memory});
-  }
-  return out;
-}
-
-void PlanCache::clear() {
-  MutexLock lock(mu_);
-  map_.clear();
-  lru_.clear();
-  bytes_ = 0;
-  hits_ = 0;
-  misses_ = 0;
-  evictions_ = 0;
+  return {hits_, misses_, map_.size()};
 }
 
 }  // namespace chainnn::serve

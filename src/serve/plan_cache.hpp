@@ -1,4 +1,4 @@
-// PlanCache — a thread-safe, shared cache in front of dataflow::plan_layer.
+// PlanCache — a thread-safe, shared memo in front of dataflow::plan_layer.
 //
 // Chain-NN's fixed 1D-chain dataflow makes an ExecutionPlan a pure
 // function of (layer geometry, array shape, memory capacities), so plans
@@ -13,21 +13,15 @@
 // returned plan is field-for-field identical to what plan_layer would
 // have built (tests/serve/test_plan_cache.cpp pins this equivalence).
 // Sharing one cache between threads is safe; lookups under contention
-// return identical plans.
-//
-// Long-running fleets see an unbounded stream of (layer, array) shapes,
-// so the cache can be given a byte budget (PlanCacheOptions::max_bytes):
-// entries are kept in LRU order and the least-recently-used ones are
-// evicted once the approximate resident footprint exceeds the budget.
-// Eviction only ever costs a re-plan on the next miss — results stay
-// bit-identical (eviction is as semantics-free as the cache itself).
+// return identical plans. Entries are never dropped: a plan is a few
+// closed forms, and the distinct (layer, array) shapes a process sees
+// are the layers of the models it serves times the arrays it runs them
+// on.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "common/thread_annotations.hpp"
 #include "dataflow/plan.hpp"
@@ -37,9 +31,7 @@ namespace chainnn::serve {
 struct PlanCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t entries = 0;
-  std::uint64_t evictions = 0;  // entries dropped to stay under max_bytes
-  std::uint64_t bytes = 0;      // approximate resident footprint
+  std::uint64_t entries = 0;  // distinct keys planned so far
 
   [[nodiscard]] std::uint64_t lookups() const { return hits + misses; }
   [[nodiscard]] double hit_rate() const {
@@ -49,34 +41,17 @@ struct PlanCacheStats {
   }
 };
 
-struct PlanCacheOptions {
-  // LRU byte budget over the approximate per-entry footprint
-  // (plan_footprint_bytes). 0 = unbounded (the historical behaviour).
-  // The most recently used entry is never evicted, so a budget smaller
-  // than one plan degrades to a one-entry cache rather than thrashing to
-  // zero.
-  std::uint64_t max_bytes = 0;
-};
-
-// Approximate heap footprint of one cached plan: the struct itself plus
-// its owned vectors/strings. Used for the LRU budget; deliberately an
-// estimate (malloc overhead and map/list nodes are charged as a flat
-// constant).
+// Approximate heap footprint of one plan: the struct itself plus its
+// owned vectors/strings, with allocator slack charged as a flat
+// constant. Deliberately an estimate.
 [[nodiscard]] std::uint64_t plan_footprint_bytes(
     const dataflow::ExecutionPlan& plan);
 
 class PlanCache {
  public:
-  explicit PlanCache(PlanCacheOptions options = {});
+  PlanCache() = default;
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
-
-  // Outcome of one plan_for() call, for callers that surface cache
-  // behaviour in their own accounting (RunStats).
-  struct Lookup {
-    bool hit = false;
-    std::uint64_t entries = 0;  // cache size after this lookup
-  };
 
   // The plan plan_layer(layer, array, memory) would build, served from
   // the cache when the structural key matches a previous call. Throws
@@ -84,7 +59,7 @@ class PlanCache {
   // layers are planned — and fail — outside the cache).
   [[nodiscard]] dataflow::ExecutionPlan plan_for(
       const nn::ConvLayerParams& layer, const dataflow::ArrayShape& array,
-      const mem::HierarchyConfig& memory, Lookup* lookup = nullptr);
+      const mem::HierarchyConfig& memory);
 
   // The cached entry itself, without plan_for's re-stamping copy (an
   // ExecutionPlan owns per-subconv strip vectors, so the copy dominates
@@ -98,45 +73,18 @@ class PlanCache {
   [[nodiscard]] std::shared_ptr<const dataflow::ExecutionPlan>
   shared_plan_for(const nn::ConvLayerParams& layer,
                   const dataflow::ArrayShape& array,
-                  const mem::HierarchyConfig& memory,
-                  Lookup* lookup = nullptr);
+                  const mem::HierarchyConfig& memory);
 
   [[nodiscard]] PlanCacheStats stats() const;
-  [[nodiscard]] std::uint64_t size() const;
-  [[nodiscard]] const PlanCacheOptions& options() const { return opts_; }
-  void clear();  // drops entries and resets the hit/miss counters
-
-  // The (layer, array, memory) inputs of every resident entry, MRU
-  // first — everything a snapshot needs to rebuild the cache, because a
-  // plan is a pure function of these inputs (re-planning them on load
-  // reproduces each entry field for field). Used by durable.cpp's
-  // PlanCache snapshot writer.
-  struct EntryInputs {
-    nn::ConvLayerParams layer;
-    dataflow::ArrayShape array;
-    mem::HierarchyConfig memory;
-  };
-  [[nodiscard]] std::vector<EntryInputs> entry_inputs() const;
 
  private:
-  struct Entry {
-    std::shared_ptr<const dataflow::ExecutionPlan> plan;
-    std::uint64_t bytes = 0;
-    std::list<dataflow::PlanKey>::iterator lru;  // position in lru_
-  };
-
-  void touch(Entry& entry) CHAINNN_REQUIRES(mu_);
-  void evict_to_budget() CHAINNN_REQUIRES(mu_);
-
-  PlanCacheOptions opts_;
   mutable Mutex mu_;
-  std::unordered_map<dataflow::PlanKey, Entry, dataflow::PlanKeyHash> map_
-      CHAINNN_GUARDED_BY(mu_);
-  std::list<dataflow::PlanKey> lru_ CHAINNN_GUARDED_BY(mu_);  // front = MRU
-  std::uint64_t bytes_ CHAINNN_GUARDED_BY(mu_) = 0;
+  std::unordered_map<dataflow::PlanKey,
+                     std::shared_ptr<const dataflow::ExecutionPlan>,
+                     dataflow::PlanKeyHash>
+      map_ CHAINNN_GUARDED_BY(mu_);
   std::uint64_t hits_ CHAINNN_GUARDED_BY(mu_) = 0;
   std::uint64_t misses_ CHAINNN_GUARDED_BY(mu_) = 0;
-  std::uint64_t evictions_ CHAINNN_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace chainnn::serve

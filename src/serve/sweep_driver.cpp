@@ -55,18 +55,8 @@ std::vector<SweepPointResult> SweepDriver::run(
     SweepPointResult r;
     r.point = point;
     r.run = std::move(res.run);
-    for (const auto& layer : r.run.layers) {
+    for (const auto& layer : r.run.layers)
       r.total_cycles += layer.run.stats.total_cycles();
-      // Per-point cache deltas come from the primary run's own RunStats,
-      // not global cache snapshots: a fidelity replay re-looks-up the
-      // point's freshly-inserted plans and would otherwise report
-      // always-hitting noise that masks cross-point sharing regressions
-      // (design_space's exit-code guard relies on these numbers).
-      r.cache_hits +=
-          static_cast<std::uint64_t>(layer.run.stats.plan_cache_hits);
-      r.cache_misses +=
-          static_cast<std::uint64_t>(layer.run.stats.plan_cache_misses);
-    }
     r.seconds = r.run.total_seconds();
     r.energy_j = r.run.total_energy_j();
     // The run executed the whole batch, so fps is the batch over its

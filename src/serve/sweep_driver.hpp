@@ -12,8 +12,7 @@
 //   * per-point latency / energy roll up from per-layer executed runs;
 //   * one PlanCache spans all points — points differing only in clock
 //     frequency share every plan, and repeated layer shapes hit across
-//     the whole sweep. Per-point hit/miss deltas are reported so sweeps
-//     can see what the cache saved them.
+//     the whole sweep (plan_cache()->stats() shows what it saved).
 //
 // The cache is semantics-free: a sweep with a shared cache produces
 // per-point cycles/energy identical to a cold-cache sweep
@@ -47,14 +46,6 @@ struct SweepPointResult {
   double seconds = 0.0;
   double energy_j = 0.0;
   double fps = 0.0;
-
-  // Plan lookups of this point's primary run (from RunStats; fidelity
-  // replays are excluded so the numbers reflect cross-point sharing).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  [[nodiscard]] double cache_hit_rate() const {
-    return PlanCacheStats{cache_hits, cache_misses, 0}.hit_rate();
-  }
 
   bool fidelity_sampled = false;
   bool fidelity_diverged = false;

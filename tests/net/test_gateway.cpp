@@ -206,6 +206,53 @@ TEST(Gateway, PastDeadlineSubmitResolvesCancelledOverTheWire) {
   EXPECT_EQ(gateway.stats().submits_cancelled, 1);
 }
 
+// A budget too large for the clock never expires: the request is
+// served, not cancelled by an overflowed deadline.
+TEST(Gateway, HugeDeadlineIsServed) {
+  serve::Fleet fleet;
+  Gateway gateway(fleet, quick_gateway_options());
+  HttpClient client("127.0.0.1", gateway.port());
+
+  HttpResponse resp;
+  ASSERT_TRUE(client.post_json(
+      "/v1/submit", "{\"model\": \"lenet\", \"deadline_ms\": 1e300}", &resp))
+      << client.error();
+  ASSERT_EQ(resp.status, 200) << resp.body;
+  const auto wire = Json::parse(resp.body);
+  ASSERT_TRUE(wire.has_value());
+  EXPECT_EQ(wire->find("status")->as_string(), "ok");
+  EXPECT_FALSE(wire->find("deadline_expired")->as_bool());
+  EXPECT_FALSE(wire->find("deadline_missed")->as_bool());
+  EXPECT_EQ(gateway.stats().submits_ok, 1);
+}
+
+// An array the model cannot be planned on (LeNet's 5x5 kernels need 25
+// taps) is the client's error: a 400 with the planner's reason, before
+// the fleet sees the request — never a 5xx.
+TEST(Gateway, UnplannableArrayIs400) {
+  serve::Fleet fleet;
+  Gateway gateway(fleet, quick_gateway_options());
+  HttpClient client("127.0.0.1", gateway.port());
+
+  HttpResponse resp;
+  ASSERT_TRUE(client.post_json(
+      "/v1/submit", "{\"model\": \"lenet\", \"array\": {\"num_pes\": 7}}",
+      &resp))
+      << client.error();
+  EXPECT_EQ(resp.status, 400) << resp.body;
+  const auto wire = Json::parse(resp.body);
+  ASSERT_TRUE(wire.has_value());
+  ASSERT_NE(wire->find("error"), nullptr);
+  EXPECT_NE(wire->find("error")->as_string().find("taps"), std::string::npos)
+      << resp.body;
+
+  const GatewayStats stats = gateway.stats();
+  EXPECT_EQ(stats.bad_requests, 1);
+  EXPECT_EQ(stats.submits_failed, 0);
+  EXPECT_EQ(stats.http.responses_5xx, 0);
+  EXPECT_EQ(fleet.stats().submitted, 0);
+}
+
 TEST(Gateway, MetricsScrapeAgreesWithFleetStats) {
   serve::Fleet fleet;
   Gateway gateway(fleet, quick_gateway_options());

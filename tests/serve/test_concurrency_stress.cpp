@@ -3,11 +3,11 @@
 // statically and the TSan lane checks dynamically (this suite is the
 // core of `ctest -L concurrency`). Iteration counts are deliberately
 // modest: under TSan every interleaving is instrumented, and the point
-// is to cross real thread boundaries — cache eviction under lookups,
-// submit/cancel/preempt storms, HTTP scrapes racing submits — not to
-// soak. Assertions stick to invariants that hold for every legal
-// interleaving (conservation of request counts, monotone stats, parsed
-// scrapes), so the suite is schedule-independent.
+// is to cross real thread boundaries — submit/cancel/preempt storms,
+// HTTP scrapes racing submits — not to soak. Assertions stick to
+// invariants that hold for every legal interleaving (conservation of
+// request counts, monotone stats, parsed scrapes), so the suite is
+// schedule-independent.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,24 +21,11 @@
 #include "net/gateway.hpp"
 #include "net/http_client.hpp"
 #include "serve/fleet.hpp"
-#include "serve/plan_cache.hpp"
 
 namespace chainnn::serve {
 namespace {
 
 constexpr int kThreads = 8;
-
-nn::ConvLayerParams stress_layer(int variant) {
-  nn::ConvLayerParams p;
-  p.name = "stress" + std::to_string(variant);
-  p.in_channels = 2 + variant % 3;
-  p.out_channels = 2 + (variant / 3) % 3;
-  p.in_height = p.in_width = 8 + 2 * (variant % 4);
-  p.kernel = 3;
-  p.pad = 1;
-  p.validate();
-  return p;
-}
 
 nn::NetworkModel two_layer_net() {
   nn::NetworkModel net;
@@ -58,66 +45,6 @@ nn::NetworkModel two_layer_net() {
   l2.validate();
   net.conv_layers = {l1, l2};
   return net;
-}
-
-// 8 threads looping lookups over more distinct shapes than the byte
-// budget holds: every thread keeps hitting the evict/re-plan path while
-// the others are mid-lookup. Plans must stay bit-equal to a cold cache's
-// answer and the counters must conserve.
-TEST(ConcurrencyStress, PlanCacheLookupsDuringLruEviction) {
-  const dataflow::ArrayShape array;
-  const mem::HierarchyConfig memory;
-  constexpr int kVariants = 9;
-
-  // Budget sized to roughly a third of the working set, so eviction
-  // churns continuously without degenerating to a one-entry cache.
-  std::uint64_t three_plans = 0;
-  {
-    PlanCache sizing;
-    for (int v = 0; v < 3; ++v)
-      (void)sizing.plan_for(stress_layer(v), array, memory);
-    three_plans = sizing.stats().bytes;
-  }
-  PlanCacheOptions opts;
-  opts.max_bytes = three_plans;
-  PlanCache cache(opts);
-
-  constexpr int kIters = 40;
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kIters; ++i) {
-        const int v = (t + i) % kVariants;
-        const auto plan = cache.plan_for(stress_layer(v), array, memory);
-        // Cheap structural witness instead of the full field-by-field
-        // comparison (test_plan_cache pins that): geometry mismatches
-        // would show up here first.
-        if (!(plan.layer == stress_layer(v)) ||
-            dataflow::layer_cycles(plan, array).stream_per_image <= 0)
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(mismatches.load(), 0);
-  const PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.lookups(), static_cast<std::uint64_t>(kThreads * kIters));
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LE(stats.bytes, opts.max_bytes);
-  EXPECT_EQ(stats.entries, cache.size());
-
-  // Every evicted shape re-plans identically: the churned cache still
-  // answers exactly what a cold one would.
-  PlanCache cold;
-  for (int v = 0; v < kVariants; ++v) {
-    const auto warm = cache.plan_for(stress_layer(v), array, memory);
-    const auto fresh = cold.plan_for(stress_layer(v), array, memory);
-    EXPECT_TRUE(dataflow::layer_cycles(warm, array) ==
-                dataflow::layer_cycles(fresh, array));
-    EXPECT_EQ(warm.primitives, fresh.primitives);
-  }
 }
 
 // Submit / cancel / preempt storm: 8 submitter threads mixing priority

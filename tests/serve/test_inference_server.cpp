@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -315,6 +316,38 @@ TEST(InferenceServer, PastDeadlineAtSubmitResolvesCancelled) {
   EXPECT_EQ(stats.cancelled, 1);
   EXPECT_EQ(stats.completed, 0);
   EXPECT_EQ(stats.failed, 0);
+}
+
+// Budgets past the clock's range saturate instead of overflowing the
+// conversion to a time point: a huge one never expires, a hugely
+// negative one has already passed, and NaN is refused at submit.
+TEST(InferenceServer, DeadlineBeyondTheClockRangeSaturates) {
+  InferenceServer server{ServerOptions{}};
+  for (const double budget_ms : {1e13, 1e300}) {
+    SCOPED_TRACE(testing::Message() << "deadline_ms " << budget_ms);
+    RequestOptions ro;
+    ro.deadline_ms = budget_ms;
+    const InferenceResult r = server.submit(tiny_net(), 1, ro).get();
+    EXPECT_EQ(r.status, RequestStatus::kOk);
+    EXPECT_FALSE(r.deadline_missed);
+    EXPECT_FALSE(r.deadline_expired);
+  }
+
+  RequestOptions past;
+  past.deadline_ms = -1e300;
+  const InferenceResult r = server.submit(tiny_net(), 1, past).get();
+  EXPECT_EQ(r.status, RequestStatus::kCancelled);
+  EXPECT_TRUE(r.deadline_expired);
+
+  RequestOptions nan;
+  nan.deadline_ms = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)server.submit(tiny_net(), 1, nan), std::logic_error);
+  server.wait_idle();
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 3);
+  EXPECT_EQ(stats.completed, 2);
+  EXPECT_EQ(stats.cancelled, 1);
 }
 
 TEST(InferenceServer, CancelTokenStopsBetweenLayers) {

@@ -1,7 +1,7 @@
 // Journal framing + durable wire formats: torn tails truncate cleanly,
 // checksum corruption is counted (not crashed on), version mismatches
-// refuse, and every record/checkpoint/snapshot codec round-trips bit for
-// bit. The byte layouts under test are specified in docs/WIRE_FORMATS.md.
+// refuse, and every record/checkpoint codec round-trips bit for bit.
+// The byte layouts under test are specified in docs/WIRE_FORMATS.md.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -28,13 +28,6 @@ std::string temp_path(const std::string& name) {
                    ("chainnn_journal_test_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   return (dir / name).string();
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in) << path;
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
 }
 
 void write_file(const std::string& path, const std::string& bytes) {
@@ -160,15 +153,15 @@ TEST(JournalFraming, HeaderValidation) {
   }
   EXPECT_THROW((void)read_journal_file(path), JournalError);
 
-  // Wrong magic refuses (a snapshot is not a journal and vice versa).
+  // Wrong magic refuses.
   {
     ByteWriter w;
-    for (const char c : kSnapshotMagic) w.u8(static_cast<std::uint8_t>(c));
+    // 7 chars + NUL: the header's 8 bytes, all but the last wrong.
+    for (const char c : "NOTJRNL") w.u8(static_cast<std::uint8_t>(c));
     w.u32(kJournalFormatVersion);
     write_file(path, w.take());
   }
   EXPECT_THROW((void)read_journal_file(path), JournalError);
-  EXPECT_NO_THROW((void)read_journal_file(path, kSnapshotMagic));
 
   // Shorter than a header refuses.
   write_file(path, "CNN");
@@ -327,46 +320,50 @@ TEST(DurableCodecs, CheckpointRoundTripsAndResumesBitIdentical) {
   const Tensor<std::int16_t> input = request_input(net, 1, 11);
   const chain::AcceleratorConfig cfg = analytical_accelerator_config();
 
-  const std::shared_ptr<chain::RunCheckpoint> cp =
-      capture_checkpoint(net, input, cfg, /*after_layers=*/1);
-  ASSERT_NE(cp, nullptr);
-  ASSERT_EQ(cp->next_layer, 1);
-
-  const std::string payload = encode_checkpoint_payload(99, "pe576", *cp);
-  // Skip the type byte the framing would strip.
-  const CheckpointRecord back = decode_checkpoint_record(
-      std::string_view(payload).substr(1));
-  EXPECT_EQ(back.tag, 99u);
-  EXPECT_EQ(back.chip_name, "pe576");
-  const chain::RunCheckpoint& rcp = back.checkpoint;
-  ASSERT_EQ(rcp.next_layer, cp->next_layer);
-  ASSERT_EQ(rcp.layers.size(), cp->layers.size());
-  for (std::size_t i = 0; i < cp->layers.size(); ++i) {
-    EXPECT_TRUE(rcp.layers[i].run.ofmaps == cp->layers[i].run.ofmaps);
-    EXPECT_TRUE(rcp.layers[i].run.accumulators ==
-                cp->layers[i].run.accumulators);
-    EXPECT_EQ(rcp.layers[i].run.stats.total_cycles(),
-              cp->layers[i].run.stats.total_cycles());
-    EXPECT_EQ(rcp.layers[i].run.traffic.dram_bytes,
-              cp->layers[i].run.traffic.dram_bytes);
-    EXPECT_EQ(rcp.layers[i].verified, cp->layers[i].verified);
-  }
-  EXPECT_TRUE(rcp.activations == cp->activations);
-  EXPECT_TRUE(rcp.weight_rng.snapshot() == cp->weight_rng.snapshot());
-
-  // Load-bearing property: resuming the *decoded* checkpoint equals the
-  // uninterrupted run bit for bit (ofmaps, cycles, traffic).
   chain::ChainAccelerator acc(cfg);
   const auto energy = energy::EnergyModel::paper_calibrated();
   chain::NetworkRunner runner(acc, energy);
-  const chain::NetworkRunResult undisturbed =
-      runner.run(net, input, {});
-  chain::NetworkRunOptions resume_opts;
-  resume_opts.resume = std::make_shared<chain::RunCheckpoint>(rcp);
-  const chain::NetworkRunResult resumed =
-      runner.run(net, input, resume_opts);
-  std::string why;
-  EXPECT_TRUE(network_runs_identical(undisturbed, resumed, &why)) << why;
+  const chain::NetworkRunResult undisturbed = runner.run(net, input, {});
+
+  // Every interior boundary: the resume re-draws the default weights of
+  // all completed layers, not just the first.
+  for (const int after_layers : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << "after layer " << after_layers);
+    const std::shared_ptr<chain::RunCheckpoint> cp =
+        capture_checkpoint(net, input, cfg, after_layers);
+    ASSERT_NE(cp, nullptr);
+    ASSERT_EQ(cp->next_layer, after_layers);
+
+    const std::string payload = encode_checkpoint_payload(99, "pe576", *cp);
+    // Skip the type byte the framing would strip.
+    const CheckpointRecord back = decode_checkpoint_record(
+        std::string_view(payload).substr(1));
+    EXPECT_EQ(back.tag, 99u);
+    EXPECT_EQ(back.chip_name, "pe576");
+    const chain::RunCheckpoint& rcp = back.checkpoint;
+    ASSERT_EQ(rcp.next_layer, cp->next_layer);
+    ASSERT_EQ(rcp.layers.size(), cp->layers.size());
+    for (std::size_t i = 0; i < cp->layers.size(); ++i) {
+      EXPECT_TRUE(rcp.layers[i].run.ofmaps == cp->layers[i].run.ofmaps);
+      EXPECT_TRUE(rcp.layers[i].run.accumulators ==
+                  cp->layers[i].run.accumulators);
+      EXPECT_EQ(rcp.layers[i].run.stats.total_cycles(),
+                cp->layers[i].run.stats.total_cycles());
+      EXPECT_EQ(rcp.layers[i].run.traffic.dram_bytes,
+                cp->layers[i].run.traffic.dram_bytes);
+      EXPECT_EQ(rcp.layers[i].verified, cp->layers[i].verified);
+    }
+    EXPECT_TRUE(rcp.activations == cp->activations);
+
+    // Load-bearing property: resuming the *decoded* checkpoint equals the
+    // uninterrupted run bit for bit (ofmaps, cycles, traffic).
+    chain::NetworkRunOptions resume_opts;
+    resume_opts.resume = std::make_shared<chain::RunCheckpoint>(rcp);
+    const chain::NetworkRunResult resumed =
+        runner.run(net, input, resume_opts);
+    std::string why;
+    EXPECT_TRUE(network_runs_identical(undisturbed, resumed, &why)) << why;
+  }
 }
 
 TEST(DurableCodecs, AnalyzeJournalFindsInFlightRequests) {
@@ -415,53 +412,6 @@ TEST(DurableCodecs, AnalyzeJournalFindsInFlightRequests) {
   ASSERT_EQ(b.in_flight.size(), a.in_flight.size());
   for (std::size_t i = 0; i < a.in_flight.size(); ++i)
     EXPECT_EQ(b.in_flight[i].submit.tag, a.in_flight[i].submit.tag);
-}
-
-// --- PlanCache snapshots ---------------------------------------------------
-
-TEST(PlanCacheSnapshot, RoundTripsEntriesAndRecencyOrder) {
-  const std::string path = temp_path("plans.snap");
-  const dataflow::ArrayShape array{};
-  const mem::HierarchyConfig memory{};
-
-  PlanCache cache;
-  const nn::NetworkModel net = tiny_net(3);
-  for (const nn::ConvLayerParams& l : net.conv_layers)
-    (void)cache.plan_for(l, array, memory);
-  // Touch the first layer again so recency order differs from insert
-  // order — the snapshot must preserve recency, not history.
-  (void)cache.plan_for(net.conv_layers.front(), array, memory);
-  const std::vector<PlanCache::EntryInputs> before = cache.entry_inputs();
-
-  EXPECT_EQ(save_plan_cache(cache, path),
-            static_cast<std::int64_t>(before.size()));
-
-  PlanCache warmed;
-  const SnapshotLoadResult loaded = load_plan_cache(warmed, path);
-  EXPECT_EQ(loaded.entries_loaded, static_cast<std::int64_t>(before.size()));
-  EXPECT_FALSE(loaded.truncated_tail);
-  EXPECT_EQ(loaded.checksum_errors, 0);
-  EXPECT_EQ(warmed.size(), cache.size());
-
-  const std::vector<PlanCache::EntryInputs> after = warmed.entry_inputs();
-  ASSERT_EQ(after.size(), before.size());
-  for (std::size_t i = 0; i < before.size(); ++i)
-    EXPECT_EQ(after[i].layer.name, before[i].layer.name) << "entry " << i;
-
-  // Warm-start means warm: replaying the same lookups is all hits.
-  const std::uint64_t misses_before = warmed.stats().misses;
-  for (const nn::ConvLayerParams& l : net.conv_layers)
-    (void)warmed.plan_for(l, array, memory);
-  EXPECT_EQ(warmed.stats().misses, misses_before);
-
-  // A torn snapshot tail degrades gracefully: the valid prefix warms.
-  const std::string bytes = read_file(path);
-  write_file(path, bytes.substr(0, bytes.size() - 3));
-  PlanCache partial;
-  const SnapshotLoadResult torn = load_plan_cache(partial, path);
-  EXPECT_TRUE(torn.truncated_tail);
-  EXPECT_EQ(torn.entries_loaded,
-            static_cast<std::int64_t>(before.size()) - 1);
 }
 
 }  // namespace

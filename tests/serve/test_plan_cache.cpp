@@ -72,21 +72,20 @@ TEST(PlanCache, HitMissAccounting) {
   const mem::HierarchyConfig memory;
   nn::ConvLayerParams a = base_layer();
 
-  PlanCache::Lookup lookup;
-  (void)cache.plan_for(a, array, memory, &lookup);
-  EXPECT_FALSE(lookup.hit);
-  EXPECT_EQ(lookup.entries, 1u);
+  (void)cache.plan_for(a, array, memory);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
 
-  (void)cache.plan_for(a, array, memory, &lookup);
-  EXPECT_TRUE(lookup.hit);
-  EXPECT_EQ(lookup.entries, 1u);
+  (void)cache.plan_for(a, array, memory);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
 
   nn::ConvLayerParams b = a;
   b.kernel = 5;
   b.pad = 2;
-  (void)cache.plan_for(b, array, memory, &lookup);
-  EXPECT_FALSE(lookup.hit);
-  EXPECT_EQ(lookup.entries, 2u);
+  (void)cache.plan_for(b, array, memory);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().entries, 2u);
 
   const PlanCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -94,10 +93,18 @@ TEST(PlanCache, HitMissAccounting) {
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.lookups(), 3u);
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 1.0 / 3.0);
+}
 
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().lookups(), 0u);
+// Plans `layer` on `cache` and reports whether that lookup hit, read
+// from the cache's own counters.
+bool lookup_hits(PlanCache& cache, const nn::ConvLayerParams& layer,
+                 const dataflow::ArrayShape& array,
+                 const mem::HierarchyConfig& memory,
+                 dataflow::ExecutionPlan* plan = nullptr) {
+  const std::uint64_t hits_before = cache.stats().hits;
+  dataflow::ExecutionPlan got = cache.plan_for(layer, array, memory);
+  if (plan) *plan = std::move(got);
+  return cache.stats().hits == hits_before + 1;
 }
 
 TEST(PlanCache, IrrelevantFieldsShareAnEntry) {
@@ -106,15 +113,14 @@ TEST(PlanCache, IrrelevantFieldsShareAnEntry) {
   const dataflow::ArrayShape array;
   nn::ConvLayerParams layer = base_layer();
   (void)cache.plan_for(layer, array, memory);
-  ASSERT_EQ(cache.size(), 1u);
+  ASSERT_EQ(cache.stats().entries, 1u);
 
   // Batch and name are carried verbatim but shape nothing.
   nn::ConvLayerParams renamed = layer;
   renamed.name = "other";
   renamed.batch = 64;
-  PlanCache::Lookup lookup;
-  const auto plan = cache.plan_for(renamed, array, memory, &lookup);
-  EXPECT_TRUE(lookup.hit);
+  dataflow::ExecutionPlan plan;
+  EXPECT_TRUE(lookup_hits(cache, renamed, array, memory, &plan));
   EXPECT_EQ(plan.layer.name, "other");  // re-stamped, not the cached name
   EXPECT_EQ(plan.layer.batch, 64);
 
@@ -123,18 +129,16 @@ TEST(PlanCache, IrrelevantFieldsShareAnEntry) {
   clocked.clock_hz = 900e6;
   clocked.pipeline_stages = 5;
   clocked.dual_channel = false;
-  (void)cache.plan_for(layer, clocked, memory, &lookup);
-  EXPECT_TRUE(lookup.hit);
+  EXPECT_TRUE(lookup_hits(cache, layer, clocked, memory));
 
   // iMemory / kMemory sizes don't shape the plan (kMemory's effect comes
   // through kmem_words_per_pe).
   mem::HierarchyConfig other_mem = memory;
   other_mem.imemory_bytes *= 2;
   other_mem.kmemory_bytes *= 2;
-  (void)cache.plan_for(layer, array, other_mem, &lookup);
-  EXPECT_TRUE(lookup.hit);
+  EXPECT_TRUE(lookup_hits(cache, layer, array, other_mem));
 
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 TEST(PlanCache, RelevantFieldsGetOwnEntries) {
@@ -146,24 +150,19 @@ TEST(PlanCache, RelevantFieldsGetOwnEntries) {
 
   dataflow::ArrayShape shorter = array;
   shorter.num_pes = 144;
-  PlanCache::Lookup lookup;
-  (void)cache.plan_for(layer, shorter, memory, &lookup);
-  EXPECT_FALSE(lookup.hit);
+  EXPECT_FALSE(lookup_hits(cache, layer, shorter, memory));
 
   dataflow::ArrayShape small_kmem = array;
   small_kmem.kmem_words_per_pe = 4;
-  (void)cache.plan_for(layer, small_kmem, memory, &lookup);
-  EXPECT_FALSE(lookup.hit);
+  EXPECT_FALSE(lookup_hits(cache, layer, small_kmem, memory));
 
   mem::HierarchyConfig small_omem = memory;
   small_omem.omemory_bytes = 2 * 1024;
-  (void)cache.plan_for(layer, array, small_omem, &lookup);
-  EXPECT_FALSE(lookup.hit);
+  EXPECT_FALSE(lookup_hits(cache, layer, array, small_omem));
 
   nn::ConvLayerParams strided = layer;
   strided.stride = 2;
-  (void)cache.plan_for(strided, array, memory, &lookup);
-  EXPECT_FALSE(lookup.hit);
+  EXPECT_FALSE(lookup_hits(cache, strided, array, memory));
 
   // Effective padding discriminates even through the pad_h/pad_w
   // override fields.
@@ -171,13 +170,12 @@ TEST(PlanCache, RelevantFieldsGetOwnEntries) {
   padded.pad = 0;
   padded.pad_h = 1;
   padded.pad_w = 1;
-  (void)cache.plan_for(padded, array, memory, &lookup);
-  EXPECT_TRUE(lookup.hit);  // effective (1, 1) == base_layer's pad = 1
+  // Effective (1, 1) == base_layer's pad = 1.
+  EXPECT_TRUE(lookup_hits(cache, padded, array, memory));
   padded.pad_w = 0;
-  (void)cache.plan_for(padded, array, memory, &lookup);
-  EXPECT_FALSE(lookup.hit);
+  EXPECT_FALSE(lookup_hits(cache, padded, array, memory));
 
-  EXPECT_EQ(cache.size(), 6u);
+  EXPECT_EQ(cache.stats().entries, 6u);
 }
 
 TEST(PlanCache, CachedPlanIdenticalToDirectPlan) {
@@ -289,103 +287,6 @@ TEST(PlanCache, ConcurrentLookupsReturnIdenticalPlans) {
   EXPECT_GE(stats.misses, layers.size());
   EXPECT_LE(stats.misses, static_cast<std::uint64_t>(kThreads) *
                               layers.size());
-}
-
-TEST(PlanCache, LruEvictionUnderByteBudget) {
-  const dataflow::ArrayShape array;
-  const mem::HierarchyConfig memory;
-
-  // Size the budget from a real plan so the test tracks footprint
-  // changes: room for roughly two entries.
-  const std::uint64_t one_plan =
-      plan_footprint_bytes(dataflow::plan_layer(base_layer(), array, memory));
-  PlanCache cache(PlanCacheOptions{.max_bytes = 2 * one_plan + one_plan / 2});
-
-  constexpr int kLayers = 6;
-  std::vector<nn::ConvLayerParams> layers;
-  for (int i = 0; i < kLayers; ++i) {
-    nn::ConvLayerParams p = base_layer();
-    p.in_width = 16 + 2 * i;  // distinct PlanKeys
-    p.validate();
-    layers.push_back(p);
-  }
-  for (const auto& layer : layers)
-    (void)cache.plan_for(layer, array, memory);
-
-  const PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.misses, static_cast<std::uint64_t>(kLayers));
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LT(stats.entries, static_cast<std::uint64_t>(kLayers));
-  EXPECT_EQ(stats.entries + stats.evictions,
-            static_cast<std::uint64_t>(kLayers));
-  EXPECT_LE(stats.bytes, cache.options().max_bytes);
-
-  // An evicted key misses again but the recomputed plan is still
-  // field-for-field what a direct plan_layer call builds.
-  const dataflow::ExecutionPlan refetched =
-      cache.plan_for(layers.front(), array, memory);
-  expect_plan_identical(refetched,
-                        dataflow::plan_layer(layers.front(), array, memory));
-  EXPECT_EQ(cache.stats().misses, static_cast<std::uint64_t>(kLayers) + 1);
-}
-
-TEST(PlanCache, LruEvictsColdEntriesFirst) {
-  const dataflow::ArrayShape array;
-  const mem::HierarchyConfig memory;
-  const std::uint64_t one_plan =
-      plan_footprint_bytes(dataflow::plan_layer(base_layer(), array, memory));
-  PlanCache cache(PlanCacheOptions{.max_bytes = 2 * one_plan + one_plan / 2});
-
-  nn::ConvLayerParams a = base_layer();
-  nn::ConvLayerParams b = base_layer();
-  b.in_width = 18;
-  nn::ConvLayerParams c = base_layer();
-  c.in_width = 20;
-  for (const auto* p : {&a, &b}) (void)cache.plan_for(*p, array, memory);
-  // Touch `a` so `b` becomes the LRU victim when `c` arrives.
-  (void)cache.plan_for(a, array, memory);
-  (void)cache.plan_for(c, array, memory);
-
-  const std::uint64_t hits_before = cache.stats().hits;
-  (void)cache.plan_for(a, array, memory);  // still resident
-  EXPECT_EQ(cache.stats().hits, hits_before + 1);
-  (void)cache.plan_for(b, array, memory);  // evicted -> miss
-  EXPECT_EQ(cache.stats().hits, hits_before + 1);
-  EXPECT_EQ(cache.stats().misses, 4u);  // a, b, c, b-again
-}
-
-TEST(PlanCache, BudgetBelowOnePlanKeepsTheNewestEntry) {
-  const dataflow::ArrayShape array;
-  const mem::HierarchyConfig memory;
-  PlanCache cache(PlanCacheOptions{.max_bytes = 1});  // absurdly small
-
-  nn::ConvLayerParams a = base_layer();
-  nn::ConvLayerParams b = base_layer();
-  b.in_width = 18;
-  (void)cache.plan_for(a, array, memory);
-  (void)cache.plan_for(b, array, memory);
-  // The cache degrades to one (most recent) entry instead of emptying.
-  EXPECT_EQ(cache.stats().entries, 1u);
-  const std::uint64_t hits_before = cache.stats().hits;
-  (void)cache.plan_for(b, array, memory);
-  EXPECT_EQ(cache.stats().hits, hits_before + 1);
-}
-
-TEST(PlanCache, UnboundedByDefault) {
-  PlanCache cache;
-  EXPECT_EQ(cache.options().max_bytes, 0u);
-  const dataflow::ArrayShape array;
-  const mem::HierarchyConfig memory;
-  for (int i = 0; i < 8; ++i) {
-    nn::ConvLayerParams p = base_layer();
-    p.in_width = 16 + 2 * i;
-    p.validate();
-    (void)cache.plan_for(p, array, memory);
-  }
-  const PlanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 8u);
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_GT(stats.bytes, 0u);
 }
 
 }  // namespace

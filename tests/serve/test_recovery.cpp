@@ -4,7 +4,7 @@
 // AND cycles, the same-chip pinning guarantee), no lost and no
 // duplicated requests — including resuming from a journaled preemption
 // checkpoint, handing a checkpoint off across chips when the original
-// chip is gone, PlanCache warm-starts, and recovery idempotence.
+// chip is gone, and recovery idempotence.
 //
 // Recovered replays draw the default weight stream (weight_init is
 // deliberately not journaled), so every request here uses default
@@ -525,40 +525,6 @@ TEST(Recovery, CheckpointHandsOffWhenTheChipIsGone) {
 
   fleet.wait_idle();
   EXPECT_EQ(fleet.stats().checkpoint_handoffs, 1);
-}
-
-TEST(Recovery, PlanCacheWarmStartsFromSnapshot) {
-  const std::vector<ChipSpec> chips = default_fleet_chips();
-  const nn::NetworkModel net = tiny_net(3);
-
-  PlanCache cache;
-  for (const nn::ConvLayerParams& l : net.conv_layers)
-    (void)cache.plan_for(l, chips[0].array, chips[0].memory);
-  const std::string snapshot = temp_path("plans.snap");
-  const std::int64_t saved = save_plan_cache(cache, snapshot);
-  ASSERT_GT(saved, 0);
-
-  const std::string journal_path = temp_path("warmstart.jrnl");
-  { Journal journal({journal_path, 1}); }  // valid, empty journal
-
-  FleetOptions opts;
-  opts.chips = chips;
-  Fleet fleet(opts);
-  RecoveryReport rep = fleet.recover(journal_path, snapshot);
-  EXPECT_EQ(rep.replayed, 0);
-  EXPECT_EQ(rep.plan_cache_entries_loaded, saved);
-  EXPECT_EQ(fleet.plan_cache()->size(),
-            static_cast<std::uint64_t>(saved));
-
-  // The warm entries actually serve: routing + running this net on the
-  // snapshotted chip misses nothing it already holds.
-  const std::uint64_t misses = fleet.plan_cache()->stats().misses;
-  PlanCache::Lookup lookup;
-  (void)fleet.plan_cache()->plan_for(net.conv_layers.front(),
-                                     chips[0].array, chips[0].memory,
-                                     &lookup);
-  EXPECT_TRUE(lookup.hit);
-  EXPECT_EQ(fleet.plan_cache()->stats().misses, misses);
 }
 
 TEST(Recovery, MissingOrGarbledJournalRefuses) {

@@ -1,7 +1,7 @@
 // SweepDriver: executed design-space sweeps must share plans across
-// points (hit rate > 0), and the cache must be semantics-free — a
-// shared-cache sweep produces per-point executed cycles / energy / ofmaps
-// identical to a cold-cache sweep.
+// points (the driver's cache hits), and the cache must be
+// semantics-free — a shared-cache sweep produces per-point executed
+// cycles / energy / ofmaps identical to a cold-cache sweep.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -46,20 +46,39 @@ std::vector<SweepPointSpec> test_points() {
   return points;
 }
 
+// One point through `driver`, with the plan lookups it cost read from
+// the driver's cache: points run one at a time, so the deltas are the
+// point's own.
+struct PointRun {
+  SweepPointResult result;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+
+PointRun run_point(SweepDriver& driver, const SweepPointSpec& point) {
+  const PlanCacheStats before = driver.plan_cache()->stats();
+  std::vector<SweepPointResult> results = driver.run({point});
+  EXPECT_EQ(results.size(), 1u);
+  const PlanCacheStats after = driver.plan_cache()->stats();
+  return {std::move(results.at(0)), after.hits - before.hits,
+          after.misses - before.misses};
+}
+
 TEST(SweepDriver, SharedCacheHitsAcrossPoints) {
   SweepDriver driver(tiny_net(), {});
-  const auto results = driver.run(test_points());
-  ASSERT_EQ(results.size(), 3u);
+  std::vector<PointRun> runs;
+  for (const SweepPointSpec& point : test_points())
+    runs.push_back(run_point(driver, point));
+  ASSERT_EQ(runs.size(), 3u);
 
   // Point 1 plans everything; the clock variant shares every plan (the
   // clock is outside the key); the shorter chain re-plans.
-  EXPECT_EQ(results[0].cache_hits, 0u);
-  EXPECT_EQ(results[0].cache_misses, 2u);
-  EXPECT_EQ(results[1].cache_hits, 2u);
-  EXPECT_EQ(results[1].cache_misses, 0u);
-  EXPECT_DOUBLE_EQ(results[1].cache_hit_rate(), 1.0);
-  EXPECT_EQ(results[2].cache_hits, 0u);
-  EXPECT_EQ(results[2].cache_misses, 2u);
+  EXPECT_EQ(runs[0].hits, 0u);
+  EXPECT_EQ(runs[0].misses, 2u);
+  EXPECT_EQ(runs[1].hits, 2u);
+  EXPECT_EQ(runs[1].misses, 0u);
+  EXPECT_EQ(runs[2].hits, 0u);
+  EXPECT_EQ(runs[2].misses, 2u);
 
   const PlanCacheStats stats = driver.plan_cache()->stats();
   EXPECT_EQ(stats.entries, 4u);
@@ -69,13 +88,14 @@ TEST(SweepDriver, SharedCacheHitsAcrossPoints) {
   // doubles the time at identical cycles; the shorter chain schedules
   // differently (on layers this small its 16-primitive drain is actually
   // cheaper than the 64-primitive one).
-  EXPECT_EQ(results[0].total_cycles, results[1].total_cycles);
-  EXPECT_NEAR(results[1].seconds, 2.0 * results[0].seconds,
-              1e-12 * results[1].seconds);
-  EXPECT_NE(results[2].total_cycles, results[0].total_cycles);
-  for (const auto& r : results) {
-    EXPECT_GT(r.fps, 0.0);
-    EXPECT_GT(r.energy_j, 0.0);
+  const SweepPointResult& base = runs[0].result;
+  const SweepPointResult& clocked = runs[1].result;
+  EXPECT_EQ(base.total_cycles, clocked.total_cycles);
+  EXPECT_NEAR(clocked.seconds, 2.0 * base.seconds, 1e-12 * clocked.seconds);
+  EXPECT_NE(runs[2].result.total_cycles, base.total_cycles);
+  for (const PointRun& r : runs) {
+    EXPECT_GT(r.result.fps, 0.0);
+    EXPECT_GT(r.result.energy_j, 0.0);
   }
 }
 
@@ -85,21 +105,23 @@ TEST(SweepDriver, CacheIsSemanticsFree) {
   const nn::NetworkModel net = tiny_net();
   const auto points = test_points();
 
-  SweepOptions shared_opts;
-  shared_opts.batch = 2;
-  SweepDriver shared_driver(net, shared_opts);
-  const auto shared = shared_driver.run(points);
-
+  SweepOptions opts;
+  opts.batch = 2;
+  SweepDriver shared_driver(net, opts);
+  std::uint64_t shared_hits = 0;
+  std::vector<SweepPointResult> shared;
   std::vector<SweepPointResult> cold;
   for (const auto& point : points) {
-    SweepOptions cold_opts;
-    cold_opts.batch = 2;
-    SweepDriver cold_driver(net, cold_opts);  // fresh cache per point
-    auto r = cold_driver.run({point});
-    ASSERT_EQ(r.size(), 1u);
-    EXPECT_EQ(r[0].cache_hits, 0u);  // genuinely cold
-    cold.push_back(std::move(r[0]));
+    PointRun warm = run_point(shared_driver, point);
+    shared_hits += warm.hits;
+    shared.push_back(std::move(warm.result));
+
+    SweepDriver cold_driver(net, opts);  // fresh cache per point
+    PointRun fresh = run_point(cold_driver, point);
+    EXPECT_EQ(fresh.hits, 0u);  // genuinely cold
+    cold.push_back(std::move(fresh.result));
   }
+  EXPECT_GT(shared_hits, 0u);  // and the shared one genuinely shared
 
   ASSERT_EQ(shared.size(), cold.size());
   for (std::size_t i = 0; i < shared.size(); ++i) {
