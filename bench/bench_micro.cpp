@@ -2,12 +2,6 @@
 // convolution speed, pattern generation and planning cost. These size the
 // simulation substrate itself rather than reproduce a paper figure.
 //
-// Batch mode: `bench_micro --batch 8 --workers 4 [--layer-size 32]
-// [--channels 4] [--kernel 3] [--repeats 3]` times the in-place path
-// against ChainAccelerator::run_layer sharded over --workers pool
-// workers on the same batch, checks the results are bit-identical, and
-// prints one JSON object to stdout.
-//
 // Serve mode: `bench_micro --serve [--requests 12] [--serve-threads 2]
 // [--serve-model lenet] [--serve-scale 2] [--serve-batch 2]
 // [--fidelity-every 4] [--json BENCH_serve.json]` times the same
@@ -142,91 +136,6 @@ void BM_QuantizeTensor(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * t.num_elements() * 4);
 }
 BENCHMARK(BM_QuantizeTensor)->Unit(benchmark::kMillisecond);
-
-double run_once(chain::ChainAccelerator& acc, std::int64_t workers,
-                const nn::ConvLayerParams& layer,
-                const Tensor<std::int16_t>& x, const Tensor<std::int16_t>& w,
-                chain::LayerRunResult* out) {
-  const auto t0 = std::chrono::steady_clock::now();
-  *out = acc.run_layer(layer, x, w, nullptr, workers);
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
-int run_batch_bench(int argc, const char* const* argv) {
-  CliFlags flags;
-  const std::map<std::string, std::string> defaults = {
-      {"batch", "8"},   {"workers", "4"}, {"layer-size", "32"},
-      {"channels", "4"}, {"out-channels", "8"}, {"kernel", "3"},
-      {"repeats", "1"}};
-  std::string error;
-  if (!flags.parse(argc, argv, defaults, &error)) {
-    std::cerr << "bench_micro batch mode: " << error << "\n"
-              << CliFlags::usage(defaults);
-    return 1;
-  }
-
-  for (const char* flag : {"batch", "workers", "layer-size", "channels",
-                           "out-channels", "kernel"}) {
-    if (flags.get_int(flag) < 1) {
-      std::cerr << "bench_micro batch mode: --" << flag
-                << " must be a positive integer, got \""
-                << flags.get_string(flag) << "\"\n";
-      return 1;
-    }
-  }
-
-  nn::ConvLayerParams p;
-  p.name = "batch_bench";
-  p.batch = flags.get_int("batch");
-  p.in_channels = flags.get_int("channels");
-  p.out_channels = flags.get_int("out-channels");
-  p.in_height = p.in_width = flags.get_int("layer-size");
-  p.kernel = flags.get_int("kernel");
-  p.validate();
-
-  Rng rng(7);
-  Tensor<std::int16_t> x(
-      Shape{p.batch, p.in_channels, p.in_height, p.in_width});
-  Tensor<std::int16_t> w(
-      Shape{p.out_channels, p.in_channels, p.kernel, p.kernel});
-  x.fill_random(rng, -64, 64);
-  w.fill_random(rng, -16, 16);
-
-  const chain::AcceleratorConfig cfg;
-  const std::int64_t workers = flags.get_int("workers");
-  const std::int64_t repeats = std::max<std::int64_t>(1, flags.get_int("repeats"));
-  chain::ChainAccelerator serial(cfg);
-  chain::ChainAccelerator parallel(cfg);
-
-  chain::LayerRunResult rs, rp;
-  double serial_ms = 0.0, parallel_ms = 0.0;
-  for (std::int64_t i = 0; i < repeats; ++i) {
-    const double s = run_once(serial, 1, p, x, w, &rs);
-    const double q = run_once(parallel, workers, p, x, w, &rp);
-    if (i == 0 || s < serial_ms) serial_ms = s;      // best-of-N
-    if (i == 0 || q < parallel_ms) parallel_ms = q;
-  }
-
-  const bool identical =
-      rs.ofmaps == rp.ofmaps && rs.accumulators == rp.accumulators &&
-      rs.stats.total_cycles() == rp.stats.total_cycles() &&
-      rs.traffic.dram_bytes == rp.traffic.dram_bytes &&
-      rs.traffic.imemory_bytes == rp.traffic.imemory_bytes &&
-      rs.traffic.kmemory_bytes == rp.traffic.kmemory_bytes &&
-      rs.traffic.omemory_bytes == rp.traffic.omemory_bytes;
-
-  std::cout << "{\"batch\": " << p.batch << ", \"workers\": " << workers
-            << ", \"layer\": \"" << p.in_height << "x" << p.in_width << "x"
-            << p.in_channels << "->" << p.out_channels << " k" << p.kernel
-            << "\", \"serial_ms\": " << serial_ms
-            << ", \"parallel_ms\": " << parallel_ms
-            << ", \"speedup\": " << serial_ms / parallel_ms
-            << ", \"sim_cycles\": " << rp.stats.total_cycles()
-            << ", \"bit_identical\": " << (identical ? "true" : "false")
-            << "}\n";
-  return identical ? 0 : 2;
-}
 
 // Times `count` identical requests on one engine through `server`,
 // waiting for all of them; returns requests/sec.
@@ -775,8 +684,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--serve", 0) == 0 || arg.rfind("--fleet", 0) == 0)
       return run_serve_bench(argc, argv);
-    if (arg.rfind("--batch", 0) == 0 || arg.rfind("--workers", 0) == 0)
-      return run_batch_bench(argc, argv);
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -18,7 +18,7 @@
 //
 //   ./design_space [--model=alexnet] [--batch=128]
 //                  [--exec-mode=analytical|cycle-accurate|none]
-//                  [--workers=1] [--exec-scale=16] [--sweep-batch=2]
+//                  [--exec-scale=16] [--sweep-batch=2]
 //                  [--points=0 (0 = all)] [--fidelity-every=0]
 #include <algorithm>
 #include <iostream>
@@ -120,7 +120,7 @@ void print_closed_form_tables(const nn::NetworkModel& net,
 // prints the per-point executed figures, and returns the exit code
 // (0 unless no two points shared a plan or a fidelity sample diverged).
 int run_executed_sweep(const nn::NetworkModel& net, const CliFlags& flags,
-                       const ExecModeSelection& sel, std::int64_t workers) {
+                       const ExecModeSelection& sel) {
   const std::int64_t scale =
       std::max<std::int64_t>(1, flags.get_int("exec-scale"));
   const nn::NetworkModel proxy = serve::channel_reduced_proxy(net, scale);
@@ -128,7 +128,6 @@ int run_executed_sweep(const nn::NetworkModel& net, const CliFlags& flags,
   serve::SweepOptions opts;
   opts.exec_mode = sel.mode;
   opts.batch = std::max<std::int64_t>(1, flags.get_int("sweep-batch"));
-  opts.num_workers = workers;
   opts.fidelity_sample_every_n = flags.get_int("fidelity-every");
   serve::SweepDriver driver(proxy, opts);
 
@@ -188,10 +187,10 @@ int main(int argc, char** argv) {
   CliFlags flags;
   std::string err;
   const std::map<std::string, std::string> defaults = {
-      {"model", "alexnet"},      {"batch", "128"},
-      {"exec-mode", "analytical"}, {"workers", "1"},
-      {"exec-scale", "16"},      {"sweep-batch", "2"},
-      {"points", "0"},           {"fidelity-every", "0"}};
+      {"model", "alexnet"},        {"batch", "128"},
+      {"exec-mode", "analytical"}, {"exec-scale", "16"},
+      {"sweep-batch", "2"},        {"points", "0"},
+      {"fidelity-every", "0"}};
   if (!flags.parse(argc, argv, defaults, &err)) {
     std::cerr << err << "\n" << CliFlags::usage(defaults);
     return 1;
@@ -203,11 +202,6 @@ int main(int argc, char** argv) {
     std::cerr << err << "\n";
     return 1;
   }
-  std::int64_t workers = 1;
-  if (!parse_workers_flag(flags, "workers", &workers, &err)) {
-    std::cerr << err << "\n";
-    return 1;
-  }
 
   const auto net = nn::model_by_name(flags.get_string("model"));
   const std::int64_t batch = flags.get_int("batch");
@@ -216,5 +210,5 @@ int main(int argc, char** argv) {
   print_closed_form_tables(net, batch, model);
 
   if (sel.none) return 0;
-  return run_executed_sweep(net, flags, sel, workers);
+  return run_executed_sweep(net, flags, sel);
 }

@@ -1,12 +1,9 @@
 #include "chain/accelerator.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <functional>
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/work_pool.hpp"
 #include "fixed/quantize.hpp"
 #include "nn/conv_kernel.hpp"
 #include "nn/golden.hpp"
@@ -59,85 +56,6 @@ void charge_analytical_traffic(const dataflow::ExecutionPlan& plan,
   hierarchy.dram().read_bytes(mem::Operand::kPsum, t.dram_psum / 2);
 }
 
-// Merges per-shard layer results (contiguous image slices, in order) into
-// the full-batch result. Per-image counters (stream cycles, windows,
-// MACs, passes, iMemory/oMemory traffic) are summed in shard order; the
-// once-per-batch costs every shard paid (kernel load and drain cycles,
-// kMemory kernel writes, DRAM kernel fetch) are kept once, after
-// checking all shards agree. `plan` must be the full-batch layer's plan
-// and `word_bytes` the hierarchy word size.
-LayerRunResult merge_shard_results(const dataflow::ExecutionPlan& plan,
-                                   std::uint64_t word_bytes,
-                                   const std::vector<LayerRunResult>& shards) {
-  CHAINNN_CHECK(!shards.empty());
-  const nn::ConvLayerParams& layer = plan.layer;
-
-  LayerRunResult merged;
-  merged.plan = plan;
-  merged.accumulators = Tensor<std::int64_t>(
-      Shape{layer.batch, layer.out_channels, layer.out_height(),
-            layer.out_width()});
-  merged.ofmaps = Tensor<std::int16_t>(merged.accumulators.shape());
-
-  // Once-per-batch kernel traffic every shard paid: one kMemory write and
-  // one DRAM fetch per weight word (see LayerController::load_kernels_for).
-  const std::uint64_t kernel_bytes =
-      static_cast<std::uint64_t>(plan.kernel_words_total()) * word_bytes;
-
-  merged.traffic.layer_name = layer.name;
-  std::int64_t image = 0;
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    const LayerRunResult& r = shards[s];
-
-    // Batch-independent costs must agree across shards.
-    CHAINNN_CHECK_MSG(
-        r.stats.kernel_load_cycles == shards[0].stats.kernel_load_cycles &&
-            r.stats.drain_cycles == shards[0].stats.drain_cycles,
-        "shard " << s << " disagrees on once-per-batch cycle costs");
-
-    merged.stats.stream_cycles += r.stats.stream_cycles;
-    merged.stats.windows_collected += r.stats.windows_collected;
-    merged.stats.macs_performed += r.stats.macs_performed;
-    merged.stats.passes += r.stats.passes;
-    merged.stats.kernel_fast_dispatches += r.stats.kernel_fast_dispatches;
-    merged.stats.kernel_scalar_dispatches += r.stats.kernel_scalar_dispatches;
-
-    merged.traffic.imemory_bytes += r.traffic.imemory_bytes;
-    merged.traffic.omemory_bytes += r.traffic.omemory_bytes;
-    merged.traffic.kmemory_bytes += r.traffic.kmemory_bytes;
-    merged.traffic.dram_bytes += r.traffic.dram_bytes;
-
-    // Counters in NarrowingStats merge exactly; its double error sums are
-    // added per-shard, so mean_sq_error may differ in the last ulp from
-    // the serial order (the bit-identical guarantee covers ofmaps, cycles
-    // and traffic).
-    merged.narrowing.merge(r.narrowing);
-
-    const std::int64_t shard_batch = r.accumulators.shape().dim(0);
-    const auto offset = static_cast<std::size_t>(
-        image * layer.out_channels * layer.out_height() * layer.out_width());
-    std::copy(r.accumulators.data().begin(), r.accumulators.data().end(),
-              merged.accumulators.mutable_data().begin() + offset);
-    std::copy(r.ofmaps.data().begin(), r.ofmaps.data().end(),
-              merged.ofmaps.mutable_data().begin() + offset);
-    image += shard_batch;
-  }
-  CHAINNN_CHECK_MSG(image == layer.batch,
-                    "shards cover " << image << " of " << layer.batch
-                                    << " images");
-
-  // Keep a single copy of the once-per-batch costs.
-  merged.stats.kernel_load_cycles = shards[0].stats.kernel_load_cycles;
-  merged.stats.drain_cycles = shards[0].stats.drain_cycles;
-  const std::uint64_t duplicated =
-      static_cast<std::uint64_t>(shards.size() - 1) * kernel_bytes;
-  CHAINNN_CHECK(merged.traffic.kmemory_bytes >= duplicated &&
-                merged.traffic.dram_bytes >= duplicated);
-  merged.traffic.kmemory_bytes -= duplicated;
-  merged.traffic.dram_bytes -= duplicated;
-  return merged;
-}
-
 }  // namespace
 
 double LayerRunResult::seconds() const {
@@ -170,76 +88,7 @@ dataflow::ExecutionPlan ChainAccelerator::plan(
   return plan_cache_->plan_for(layer, cfg_.array, cfg_.memory);
 }
 
-std::pair<std::int64_t, std::int64_t> shard_range(std::int64_t batch,
-                                                  std::int64_t w,
-                                                  std::int64_t count) {
-  CHAINNN_CHECK(count >= 1 && w >= 0 && w < count);
-  const std::int64_t base = batch / count;
-  const std::int64_t extra = batch % count;
-  const std::int64_t first = w * base + std::min(w, extra);
-  const std::int64_t size = base + (w < extra ? 1 : 0);
-  return {first, first + size};
-}
-
 LayerRunResult ChainAccelerator::run_layer(
-    const nn::ConvLayerParams& layer, const Tensor<std::int16_t>& ifmaps,
-    const Tensor<std::int16_t>& kernels, const Tensor<std::int16_t>* bias,
-    std::int64_t num_workers) {
-  CHAINNN_CHECK_MSG(num_workers >= 1,
-                    "num_workers must be >= 1, got " << num_workers);
-  const std::int64_t shards = std::min(num_workers, layer.batch);
-  if (shards <= 1) return run_in_place(layer, ifmaps, kernels, bias);
-
-  layer.validate();
-  CHAINNN_CHECK(ifmaps.shape() == Shape({layer.batch, layer.in_channels,
-                                         layer.in_height, layer.in_width}));
-  std::vector<LayerRunResult> results(static_cast<std::size_t>(shards));
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(shards));
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(static_cast<std::size_t>(shards));
-  const std::int64_t image_words =
-      layer.in_channels * layer.in_height * layer.in_width;
-  for (std::int64_t s = 0; s < shards; ++s) {
-    tasks.push_back([&, s] {
-      try {
-        const auto [first, last] = shard_range(layer.batch, s, shards);
-        // Uninit: fully overwritten by the copy below; pooled so the
-        // next request's identical shard slices reuse the blocks.
-        Tensor<std::int16_t> slice(
-            Shape{last - first, layer.in_channels, layer.in_height,
-                  layer.in_width},
-            Uninit{}, ArenaAllocator<std::int16_t>(cfg_.arena));
-        const auto src = ifmaps.data().subspan(
-            static_cast<std::size_t>(first * image_words),
-            static_cast<std::size_t>((last - first) * image_words));
-        std::copy(src.begin(), src.end(), slice.mutable_data().begin());
-        // A clone per shard: private hierarchy, shared plan cache.
-        ChainAccelerator clone(cfg_, plan_cache_);
-        results[static_cast<std::size_t>(s)] = clone.run_in_place(
-            layer.with_batch(last - first), slice, kernels, bias);
-      } catch (...) {
-        errors[static_cast<std::size_t>(s)] = std::current_exception();
-      }
-    });
-  }
-  // The shard order, not the thread a shard lands on, fixes the merge
-  // order, so the result does not depend on scheduling.
-  common::WorkPool::shared().run_batch(std::move(tasks));
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
-
-  const dataflow::ExecutionPlan plan =
-      plan_cache_->plan_for(layer, cfg_.array, cfg_.memory);
-  LayerRunResult merged =
-      merge_shard_results(plan, cfg_.memory.word_bytes, results);
-  // The clones counted the traffic on their own hierarchies; charge the
-  // batch's closed form here, which equals the merged (measured) totals
-  // on both engines, so this hierarchy sees every run it executed.
-  charge_analytical_traffic(plan, layer.batch, hierarchy_);
-  return merged;
-}
-
-LayerRunResult ChainAccelerator::run_in_place(
     const nn::ConvLayerParams& layer, const Tensor<std::int16_t>& ifmaps,
     const Tensor<std::int16_t>& kernels, const Tensor<std::int16_t>* bias) {
   if (bias) CHAINNN_CHECK(bias->shape() == Shape({layer.out_channels}));

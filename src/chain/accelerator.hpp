@@ -21,7 +21,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "chain/config.hpp"
@@ -56,11 +55,10 @@ struct LayerRunResult {
 class ChainAccelerator {
  public:
   // All plan lookups go through `plan_cache`; pass a shared cache to pool
-  // plans across accelerators (server requests, sweep points; shard
-  // clones always share their parent's). The default — no cache given —
-  // creates a private per-accelerator cache, which preserves the
-  // historical behaviour bit-for-bit (the cache is semantics-free; see
-  // serve/plan_cache.hpp).
+  // plans across accelerators (server requests, sweep points). The
+  // default — no cache given — creates a private per-accelerator cache,
+  // which preserves the historical behaviour bit-for-bit (the cache is
+  // semantics-free; see serve/plan_cache.hpp).
   explicit ChainAccelerator(const AcceleratorConfig& cfg = {},
                             std::shared_ptr<serve::PlanCache> plan_cache =
                                 nullptr);
@@ -79,21 +77,11 @@ class ChainAccelerator {
   // returns bit-identical ofmaps/accumulators and identical cycle and
   // per-level traffic totals orders of magnitude faster.
   // `bias`, if given, is {M} in ofmap format, applied at requantization.
-  //
-  // `num_workers` > 1 shards the batch across the process-wide
-  // common::WorkPool. Images are independent on Chain-NN (the
-  // controller's image loop sits inside every kernel residency), so each
-  // contiguous slice (shard_range) runs on a clone sharing this
-  // accelerator's config and plan cache, and the merge rebuilds the
-  // exact result of the in-place run: bit-identical ofmaps,
-  // accumulators, cycles and traffic for any worker count, including
-  // counts that do not divide the batch or exceed it. The batch's
-  // traffic is charged to this accelerator's hierarchy either way.
+  // The batch's traffic is charged to this accelerator's hierarchy.
   [[nodiscard]] LayerRunResult run_layer(
       const nn::ConvLayerParams& layer, const Tensor<std::int16_t>& ifmaps,
       const Tensor<std::int16_t>& kernels,
-      const Tensor<std::int16_t>* bias = nullptr,
-      std::int64_t num_workers = 1);
+      const Tensor<std::int16_t>* bias = nullptr);
 
   // Plans a layer without running it (for sizing / DSE).
   [[nodiscard]] dataflow::ExecutionPlan plan(
@@ -113,20 +101,10 @@ class ChainAccelerator {
       fixed::NarrowingStats* quantization = nullptr);
 
  private:
-  // One run of the whole batch on this accelerator's own hierarchy.
-  [[nodiscard]] LayerRunResult run_in_place(
-      const nn::ConvLayerParams& layer, const Tensor<std::int16_t>& ifmaps,
-      const Tensor<std::int16_t>& kernels, const Tensor<std::int16_t>* bias);
-
   AcceleratorConfig cfg_;
   mem::MemoryHierarchy hierarchy_;
   std::shared_ptr<serve::PlanCache> plan_cache_;
 };
-
-// Contiguous image range [first, last) of shard `w` of `count` over
-// `batch` images; the remainder images go to the lowest shards.
-[[nodiscard]] std::pair<std::int64_t, std::int64_t> shard_range(
-    std::int64_t batch, std::int64_t w, std::int64_t count);
 
 // Reference for the kStaged16 accumulation policy: replays the plan's
 // (phase, channel) pass order on the golden per-pass psums so tests can

@@ -74,10 +74,9 @@ struct AcceleratorConfig {
   ExecMode exec_mode = ExecMode::kCycleAccurate;
 
   // Pooled allocator for the run's working tensors (accumulator and
-  // ofmap surfaces, shard input slices). Semantics-free — results are
-  // bit-identical with or without it; nullptr allocates from the heap
-  // as before. Travels with config copies, so shard clones share their
-  // accelerator's pool.
+  // ofmap surfaces). Semantics-free — results are bit-identical with or
+  // without it; nullptr allocates from the heap as before. Travels with
+  // config copies, so an accelerator built from a copy shares the pool.
   std::shared_ptr<TensorArena> arena;
 };
 

@@ -39,8 +39,7 @@ struct RunStats {
   // the modelled cycles): layer runs dispatched to the vectorized
   // saturation-free fast path vs the exact scalar sticky-clamp reference
   // (see nn/conv_kernel.hpp). Both stay 0 for cycle-accurate and
-  // staged-psum runs, which don't go through the dispatcher; sharded
-  // runs sum across shards.
+  // staged-psum runs, which don't go through the dispatcher.
   std::int64_t kernel_fast_dispatches = 0;
   std::int64_t kernel_scalar_dispatches = 0;
 

@@ -133,8 +133,7 @@ NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
 
     NetworkLayerResult lr;
     lr.layer = layer;
-    lr.run =
-        acc.run_layer(layer, act, kernels, nullptr, options.num_workers);
+    lr.run = acc.run_layer(layer, act, kernels);
     if (!options.verify_against_golden) {
       lr.verified = true;
     } else if (cfg.exec_mode == ExecMode::kAnalytical &&

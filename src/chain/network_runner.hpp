@@ -118,10 +118,6 @@ struct NetworkRunOptions {
   // Weight initializer; defaults to deterministic small uniforms.
   std::function<void(std::int64_t layer_index, Tensor<std::int16_t>&)>
       weight_init;
-  // Batch-parallel execution: shard each layer's batch across this many
-  // pool workers (ChainAccelerator::run_layer). 1 runs in place; any
-  // value produces bit-identical ofmaps, cycles and traffic.
-  std::int64_t num_workers = 1;
   // The three overrides below leave the caller's accelerator untouched:
   // a run that changes any of them executes on one accelerator built
   // for the run from the effective config and cache. A run that changes

@@ -104,19 +104,6 @@ bool parse_exec_mode_selection(const std::string& value, bool allow_compare,
   return true;
 }
 
-bool parse_workers_flag(const CliFlags& flags, const std::string& flag_name,
-                        std::int64_t* out, std::string* error) {
-  const std::int64_t workers = flags.get_int(flag_name);
-  if (workers < 1) {
-    if (error)
-      *error = "--" + flag_name + " must be a positive integer, got \"" +
-               flags.get_string(flag_name) + "\"";
-    return false;
-  }
-  *out = workers;
-  return true;
-}
-
 bool consume_exec_mode_flag(int* argc, char** argv, bool allow_compare,
                             bool allow_none, ExecModeSelection* out,
                             std::string* error) {

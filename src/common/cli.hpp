@@ -61,12 +61,6 @@ struct ExecModeSelection {
                                              ExecModeSelection* out,
                                              std::string* error);
 
-// Validates a positive worker count parsed from `flags[flag_name]`.
-// Returns false and fills `error` for zero/negative/garbage values.
-[[nodiscard]] bool parse_workers_flag(const CliFlags& flags,
-                                      const std::string& flag_name,
-                                      std::int64_t* out, std::string* error);
-
 // For binaries whose remaining argv belongs to another parser
 // (google-benchmark): removes "--exec-mode=X" / "--exec-mode X" from
 // argv, updating *argc, and parses the value. Absent flag leaves `out`

@@ -1,9 +1,10 @@
 // Process-wide work-stealing thread pool (ROADMAP item 3).
 //
-// Batch shards (ChainAccelerator::run_layer with num_workers > 1) and
+// Design-search waves (DesignSearch with num_workers != 1) and
 // InferenceServer drains all submit to WorkPool::shared(), one pool
-// sized to hardware_concurrency, so a fleet of S servers each sharding
-// over W workers never pins S*W threads on a host with fewer cores.
+// sized to hardware_concurrency, so a fleet of S servers next to a
+// parallel search never pins a thread per task on a host with fewer
+// cores.
 //
 // Structure: one deque per worker plus a global injection queue.
 //   * submit() from a pool thread pushes onto that worker's own deque
@@ -24,7 +25,7 @@
 //     arbitrary stretches (an InferenceServer drain parked on a user
 //     hook or a deliberately slow request). Such a task must never
 //     occupy one of the fixed stealing workers — on a small host that
-//     starves every compute shard behind it — so the blocking lane runs
+//     starves every compute task behind it — so the blocking lane runs
 //     on cached threads grown on demand: a submit reuses a parked
 //     thread when one is free and spawns a fresh one otherwise, and
 //     threads park for reuse when their task completes. At any submit,
@@ -33,8 +34,8 @@
 //     servers make progress simultaneously on a single-core host.
 //
 // Bit-identity note: the pool schedules *which thread* runs a task, but
-// a sharded layer's result slots are indexed by shard number, not by
-// thread, so sharded results remain bit-identical to the serial order
+// a design-search wave's result slots are indexed by point, not by
+// thread, so a parallel search stays bit-identical to the serial order
 // no matter how tasks land on workers.
 //
 // Shutdown: the destructor stops and joins the workers. Tasks still

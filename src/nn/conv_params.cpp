@@ -33,12 +33,6 @@ std::string ConvLayerParams::to_string() const {
   return os.str();
 }
 
-ConvLayerParams ConvLayerParams::with_batch(std::int64_t n) const {
-  ConvLayerParams copy = *this;
-  copy.batch = n;
-  return copy;
-}
-
 std::int64_t total_macs_per_image(
     const std::vector<ConvLayerParams>& layers) {
   std::int64_t total = 0;

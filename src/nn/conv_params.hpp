@@ -79,9 +79,6 @@ struct ConvLayerParams {
 
   [[nodiscard]] std::string to_string() const;
 
-  // Returns a copy with a different batch size (the experiments sweep N).
-  [[nodiscard]] ConvLayerParams with_batch(std::int64_t n) const;
-
   friend bool operator==(const ConvLayerParams&,
                          const ConvLayerParams&) = default;
 };

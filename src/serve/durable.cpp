@@ -21,8 +21,6 @@ void check_count(std::uint64_t n, const char* what) {
                        "journal payload: " + std::to_string(n));
 }
 
-}  // namespace
-
 // --- component serializers -------------------------------------------------
 
 void write_layer_params(ByteWriter& w, const nn::ConvLayerParams& p) {
@@ -91,8 +89,6 @@ mem::HierarchyConfig read_hierarchy(ByteReader& r) {
   return m;
 }
 
-namespace {
-
 void write_shape(ByteWriter& w, const Shape& s) {
   w.u64(s.rank());
   for (const std::int64_t d : s.dims()) w.i64(d);
@@ -106,8 +102,6 @@ Shape read_shape(ByteReader& r) {
   for (std::uint64_t i = 0; i < rank; ++i) dims.push_back(r.i64());
   return Shape(std::move(dims));
 }
-
-}  // namespace
 
 void write_tensor_i16(ByteWriter& w, const Tensor<std::int16_t>& t) {
   write_shape(w, t.shape());
@@ -132,8 +126,6 @@ Tensor<std::int64_t> read_tensor_i64(ByteReader& r) {
 }
 
 // --- RunCheckpoint ---------------------------------------------------------
-
-namespace {
 
 void write_run_stats(ByteWriter& w, const chain::RunStats& s) {
   w.i64(s.kernel_load_cycles);
@@ -256,8 +248,6 @@ chain::NetworkLayerResult read_network_layer_result(ByteReader& r) {
   return nl;
 }
 
-}  // namespace
-
 void write_checkpoint(ByteWriter& w, const chain::RunCheckpoint& cp) {
   w.i64(cp.next_layer);
   w.u64(cp.layers.size());
@@ -266,6 +256,8 @@ void write_checkpoint(ByteWriter& w, const chain::RunCheckpoint& cp) {
   write_tensor_i16(w, cp.activations);
 }
 
+// Re-plans each layer's ExecutionPlan via dataflow::plan_layer (pure, so
+// the result is field-for-field the plan that was serialized).
 chain::RunCheckpoint read_checkpoint(ByteReader& r) {
   chain::RunCheckpoint cp;
   cp.next_layer = r.i64();
@@ -279,8 +271,6 @@ chain::RunCheckpoint read_checkpoint(ByteReader& r) {
 }
 
 // --- journal request records -----------------------------------------------
-
-namespace {
 
 void write_inter_layer(ByteWriter& w,
                        const std::vector<chain::InterLayerOp>& ops) {
@@ -339,7 +329,6 @@ std::string encode_submit(const SubmitRecord& rec) {
   write_network_model(w, rec.net);
   write_tensor_i16(w, rec.input);
   w.i64(rec.priority);
-  w.i64(rec.num_workers);
   w.u8(rec.verify_against_golden ? 1 : 0);
   w.u8(rec.exec_mode ? 1 : 0);
   if (rec.exec_mode)
@@ -358,7 +347,6 @@ SubmitRecord decode_submit(std::string_view payload) {
   rec.net = read_network_model(r);
   rec.input = read_tensor_i16(r);
   rec.priority = r.i64();
-  rec.num_workers = r.i64();
   rec.verify_against_golden = r.u8() != 0;
   if (r.u8() != 0)
     rec.exec_mode = r.u8() != 0 ? chain::ExecMode::kAnalytical
@@ -377,10 +365,6 @@ std::string encode_checkpoint_payload(std::uint64_t tag,
   w.str(chip_name);
   write_checkpoint(w, cp);
   return w.take();
-}
-
-std::string encode_checkpoint_record(const CheckpointRecord& rec) {
-  return encode_checkpoint_payload(rec.tag, rec.chip_name, rec.checkpoint);
 }
 
 CheckpointRecord decode_checkpoint_record(std::string_view payload) {

@@ -40,30 +40,6 @@
 
 namespace chainnn::serve {
 
-// --- component serializers (exposed for tests) -----------------------------
-
-void write_layer_params(ByteWriter& w, const nn::ConvLayerParams& p);
-[[nodiscard]] nn::ConvLayerParams read_layer_params(ByteReader& r);
-
-void write_array_shape(ByteWriter& w, const dataflow::ArrayShape& a);
-[[nodiscard]] dataflow::ArrayShape read_array_shape(ByteReader& r);
-
-void write_hierarchy(ByteWriter& w, const mem::HierarchyConfig& m);
-[[nodiscard]] mem::HierarchyConfig read_hierarchy(ByteReader& r);
-
-void write_tensor_i16(ByteWriter& w, const Tensor<std::int16_t>& t);
-[[nodiscard]] Tensor<std::int16_t> read_tensor_i16(ByteReader& r);
-
-void write_tensor_i64(ByteWriter& w, const Tensor<std::int64_t>& t);
-[[nodiscard]] Tensor<std::int64_t> read_tensor_i64(ByteReader& r);
-
-// --- RunCheckpoint ---------------------------------------------------------
-
-void write_checkpoint(ByteWriter& w, const chain::RunCheckpoint& cp);
-// Re-plans each layer's ExecutionPlan via dataflow::plan_layer (pure, so
-// the result is field-for-field the plan that was serialized).
-[[nodiscard]] chain::RunCheckpoint read_checkpoint(ByteReader& r);
-
 // --- journal request records -----------------------------------------------
 
 // Everything a SUBMIT record persists about a request: enough to replay
@@ -79,7 +55,6 @@ struct SubmitRecord {
   nn::NetworkModel net;
   Tensor<std::int16_t> input;
   std::int64_t priority = 0;
-  std::int64_t num_workers = 1;
   bool verify_against_golden = false;
   std::optional<chain::ExecMode> exec_mode;
   std::optional<dataflow::ArrayShape> array;
@@ -95,10 +70,9 @@ struct CheckpointRecord {
   chain::RunCheckpoint checkpoint;
 };
 
-[[nodiscard]] std::string encode_checkpoint_record(const CheckpointRecord&);
-// Same payload without materializing a CheckpointRecord (a checkpoint
-// owns every banked ofmap tensor, so the struct copy would dwarf the
-// encode itself on the preemption hot path).
+// Encodes a CHECKPOINT payload from its parts, without materializing a
+// CheckpointRecord (a checkpoint owns every banked ofmap tensor, so the
+// struct copy would dwarf the encode itself on the preemption hot path).
 [[nodiscard]] std::string encode_checkpoint_payload(
     std::uint64_t tag, std::string_view chip_name,
     const chain::RunCheckpoint& cp);

@@ -136,7 +136,6 @@ void Fleet::journal_submit(const RouteDecision& decision,
   rec.net = net;
   rec.input = input;
   rec.priority = options.priority;
-  rec.num_workers = options.num_workers;
   rec.verify_against_golden = options.verify_against_golden;
   rec.exec_mode = options.exec_mode;
   rec.array = options.array;
@@ -152,6 +151,32 @@ void Fleet::journal_submit(const RouteDecision& decision,
   if (!decision.admitted) opts_.journal->append(encode_reject(options.tag));
 }
 
+std::future<InferenceResult> Fleet::journal_and_enqueue(
+    const RouteDecision& decision, nn::NetworkModel net,
+    Tensor<std::int16_t> input, RequestOptions options) {
+  std::uint64_t journaled_tag = 0;  // nonzero once SUBMIT is on the log
+  try {
+    journal_submit(decision, net, input, options);
+    if (opts_.journal) journaled_tag = options.tag;
+    if (auto rejected = try_reject(decision, options.tag))
+      return std::move(*rejected);
+    options.modelled_seconds = decision.request_seconds;
+    return servers_[decision.chip]->submit(std::move(net), std::move(input),
+                                           std::move(options));
+  } catch (...) {
+    // Only the completion hook retires a dispatch, and it never runs for
+    // a request no server holds.
+    if (decision.admitted) router_->retract(decision);
+    // Likewise no terminal record will ever follow the SUBMIT — close it
+    // out here or a recovery would replay a request whose submitter saw
+    // an exception.
+    if (journaled_tag != 0)
+      opts_.journal->append(
+          encode_cancel(journaled_tag, CancelReason::kFailed));
+    throw;
+  }
+}
+
 std::future<InferenceResult> Fleet::submit(nn::NetworkModel net,
                                            Tensor<std::int16_t> input,
                                            RequestOptions options) {
@@ -161,28 +186,11 @@ std::future<InferenceResult> Fleet::submit(nn::NetworkModel net,
   CHAINNN_CHECK_MSG(!net.conv_layers.empty(),
                     "cannot serve an empty network");
   CHAINNN_CHECK(input.shape().rank() == 4);
-  CHAINNN_CHECK_MSG(options.num_workers >= 1,
-                    "num_workers must be >= 1, got " << options.num_workers);
   const RouteDecision decision = router_->route_and_dispatch(
       net, input.shape().dim(0), input.shape().dim(2), input.shape().dim(3),
       options.inter_layer, options.array, admission_deadline_s(options));
-  journal_submit(decision, net, input, options);
-  const std::uint64_t tag = options.tag;
-  if (auto rejected = try_reject(decision, tag))
-    return std::move(*rejected);
-  options.modelled_seconds = decision.request_seconds;
-  try {
-    return servers_[decision.chip]->submit(std::move(net), std::move(input),
-                                           std::move(options));
-  } catch (...) {
-    router_->retract(decision);
-    // The enqueue never happened, so no completion hook will ever write
-    // a terminal record — close the SUBMIT out here or a recovery would
-    // replay a request whose submitter saw an exception.
-    if (opts_.journal && tag != 0)
-      opts_.journal->append(encode_cancel(tag, CancelReason::kFailed));
-    throw;
-  }
+  return journal_and_enqueue(decision, std::move(net), std::move(input),
+                             std::move(options));
 }
 
 std::future<InferenceResult> Fleet::submit(const nn::NetworkModel& net,
@@ -191,8 +199,6 @@ std::future<InferenceResult> Fleet::submit(const nn::NetworkModel& net,
   CHAINNN_CHECK_MSG(batch >= 1, "batch must be >= 1, got " << batch);
   CHAINNN_CHECK_MSG(!net.conv_layers.empty(),
                     "cannot serve an empty network");
-  CHAINNN_CHECK_MSG(options.num_workers >= 1,
-                    "num_workers must be >= 1, got " << options.num_workers);
   const nn::ConvLayerParams& first = net.conv_layers.front();
   if (opts_.journal) {
     // A journaled SUBMIT must carry the concrete input tensor (the
@@ -244,7 +250,6 @@ RecoveryReport Fleet::recover(const std::string& journal_path) {
     RequestOptions options;
     options.tag = s.tag;
     options.priority = static_cast<std::int32_t>(s.priority);
-    options.num_workers = s.num_workers;
     options.verify_against_golden = s.verify_against_golden;
     options.exec_mode = s.exec_mode;
     options.array = s.array;
@@ -279,17 +284,8 @@ RecoveryReport Fleet::recover(const std::string& journal_path) {
           *pin, s.net, s.input.shape().dim(0), s.input.shape().dim(2),
           s.input.shape().dim(3), s.inter_layer, s.array);
       router_->dispatch(d);
-      journal_submit(d, s.net, s.input, options);
-      options.modelled_seconds = d.request_seconds;
-      try {
-        fut = servers_[*pin]->submit(std::move(s.net), std::move(s.input),
-                                     std::move(options));
-      } catch (...) {
-        router_->retract(d);
-        if (opts_.journal)
-          opts_.journal->append(encode_cancel(s.tag, CancelReason::kFailed));
-        throw;
-      }
+      fut = journal_and_enqueue(d, std::move(s.net), std::move(s.input),
+                                std::move(options));
     } else {
       // The pre-crash chip is not part of this fleet: fall back to
       // normal routing. With a checkpoint in hand this is the

@@ -221,6 +221,14 @@ class Fleet {
                       const nn::NetworkModel& net,
                       const Tensor<std::int16_t>& input,
                       RequestOptions& options);
+  // The tail of every explicit-input submit, after `decision` was
+  // routed (and, if admitted, dispatched): journals the request, then
+  // resolves a refused admission or enqueues on the decided chip. Any
+  // throw — a failed journal append included — retracts the dispatch
+  // and closes an already-journaled SUBMIT with a kFailed CANCEL.
+  [[nodiscard]] std::future<InferenceResult> journal_and_enqueue(
+      const RouteDecision& decision, nn::NetworkModel net,
+      Tensor<std::int16_t> input, RequestOptions options);
 
   // Concurrency contract: Fleet itself holds no mutex. Every mutable
   // member is either written once in the constructor and read-only

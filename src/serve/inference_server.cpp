@@ -199,8 +199,6 @@ std::future<InferenceResult> InferenceServer::submit(
   CHAINNN_CHECK_MSG(!net.conv_layers.empty(),
                     "cannot serve an empty network");
   CHAINNN_CHECK(input.shape().rank() == 4);
-  CHAINNN_CHECK_MSG(options.num_workers >= 1,
-                    "num_workers must be >= 1, got " << options.num_workers);
 
   Task task;
   task.id = allocate_id();
@@ -220,8 +218,6 @@ std::future<InferenceResult> InferenceServer::submit(
   CHAINNN_CHECK_MSG(batch >= 1, "batch must be >= 1, got " << batch);
   CHAINNN_CHECK_MSG(!net.conv_layers.empty(),
                     "cannot serve an empty network");
-  CHAINNN_CHECK_MSG(options.num_workers >= 1,
-                    "num_workers must be >= 1, got " << options.num_workers);
   // The id is claimed before the input is generated, so the input is a
   // pure function of (input_seed, request_id) even under concurrent
   // submitters — a logged divergence can be reproduced offline from the
@@ -307,7 +303,6 @@ chain::NetworkRunResult InferenceServer::run_network(
   ro.verify_against_golden = task.options.verify_against_golden;
   ro.inter_layer = task.options.inter_layer;
   ro.weight_init = task.options.weight_init;
-  ro.num_workers = task.options.num_workers;
   ro.cancel_check = cancel_check;
   ro.preempt_check = preempt_check;
   ro.resume = std::move(resume);

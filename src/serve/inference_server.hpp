@@ -41,9 +41,7 @@
 //   * ExecMode — capacity-planning requests run on the analytical fast
 //     path, fidelity-sensitive ones cycle-accurately, in one process;
 //   * array    — a per-request ArrayShape override, which is what lets
-//     SweepDriver push whole design-space points through one server;
-//   * num_workers — batch sharding inside the request
-//     (ChainAccelerator::run_layer's pool workers).
+//     SweepDriver push whole design-space points through one server.
 //
 // Fidelity sampling: with ServerOptions::fidelity_sample_every_n = N,
 // every Nth request is re-executed on the *other* engine (analytical ↔
@@ -99,9 +97,6 @@ struct RequestOptions {
   // (PE count, clock, ...). Plans are still shared through the cache
   // with every other request whose structural key matches.
   std::optional<dataflow::ArrayShape> array;
-  // Batch sharding inside the request: each layer's batch is split
-  // across this many pool workers (ChainAccelerator::run_layer).
-  std::int64_t num_workers = 1;
   // Scheduling tier: higher values always dequeue before lower ones.
   std::int32_t priority = 0;
   // Wall-clock budget in milliseconds from submission; nullopt = none.
@@ -242,10 +237,10 @@ struct ServerOptions {
   // Shared plan cache; nullptr creates a server-owned one.
   std::shared_ptr<PlanCache> plan_cache;
   // Tensor pool for every request's working buffers (accumulator and
-  // ofmap surfaces, shard slices — see tensor/arena.hpp); nullptr
-  // creates a server-owned one, so a request's buffers return to the
-  // pool as it completes and the next request reallocates them for
-  // free. Semantics-free: results are bit-identical with or without.
+  // ofmap surfaces — see tensor/arena.hpp); nullptr creates a
+  // server-owned one, so a request's buffers return to the pool as it
+  // completes and the next request reallocates them for free.
+  // Semantics-free: results are bit-identical with or without.
   std::shared_ptr<TensorArena> arena;
   // Preemptive scheduling: when a strictly-higher-priority request is
   // queued while a lower-tier request runs, the worker checkpoints the

@@ -45,7 +45,6 @@ std::vector<SweepPointResult> SweepDriver::run(
   for (const SweepPointSpec& point : points) {
     RequestOptions ro;
     ro.array = point.array;
-    ro.num_workers = opts_.num_workers;
     ro.inter_layer = opts_.inter_layer;
     // Points are submitted and awaited in turn, so the sweep's cache
     // carry-over between points is deterministic whatever server_threads

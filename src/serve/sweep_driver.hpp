@@ -62,7 +62,6 @@ struct SweepPointResult {
 struct SweepOptions {
   chain::ExecMode exec_mode = chain::ExecMode::kAnalytical;
   std::int64_t batch = 1;
-  std::int64_t num_workers = 1;   // batch sharding inside each point
   std::int64_t server_threads = 1;
   std::int64_t fidelity_sample_every_n = 0;  // forwarded to the server
   // Cache shared across the points (and with any other holder); nullptr

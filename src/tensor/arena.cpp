@@ -26,8 +26,8 @@ void* TensorArena::allocate(std::size_t bytes) {
       return block;
     }
   }
-  // The OS call happens outside the lock: shard tasks allocating fresh
-  // blocks concurrently should not serialize on each other.
+  // The OS call happens outside the lock: concurrent requests allocating
+  // fresh blocks should not serialize on each other.
   return ::operator new(bytes);
 }
 

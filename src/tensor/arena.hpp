@@ -19,9 +19,9 @@
 //
 // Thread safety: all arena operations lock a single mutex. The serving
 // layer gives each chip its own arena (ServerOptions::arena defaults to
-// a server-owned one), so cross-request contention stays within a chip;
-// shard tasks of one request do share an arena, and the annotations
-// below let clang's -Wthread-safety prove the locking.
+// a server-owned one), so contention stays within a chip, where the
+// chip's concurrent requests share it; the annotations below let
+// clang's -Wthread-safety prove the locking.
 #pragma once
 
 #include <cstddef>

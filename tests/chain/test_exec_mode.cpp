@@ -2,9 +2,8 @@
 // the cycle-accurate engine exactly — bit-identical ofmaps and
 // accumulators, identical RunStats (every field) and identical per-level
 // traffic — across strides, asymmetric padding, grouped convolutions,
-// 1x1 kernels, staged psums, single-channel streaming, bias, batch
-// sharding (ChainAccelerator::run_layer's num_workers) and whole networks
-// (NetworkRunner).
+// 1x1 kernels, staged psums, single-channel streaming, bias and whole
+// networks (NetworkRunner).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -160,36 +159,6 @@ TEST(ExecModeEquivalence, MultipleCTilesWithPsumSpill) {
   ChainAccelerator probe(cfg);
   ASSERT_GT(probe.plan(p).c_tiles, 1);
   expect_modes_equivalent(cfg, p, 61);
-}
-
-TEST(ExecModeEquivalence, ShardsAnalytically) {
-  // Analytical mode under the worker pool: merged shard results must
-  // equal the serial cycle-accurate run bit for bit.
-  const auto p = layer_of(5, 2, 3, 9, 3, 1, 1);
-  const TestData d = make_data(p, 71);
-  AcceleratorConfig cfg = small_config();
-  cfg.exec_mode = ExecMode::kCycleAccurate;
-  ChainAccelerator cycle(cfg);
-  const LayerRunResult rc = cycle.run_layer(p, d.ifmaps, d.kernels);
-
-  cfg.exec_mode = ExecMode::kAnalytical;
-  for (const std::int64_t workers : {1, 2, 4}) {
-    ChainAccelerator analytical(cfg);
-    const LayerRunResult ra =
-        analytical.run_layer(p, d.ifmaps, d.kernels, nullptr, workers);
-    EXPECT_EQ(ra.ofmaps, rc.ofmaps) << workers << " workers";
-    EXPECT_EQ(ra.accumulators, rc.accumulators) << workers << " workers";
-    EXPECT_EQ(ra.stats.total_cycles(), rc.stats.total_cycles())
-        << workers << " workers";
-    EXPECT_EQ(ra.traffic.dram_bytes, rc.traffic.dram_bytes)
-        << workers << " workers";
-    EXPECT_EQ(ra.traffic.kmemory_bytes, rc.traffic.kmemory_bytes)
-        << workers << " workers";
-    EXPECT_EQ(ra.traffic.imemory_bytes, rc.traffic.imemory_bytes)
-        << workers << " workers";
-    EXPECT_EQ(ra.traffic.omemory_bytes, rc.traffic.omemory_bytes)
-        << workers << " workers";
-  }
 }
 
 TEST(ExecModeEquivalence, NetworkRunnerOverride) {

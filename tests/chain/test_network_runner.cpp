@@ -186,71 +186,58 @@ TEST(NetworkRunner, CancelCheckStopsBetweenLayers) {
 }
 
 // A run that passes no plan_cache resolves every plan through the
-// accelerator's own cache, sharded or under an engine override: the
-// first run of a network plans into that cache, and the second only
-// hits it.
-TEST(NetworkRunner, ShardedAndOverrideRunsUseTheAcceleratorsPlanCache) {
+// accelerator's own cache, also under an engine override: the first run
+// of a network plans into that cache, and the second only hits it.
+TEST(NetworkRunner, OverrideRunUsesTheAcceleratorsPlanCache) {
   const auto model = energy::EnergyModel::paper_calibrated();
   Rng rng(6);
   Tensor<std::int16_t> input(Shape{4, 1, 12, 12});
   input.fill_random(rng, -64, 64);
 
-  NetworkRunOptions sharded;
-  sharded.num_workers = 2;
   NetworkRunOptions analytical;
   analytical.exec_mode = ExecMode::kAnalytical;
-  for (const NetworkRunOptions& opts : {sharded, analytical}) {
-    SCOPED_TRACE(testing::Message() << "workers " << opts.num_workers);
-    ChainAccelerator acc(small_cfg());
-    NetworkRunner runner(acc, model);
-    (void)runner.run(tiny_net(), input, opts);
-    const serve::PlanCacheStats first = acc.plan_cache()->stats();
-    EXPECT_GT(first.misses, 0u);
-    (void)runner.run(tiny_net(), input, opts);
-    const serve::PlanCacheStats second = acc.plan_cache()->stats();
-    EXPECT_GT(second.hits, first.hits);
-    EXPECT_EQ(second.misses, first.misses);
-  }
+  ChainAccelerator acc(small_cfg());
+  NetworkRunner runner(acc, model);
+  (void)runner.run(tiny_net(), input, analytical);
+  const serve::PlanCacheStats first = acc.plan_cache()->stats();
+  EXPECT_GT(first.misses, 0u);
+  (void)runner.run(tiny_net(), input, analytical);
+  const serve::PlanCacheStats second = acc.plan_cache()->stats();
+  EXPECT_GT(second.hits, first.hits);
+  EXPECT_EQ(second.misses, first.misses);
 }
 
 // Naming the accelerator's own cache and arena overrides nothing, so the
 // run executes on that accelerator: its hierarchy counts exactly the
-// traffic the run reports, sharded or not.
+// traffic the run reports.
 TEST(NetworkRunner, RunNamingTheAcceleratorsOwnCacheAndArenaExecutesOnIt) {
   const auto model = energy::EnergyModel::paper_calibrated();
   Rng rng(7);
   Tensor<std::int16_t> input(Shape{4, 1, 12, 12});
   input.fill_random(rng, -64, 64);
 
-  for (const std::int64_t workers : {1, 2}) {
-    AcceleratorConfig cfg = small_cfg();
-    cfg.arena = std::make_shared<TensorArena>();
-    ChainAccelerator acc(cfg);
-    NetworkRunner runner(acc, model);
-    NetworkRunOptions opts;
-    opts.plan_cache = acc.plan_cache();
-    opts.arena = cfg.arena;
-    opts.num_workers = workers;
-    const NetworkRunResult res = runner.run(tiny_net(), input, opts);
+  AcceleratorConfig cfg = small_cfg();
+  cfg.arena = std::make_shared<TensorArena>();
+  ChainAccelerator acc(cfg);
+  NetworkRunner runner(acc, model);
+  NetworkRunOptions opts;
+  opts.plan_cache = acc.plan_cache();
+  opts.arena = cfg.arena;
+  const NetworkRunResult res = runner.run(tiny_net(), input, opts);
 
-    mem::LayerTraffic sum;
-    for (const NetworkLayerResult& l : res.layers) {
-      sum.dram_bytes += l.run.traffic.dram_bytes;
-      sum.imemory_bytes += l.run.traffic.imemory_bytes;
-      sum.kmemory_bytes += l.run.traffic.kmemory_bytes;
-      sum.omemory_bytes += l.run.traffic.omemory_bytes;
-    }
-    const mem::MemoryHierarchy& h = acc.hierarchy();
-    EXPECT_GT(sum.dram_bytes, 0u);
-    EXPECT_EQ(h.dram().stats().total_bytes(), sum.dram_bytes)
-        << workers << " workers";
-    EXPECT_EQ(h.imemory().stats().total_bytes(), sum.imemory_bytes)
-        << workers << " workers";
-    EXPECT_EQ(h.kmemory().stats().total_bytes(), sum.kmemory_bytes)
-        << workers << " workers";
-    EXPECT_EQ(h.omemory().stats().total_bytes(), sum.omemory_bytes)
-        << workers << " workers";
+  mem::LayerTraffic sum;
+  for (const NetworkLayerResult& l : res.layers) {
+    sum.dram_bytes += l.run.traffic.dram_bytes;
+    sum.imemory_bytes += l.run.traffic.imemory_bytes;
+    sum.kmemory_bytes += l.run.traffic.kmemory_bytes;
+    sum.omemory_bytes += l.run.traffic.omemory_bytes;
   }
+  const mem::MemoryHierarchy& h = acc.hierarchy();
+  EXPECT_GT(sum.dram_bytes, 0u);
+  EXPECT_EQ(h.dram().stats().total_bytes(), sum.dram_bytes);
+  EXPECT_EQ(h.imemory().stats().total_bytes(), sum.imemory_bytes);
+  EXPECT_EQ(h.kmemory().stats().total_bytes(), sum.kmemory_bytes);
+  EXPECT_EQ(h.omemory().stats().total_bytes(), sum.omemory_bytes);
 }
 
 }  // namespace

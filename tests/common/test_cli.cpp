@@ -119,26 +119,6 @@ TEST(ExecModeFlag, ErrorListsAcceptedValues) {
   EXPECT_EQ(err.find("compare"), std::string::npos);
 }
 
-TEST(WorkersFlag, ValidatesPositive) {
-  const std::map<std::string, std::string> defaults = {{"workers", "4"}};
-  CliFlags flags;
-  std::string err;
-  const char* argv[] = {"prog"};
-  ASSERT_TRUE(flags.parse(1, argv, defaults, &err));
-  std::int64_t workers = 0;
-  ASSERT_TRUE(parse_workers_flag(flags, "workers", &workers, &err));
-  EXPECT_EQ(workers, 4);
-
-  const char* bad[] = {"prog", "--workers=0"};
-  ASSERT_TRUE(flags.parse(2, bad, defaults, &err));
-  EXPECT_FALSE(parse_workers_flag(flags, "workers", &workers, &err));
-  EXPECT_NE(err.find("--workers"), std::string::npos);
-
-  const char* garbage[] = {"prog", "--workers=lots"};
-  ASSERT_TRUE(flags.parse(2, garbage, defaults, &err));
-  EXPECT_FALSE(parse_workers_flag(flags, "workers", &workers, &err));
-}
-
 TEST(ExecModeFlag, ConsumeStripsFlagFromArgv) {
   char a0[] = "prog", a1[] = "--exec-mode=compare", a2[] = "--other=1";
   char* argv[] = {a0, a1, a2};

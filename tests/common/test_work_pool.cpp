@@ -4,7 +4,7 @@
 // are written to exercise real interleavings: submit storms from many
 // external threads, tasks that spawn tasks (the own-deque path), nested
 // run_batch on a deliberately starved single-worker pool (the helping
-// semantics that make nested sharding deadlock-free), and the blocking
+// semantics that make nested batches deadlock-free), and the blocking
 // lane's guarantee that gated tasks never wait on each other.
 #include "common/work_pool.hpp"
 
@@ -165,23 +165,23 @@ TEST(WorkPool, BlockingLaneReusesParkedThreads) {
 }
 
 TEST(WorkPool, RunBatchFromBlockingTaskCompletes) {
-  // An InferenceServer drain (blocking lane) executing a sharded request
-  // calls run_batch from a non-worker thread; helping semantics must
-  // carry it even when the stealing worker is busy elsewhere.
+  // A blocking-lane task that fans out a batch calls run_batch from a
+  // non-worker thread; helping semantics must carry it even when the
+  // stealing worker is busy elsewhere.
   WorkPool pool(1);
   Latch done(1);
-  std::atomic<std::int64_t> shard_runs{0};
-  pool.submit_blocking([&pool, &shard_runs, &done] {
-    std::vector<std::function<void()>> shards;
+  std::atomic<std::int64_t> item_runs{0};
+  pool.submit_blocking([&pool, &item_runs, &done] {
+    std::vector<std::function<void()>> items;
     for (int i = 0; i < 8; ++i)
-      shards.push_back([&shard_runs] {
-        shard_runs.fetch_add(1, std::memory_order_relaxed);
+      items.push_back([&item_runs] {
+        item_runs.fetch_add(1, std::memory_order_relaxed);
       });
-    pool.run_batch(std::move(shards));
+    pool.run_batch(std::move(items));
     done.count();
   });
   done.wait();
-  EXPECT_EQ(shard_runs.load(), 8);
+  EXPECT_EQ(item_runs.load(), 8);
 }
 
 TEST(WorkPool, SharedPoolIsProcessWideSingleton) {

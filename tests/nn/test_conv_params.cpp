@@ -79,12 +79,6 @@ TEST(ConvParams, ValidateRejectsKernelLargerThanPaddedInput) {
   EXPECT_NO_THROW(p.validate());
 }
 
-TEST(ConvParams, WithBatch) {
-  const ConvLayerParams p = basic().with_batch(128);
-  EXPECT_EQ(p.batch, 128);
-  EXPECT_EQ(p.in_channels, 4);  // everything else preserved
-}
-
 TEST(ConvParams, PixelCounts) {
   const ConvLayerParams p = basic();
   EXPECT_EQ(p.ifmap_pixels_per_image(), 4 * 10 * 12);

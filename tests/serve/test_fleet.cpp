@@ -5,9 +5,15 @@
 // both engines on every request.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <csignal>
+#include <filesystem>
 #include <future>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "chain/network_runner.hpp"
@@ -158,25 +164,55 @@ TEST(Fleet, PastDeadlineRequestRetiresItsBacklog) {
     EXPECT_NEAR(chip.backlog_seconds, 0.0, 1e-12);
 }
 
-TEST(Fleet, RejectedSubmitLeavesRouterUntouched) {
-  FleetOptions fo;
-  fo.threads_per_chip = 1;
-  Fleet fleet(fo);
-  const nn::NetworkModel net = tiny_net();
-
-  RequestOptions bad;
-  bad.num_workers = 0;
-  EXPECT_THROW((void)fleet.submit(net, 1, bad), std::logic_error);
-
-  // The rejected request must not have been charged to any chip: a
-  // leaked dispatch would permanently skew placement away from the chip
-  // it landed on.
+// A refused request must not have been charged to any chip: a leaked
+// dispatch would permanently skew placement away from the chip it
+// landed on.
+void expect_router_untouched(const Fleet& fleet) {
   const FleetStats stats = fleet.stats();
   EXPECT_EQ(stats.submitted, 0);
   for (const FleetChipStats& chip : stats.chips) {
     EXPECT_EQ(chip.routed, 0) << chip.name;
     EXPECT_NEAR(chip.backlog_seconds, 0.0, 1e-12) << chip.name;
     EXPECT_NEAR(chip.dispatched_seconds, 0.0, 1e-12) << chip.name;
+  }
+}
+
+TEST(Fleet, RejectedSubmitLeavesRouterUntouched) {
+  {
+    SCOPED_TRACE("refused before routing");
+    FleetOptions fo;
+    fo.threads_per_chip = 1;
+    Fleet fleet(fo);
+    EXPECT_THROW((void)fleet.submit(tiny_net(), /*batch=*/0),
+                 std::logic_error);
+    expect_router_untouched(fleet);
+  }
+  {
+    // Routed and charged, then the SUBMIT append fails: the journal
+    // cannot grow past its header (the file-size limit makes write()
+    // fail with EFBIG once SIGXFSZ is ignored).
+    SCOPED_TRACE("journal append fails after routing");
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("chainnn_fleet_test_" + std::to_string(::getpid()) + ".jrnl"))
+            .string();
+    FleetOptions fo;
+    fo.threads_per_chip = 1;
+    fo.journal = std::make_shared<Journal>(JournalOptions{path, 1});
+    Fleet fleet(fo);
+
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit capped = saved;
+    capped.rlim_cur = static_cast<rlim_t>(std::filesystem::file_size(path));
+    const auto saved_handler = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    EXPECT_THROW((void)fleet.submit(nn::lenet_mnist(), 1), JournalError);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, saved_handler);
+
+    expect_router_untouched(fleet);
+    std::filesystem::remove(path);
   }
 }
 

@@ -235,7 +235,6 @@ TEST(DurableCodecs, SubmitRecordRoundTrips) {
   rec.net = tiny_net(3);
   rec.input = request_input(rec.net, 2, 99);
   rec.priority = -3;
-  rec.num_workers = 2;
   rec.verify_against_golden = true;
   rec.exec_mode = chain::ExecMode::kCycleAccurate;
   rec.array = dataflow::ArrayShape{};
@@ -266,7 +265,6 @@ TEST(DurableCodecs, SubmitRecordRoundTrips) {
   }
   EXPECT_TRUE(back.input == rec.input);
   EXPECT_EQ(back.priority, rec.priority);
-  EXPECT_EQ(back.num_workers, rec.num_workers);
   EXPECT_TRUE(back.verify_against_golden);
   ASSERT_TRUE(back.exec_mode.has_value());
   EXPECT_EQ(*back.exec_mode, chain::ExecMode::kCycleAccurate);
