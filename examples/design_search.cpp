@@ -1,4 +1,4 @@
-// Parallel Pareto design-space search (ROADMAP item 4): expands the
+// Parallel Pareto design-space search: expands the
 // (chain length x clock x kernel storage x oMemory x per-layer channel
 // mode) grid from the paper's 576-PE/700MHz seed with the no-hierarchy
 // closed-form evaluator, prunes dominated points, and emits the Pareto

@@ -1,4 +1,4 @@
-// Process-wide work-stealing thread pool (ROADMAP item 3).
+// Process-wide work-stealing thread pool.
 //
 // Design-search waves (DesignSearch with num_workers != 1) and
 // InferenceServer drains all submit to WorkPool::shared(), one pool

@@ -1,5 +1,5 @@
 // No-hierarchy point costing — the closed-form fast path the design-space
-// search evaluates millions of points with (ROADMAP item 4).
+// search evaluates millions of points with.
 //
 // The executed path (ChainAccelerator → NetworkRunner → SweepDriver)
 // computes per-layer cycles from dataflow::layer_cycles, then *also*

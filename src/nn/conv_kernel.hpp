@@ -1,5 +1,5 @@
 // Vectorized fixed-point convolution with a proven saturation-free fast
-// path (ROADMAP item 3).
+// path.
 //
 // conv2d_fixed_accum (nn/golden.cpp) applies Accumulator48's sticky
 // 48-bit saturation after every MAC, which defeats autovectorization:

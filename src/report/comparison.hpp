@@ -1,6 +1,6 @@
 // Paper-vs-measured comparison rows for the bench binaries: uniform
 // formatting of reproduced values next to the published ones with a
-// ratio, so EXPERIMENTS.md can be assembled straight from bench output.
+// ratio (bench_fig9_layer_time prints its table this way).
 #pragma once
 
 #include <string>
@@ -21,8 +21,7 @@ class ComparisonTable {
 
   [[nodiscard]] std::string render() const;
 
-  // Largest |measured/paper - 1| over the rows with paper values; the
-  // shape check used in EXPERIMENTS.md.
+  // Largest |measured/paper - 1| over the rows with paper values.
   [[nodiscard]] double worst_relative_error() const;
 
  private:

@@ -33,8 +33,8 @@ struct Table2Row {
   double efficiency_pct;  // as printed in the paper
 };
 // Note: the paper prints 100% for the 9x9 row although 567/576 = 98.4% —
-// kept verbatim here; the bench prints both and EXPERIMENTS.md discusses
-// the discrepancy.
+// kept verbatim here; bench_table2_utilization prints both figures and
+// notes the discrepancy.
 inline constexpr std::array<Table2Row, 5> kTable2 = {{
     {3, 9, 64, 576, 100.0},
     {5, 25, 23, 575, 99.8},

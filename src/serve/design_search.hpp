@@ -1,5 +1,5 @@
 // DesignSearch — parallel Pareto design-space exploration with dominance
-// pruning (ROADMAP item 4).
+// pruning.
 //
 // SweepDriver *executes* a handful of hand-picked points; this subsystem
 // instead treats the design space — chain length x clock x per-PE kernel

@@ -1,13 +1,14 @@
 // Fleet — multi-chip serving with deadline-aware, model-driven routing.
 //
-// A Fleet owns one InferenceServer per simulated chip (heterogeneous
+// A Fleet owns one executor per simulated chip (heterogeneous
 // ArrayShapes — by default the 3-chip set of default_fleet_chips()) and
 // a Router that places every submitted request on the chip with the
 // earliest *modelled* finish time: the request's closed-form chain
 // seconds on each chip (via the shared PlanCache) plus the chip's
 // modelled backlog of already-routed work. All chips share one
 // PlanCache, so a layer shape is planned once per (geometry, array)
-// fleet-wide.
+// fleet-wide, and an execution's plan lookups hit the entries routing
+// already made. A standalone InferenceServer is a Fleet of one chip.
 //
 // Routing only chooses *where* a request runs; execution identity is
 // untouched — the same request produces a bit-identical
@@ -15,17 +16,21 @@
 // on the chosen chip's configuration (tests/serve/test_fleet.cpp pins
 // this, with fidelity sampling cross-checking both engines on top).
 //
-// Priority, deadlines and cancellation are per-chip InferenceServer
-// behaviour (see inference_server.hpp): the fleet forwards
-// RequestOptions verbatim, and FleetStats aggregates the per-chip
-// deadline-miss / cancellation accounting next to the routing counters.
+// Each chip's executor is the scheduler described in
+// inference_server.hpp (priority/EDF queue, preemption, deadlines,
+// cancellation, fidelity sampling); the fleet forwards RequestOptions
+// verbatim. The executor also closes the loop with the router and the
+// journal itself: a preemption retires the banked layers' modelled
+// seconds and journals the checkpoint, and every terminal outcome
+// retires the rest and journals COMPLETE or CANCEL — all before the
+// request's future resolves. FleetStats sums the chips' ServerStats
+// next to the routing counters.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,30 +44,29 @@ namespace chainnn::serve {
 
 struct FleetOptions {
   // Chips of the fleet; empty selects default_fleet_chips(). Each chip's
-  // server runs with the base accelerator config below, re-shaped to the
+  // executor runs with the base accelerator config below, re-shaped to the
   // chip's array and memory.
   std::vector<ChipSpec> chips;
   chain::AcceleratorConfig accelerator = analytical_accelerator_config();
   energy::EnergyModel energy = energy::EnergyModel::paper_calibrated();
   std::int64_t threads_per_chip = 1;
   std::int64_t max_queue_per_chip = 64;
-  // Forwarded to every chip server (each samples its own Nth request).
+  // Forwarded to every chip (each samples its own Nth request).
   std::int64_t fidelity_sample_every_n = 0;
-  // Preemptive scheduling on every chip server (see
+  // Preemptive scheduling on every chip (see
   // ServerOptions::enable_preemption): a strictly-higher-priority
   // arrival checkpoints the running lower-tier request at its next layer
-  // boundary. The fleet wires the per-chip preemption hooks so a
-  // preempted request's completed layers are retired from the chip's
-  // modelled backlog immediately ("resume-aware backlog accounting") and
-  // the completion hook retires only the remainder.
+  // boundary. A preempted request's completed layers are retired from
+  // the chip's modelled backlog immediately ("resume-aware backlog
+  // accounting") and its terminal outcome retires only the remainder.
   bool preemption = false;
   // Fleet-wide plan cache; nullptr creates a fleet-owned one.
   std::shared_ptr<PlanCache> plan_cache;
-  // Base seed for generated inputs; each chip decorrelates it so two
-  // chips never draw identical request inputs from equal local ids.
+  // Seed for inputs generated by submit(net, batch); see
+  // ServerOptions::input_seed.
   std::uint64_t input_seed = 7;
   // Durable request journal (see serve/journal.hpp). When set, every
-  // submit is assigned a fleet-wide tag and journaled (SUBMIT with the
+  // submit is journaled under its fleet-wide tag (SUBMIT with the
   // routed chip and the concrete input tensor) before it reaches a chip
   // queue; every preemption journals its checkpoint; every outcome
   // journals a terminal record (COMPLETE / CANCEL / REJECT). A later
@@ -80,23 +84,14 @@ struct FleetChipStats {
   double dispatched_seconds = 0.0;  // cumulative modelled busy time
 };
 
-struct FleetStats {
+// The ServerStats base holds the sums over the chips (ServerStats::
+// operator+=); plan_cache is the shared cache's own figures.
+struct FleetStats : ServerStats {
   std::vector<FleetChipStats> chips;
-  // Sums over the chips.
-  std::int64_t submitted = 0;
-  std::int64_t completed = 0;
-  std::int64_t failed = 0;
-  std::int64_t cancelled = 0;
-  std::int64_t deadline_misses = 0;
-  std::int64_t deadline_expired = 0;  // cancelled because the deadline passed
-  std::int64_t preemptions = 0;
-  std::int64_t resumes = 0;
-  std::int64_t fidelity_samples = 0;
-  std::int64_t fidelity_divergences = 0;
   // Requests refused by admission control at submit (RequestOptions::
   // admission + deadline infeasible on every chip). Fleet-level: a
-  // rejected request never reaches a chip server, so it appears in no
-  // per-chip counter.
+  // rejected request never reaches a chip, so it appears in no per-chip
+  // counter.
   std::int64_t rejected = 0;
   // Durability counters (all zero for a fleet without a journal).
   JournalStats journal;                     // the fleet journal's appends
@@ -106,11 +101,6 @@ struct FleetStats {
   // resumed run re-plans the remaining layers for the new chip: ofmaps
   // stay value-identical, cycles are the new chip's.
   std::int64_t checkpoint_handoffs = 0;
-  PlanCacheStats plan_cache;
-  // Tensor-pool figures summed over the chips (each chip owns its own
-  // arena; high_water_bytes sums the per-chip peaks, an upper bound on
-  // the fleet's simultaneous peak).
-  ArenaStats arena;
 
   // Deadlines not served in time, both ways a deadline can be lost:
   // completed-but-late plus cancelled-because-expired. The figure the
@@ -149,22 +139,27 @@ struct RecoveryReport {
 class Fleet {
  public:
   explicit Fleet(FleetOptions options = {});
+  // Drains every chip (pending requests still execute).
+  ~Fleet();
 
   Fleet(const Fleet&) = delete;
   Fleet& operator=(const Fleet&) = delete;
 
   // Routes the request to the chip with the earliest modelled finish
   // time and enqueues it there (blocking on that chip's backpressure).
-  // The resolved InferenceResult carries the chip's name and the
-  // modelled seconds the router charged. With RequestOptions::admission
-  // and a deadline_ms, a request infeasible on every chip is refused
-  // instead: the future resolves immediately with
+  // Refused before anything is charged: an empty network, a non-4D
+  // input, and a network the planner cannot map (std::logic_error).
+  // The resolved InferenceResult carries the chip's name, the modelled
+  // seconds the router charged and the request's fleet-wide tag. With
+  // RequestOptions::admission and a deadline_ms, a request infeasible on
+  // every chip is refused instead: the future resolves immediately with
   // RequestStatus::kRejected (request never executes, nothing charged).
   [[nodiscard]] std::future<InferenceResult> submit(
       nn::NetworkModel net, Tensor<std::int16_t> input,
       RequestOptions options = {});
   // Convenience: deterministic random input of `batch` images (shaped by
-  // the network's first layer), generated by the chosen chip's server.
+  // the network's first layer), drawn from (input_seed, tag) — see
+  // ServerOptions::input_seed — then submitted as above.
   [[nodiscard]] std::future<InferenceResult> submit(
       const nn::NetworkModel& net, std::int64_t batch,
       RequestOptions options = {});
@@ -210,47 +205,55 @@ class Fleet {
   }
 
  private:
-  // Shared admission/rejection bookkeeping for both submit overloads.
-  [[nodiscard]] std::optional<std::future<InferenceResult>> try_reject(
-      const RouteDecision& decision, std::uint64_t tag);
-  // Claims the request's fleet-wide tag (when journaling and not already
-  // assigned by recovery) and appends its SUBMIT record — and, for a
-  // refused admission, the REJECT record — to the journal. No-op without
-  // a journal.
-  void journal_submit(const RouteDecision& decision,
-                      const nn::NetworkModel& net,
-                      const Tensor<std::int16_t>& input,
-                      RequestOptions& options);
-  // The tail of every explicit-input submit, after `decision` was
-  // routed (and, if admitted, dispatched): journals the request, then
-  // resolves a refused admission or enqueues on the decided chip. Any
-  // throw — a failed journal append included — retracts the dispatch
-  // and closes an already-journaled SUBMIT with a kFailed CANCEL.
+  class Executor;  // one chip's queue and drains (fleet.cpp)
+  friend class InferenceServer;
+
+  // The one-chip fleet behind a standalone InferenceServer: the chip is
+  // {so.name, so.accelerator.array, so.accelerator.memory} and its
+  // executor runs with `so` itself.
+  explicit Fleet(ServerOptions so);
+  // Builds the router and one executor per chip (per_chip[c] runs chip c).
+  void start(std::vector<ChipSpec> chips, std::vector<ServerOptions> per_chip);
+
+  // Routes and dispatches a validated request carrying the fleet-wide
+  // `tag`, then journals and enqueues it. `resume` is a recovered
+  // checkpoint to resume from.
+  [[nodiscard]] std::future<InferenceResult> submit_tagged(
+      nn::NetworkModel net, Tensor<std::int16_t> input,
+      RequestOptions options, std::uint64_t tag,
+      std::shared_ptr<chain::RunCheckpoint> resume = nullptr);
+  // The tail of every submit, after `decision` was routed (and, if
+  // admitted, dispatched): journals SUBMIT (and REJECT for a refused
+  // admission), then resolves a refused admission or enqueues on the
+  // decided chip. Any throw — a failed journal append included —
+  // retracts the dispatch and closes an already-journaled SUBMIT with a
+  // kFailed CANCEL.
   [[nodiscard]] std::future<InferenceResult> journal_and_enqueue(
       const RouteDecision& decision, nn::NetworkModel net,
-      Tensor<std::int16_t> input, RequestOptions options);
+      Tensor<std::int16_t> input, RequestOptions options, std::uint64_t tag,
+      std::shared_ptr<chain::RunCheckpoint> resume);
 
   // Concurrency contract: Fleet itself holds no mutex. Every mutable
   // member is either written once in the constructor and read-only
-  // afterwards (opts_, cache_, router_, servers_ — the pointers, not the
-  // pointees, which synchronize internally; see Router and
-  // InferenceServer), or a lone atomic counter (rejected_). That is why
-  // nothing here is CHAINNN_GUARDED_BY anything — there is no capability
-  // to name, and the thread-safety analysis has nothing to check.
-  FleetOptions opts_;
+  // afterwards (cache_, journal_, input_seed_, router_, executors_ — the
+  // pointers, not the pointees, which synchronize internally), or a lone
+  // atomic counter. That is why nothing here is CHAINNN_GUARDED_BY
+  // anything — there is no capability to name, and the thread-safety
+  // analysis has nothing to check.
   std::shared_ptr<PlanCache> cache_;
+  std::shared_ptr<Journal> journal_;  // nullptr = no journaling
+  std::uint64_t input_seed_ = 7;
   std::atomic<std::int64_t> rejected_{0};
-  // Fleet-wide durable tags (monotone from 1; recover() bumps it past
-  // the journaled maximum so post-recovery submits never collide).
+  // Fleet-wide tags (monotone from 1; recover() bumps it past the
+  // journaled maximum so post-recovery submits never collide).
   std::atomic<std::uint64_t> next_tag_{0};
   std::atomic<std::int64_t> recovered_{0};
   std::atomic<std::int64_t> handoffs_{0};
-  // Destruction order matters: the chip servers' worker threads call the
-  // router from their completion and preemption hooks, so router_ must
-  // outlive servers_ (members are destroyed in reverse declaration
-  // order).
+  // Destruction order matters: the executors' drains call the router and
+  // append to the journal, so both must outlive executors_ (members are
+  // destroyed in reverse declaration order).
   std::unique_ptr<Router> router_;
-  std::vector<std::unique_ptr<InferenceServer>> servers_;
+  std::vector<std::unique_ptr<Executor>> executors_;
 };
 
 // --- fleet-vs-single-chip trace evaluation ---------------------------------
@@ -285,7 +288,7 @@ struct FleetTraceReport {
 };
 
 // Submits every entry through the fleet (batch overload — inputs are
-// generated by the routed chip's server), waits for all futures, and
+// drawn from each request's tag), waits for all futures, and
 // rolls up the comparison. Cancelled/failed entries count toward neither
 // `completed` nor either side's seconds.
 [[nodiscard]] FleetTraceReport run_fleet_trace(

@@ -1,17 +1,20 @@
 // InferenceServer — an async request scheduler over the Chain-NN
-// execution stack.
+// execution stack: a Fleet of one chip (serve/fleet.hpp).
 //
-// submit(network, input | batch, options) returns a std::future; drain
-// tasks on the process-wide common::WorkPool (its blocking lane — a
+// submit(network, input | batch, options) returns a std::future. The
+// request is priced at submit with the same closed form the fleet router
+// uses (Chain-NN's fixed dataflow makes a run's chain time a function of
+// layer geometry and array shape), then queued on the chip's executor.
+// Drain tasks on the process-wide common::WorkPool (its blocking lane — a
 // request may park on a user hook for arbitrarily long) drain a bounded
 // queue (submit blocks when the queue is full — backpressure, not
 // drops). The server owns no threads: a drain task is scheduled
 // whenever the queue grows and fewer than num_threads are live, runs
 // requests until the queue is empty, and retires, so an idle server
-// costs nothing and a fleet of servers shares one thread cache instead
+// costs nothing and a fleet of chips shares one thread cache instead
 // of pinning num_threads threads apiece. Every execution attempt runs a
 // whole network through NetworkRunner on one accelerator of its own,
-// built with the server's PlanCache and TensorArena; all plan lookups of
+// built with the chip's PlanCache and TensorArena; all plan lookups of
 // all drains resolve through that one shared cache, so a request only
 // pays planning cost the first time its (layer, array) shape is seen by
 // the process.
@@ -20,7 +23,7 @@
 // RequestOptions::priority tiers always dequeue first; within a tier the
 // order is earliest-deadline-first (requests without a deadline sort
 // last), and ties fall back to submission order, so a server driven
-// without priorities or deadlines behaves exactly like the old FIFO.
+// without priorities or deadlines is a FIFO.
 // With ServerOptions::enable_preemption, higher tiers do not just
 // overtake the queue — they evict the chip: a running lower-tier request
 // is checkpointed at its next layer boundary (chain::RunCheckpoint),
@@ -35,7 +38,9 @@
 // resolves normally with RequestStatus::kCancelled (never an exception),
 // and the cancellation is counted in ServerStats. A request that runs to
 // completion past its deadline stays kOk but is flagged deadline_missed
-// and counted in ServerStats::deadline_misses.
+// and counted in ServerStats::deadline_misses. With
+// RequestOptions::admission, a deadline the modelled chain time already
+// misses is refused at submit instead (RequestStatus::kRejected).
 //
 // Per-request knobs:
 //   * ExecMode — capacity-planning requests run on the analytical fast
@@ -47,8 +52,8 @@
 // every Nth request is re-executed on the *other* engine (analytical ↔
 // cycle-accurate) and the two runs are cross-checked — ofmaps, cycles,
 // per-level traffic, per-layer power and the whole-run traffic/energy
-// rollups must be bit-identical (the PR-2 equivalence guarantee, now
-// continuously monitored in production traffic).
+// rollups must be bit-identical (the two engines' equivalence
+// guarantee, continuously monitored in production traffic).
 // Divergences are recorded in ServerStats and flagged on the result.
 #pragma once
 
@@ -62,7 +67,6 @@
 #include <vector>
 
 #include "chain/network_runner.hpp"
-#include "common/thread_annotations.hpp"
 #include "energy/energy_model.hpp"
 #include "nn/models.hpp"
 #include "serve/plan_cache.hpp"
@@ -79,15 +83,15 @@ namespace chainnn::serve {
                                           std::string* why = nullptr);
 
 // Terminal state of a request. Futures only ever resolve with kOk,
-// kCancelled or kRejected (errors resolve the future with the exception
-// instead); kFailed appears solely on the InferenceResult handed to
-// ServerOptions::completion_hook for a request that threw.
+// kCancelled or kRejected; a request that threw resolves its future with
+// the exception instead (counted in ServerStats::failed), so no future
+// ever carries kFailed.
 enum class RequestStatus {
   kOk,         // ran to completion
   kCancelled,  // deadline passed or cancel token set before/mid-run
-  kRejected,   // admission control refused it at submit (Fleet only);
-               // the request never reached a server queue or executed
-  kFailed,     // request threw (hook-only; the promise carries the error)
+  kRejected,   // admission control refused it at submit; the request
+               // never reached a chip queue or executed
+  kFailed,     // request threw (never a future's value; see above)
 };
 
 struct RequestOptions {
@@ -108,32 +112,15 @@ struct RequestOptions {
   // External cancellation: set to true at any time to abort the request
   // at its next inter-layer checkpoint (or before it starts).
   std::shared_ptr<std::atomic<bool>> cancel;
-  // Deadline-feasibility admission control (opt-in, honoured by
-  // Fleet::submit; a standalone InferenceServer ignores it — it has no
-  // router to size the request against). With admission set and a
-  // deadline_ms given, a request whose modelled finish time (backlog +
-  // closed-form chain seconds, serve::RouteDecision::finish_seconds)
-  // exceeds the deadline on *every* chip is refused at submit: its
-  // future resolves immediately with RequestStatus::kRejected, nothing
-  // is charged to any backlog, and the request never executes.
+  // Deadline-feasibility admission control (opt-in; a standalone
+  // server is a one-chip fleet and honours it too). With admission set
+  // and a deadline_ms given, a request whose modelled finish time
+  // (backlog + closed-form chain seconds,
+  // serve::RouteDecision::finish_seconds) exceeds the deadline on
+  // *every* chip is refused at submit: its future resolves immediately
+  // with RequestStatus::kRejected, nothing is charged to any backlog,
+  // and the request never executes.
   bool admission = false;
-  // Modelled execution seconds, stamped by the Fleet router when it
-  // dispatches the request; echoed back on InferenceResult so completion
-  // hooks can retire the backlog they admitted. Informational here.
-  double modelled_seconds = 0.0;
-  // Fleet-wide durable id, stamped by Fleet::submit when the fleet
-  // journals (0 = not journaled). Unlike request_id — which is
-  // per-server and restarts from 1 with the process — the tag is unique
-  // across chips and across restarts, so journal records written before
-  // a crash still identify requests replayed after it. Echoed on
-  // InferenceResult and passed to every journal-facing hook.
-  std::uint64_t tag = 0;
-  // Resume this request from a recovered checkpoint instead of running
-  // it from scratch (Fleet::recover). The first execution attempt adopts
-  // the checkpointed layer prefix verbatim; on the chip that captured
-  // the checkpoint the final result is bit-identical to an uninterrupted
-  // run, on any other chip the ofmaps stay value-identical.
-  std::shared_ptr<chain::RunCheckpoint> resume;
   // Forwarded to NetworkRunOptions.
   bool verify_against_golden = false;
   std::vector<chain::InterLayerOp> inter_layer;
@@ -147,8 +134,13 @@ struct FidelityReport {
 };
 
 struct InferenceResult {
+  // Per-chip submission id (from 1; fidelity sampling keys on it).
   std::int64_t request_id = 0;
-  // Fleet-wide durable id (RequestOptions::tag), 0 when not journaled.
+  // Fleet-wide id, assigned at submit (never 0). Unlike request_id it is
+  // unique across chips, and a journaled fleet's recovery keeps it across
+  // restarts, so journal records written before a crash still identify
+  // requests replayed after it. submit(net, batch) draws the request's
+  // input from it.
   std::uint64_t tag = 0;
   RequestStatus status = RequestStatus::kOk;
   chain::ExecMode exec_mode = chain::ExecMode::kAnalytical;
@@ -167,14 +159,10 @@ struct InferenceResult {
   std::int64_t preemptions = 0;
   // The terminal execution attempt resumed from a checkpoint.
   bool resumed = false;
-  std::string chip;              // ServerOptions::name of the executing chip
-  double modelled_seconds = 0.0;  // echoed from RequestOptions
-  // Modelled seconds already retired through ServerOptions::
-  // preemption_hook for layers completed before a preemption: a
-  // completion hook retiring backlog must charge only
-  // modelled_seconds - modelled_seconds_retired, or a preempted request
-  // gets double-retracted (see serve::Fleet).
-  double modelled_seconds_retired = 0.0;
+  std::string chip;  // ServerOptions::name of the executing chip
+  // The closed-form chain seconds charged to the chip's backlog at
+  // submit (serve::RouteDecision::request_seconds).
+  double modelled_seconds = 0.0;
   // Wait before the terminal attempt started: submit -> execution start,
   // or for a preempted request (re-)enqueue -> resume start.
   double queue_ms = 0.0;
@@ -208,6 +196,13 @@ struct ServerStats {
   PlanCacheStats plan_cache;
   // The chip's tensor pool (filled on read, like plan_cache).
   ArenaStats arena;
+
+  // Adds another chip's counters and arena figures: a fleet's totals are
+  // this sum over its chips (summed peak_queue_depth and
+  // arena.high_water_bytes bound the simultaneous peaks from above).
+  // plan_cache is left alone — chips share one cache, so its figures do
+  // not add up.
+  ServerStats& operator+=(const ServerStats& chip);
 };
 
 // The paper-default accelerator with the analytical engine selected —
@@ -221,7 +216,8 @@ struct ServerStats {
 
 struct ServerOptions {
   // Base accelerator config; requests override exec_mode / array, and
-  // the server's arena replaces the config's own.
+  // the chip's own tensor pool replaces the config's arena. Its array and
+  // memory are the chip the request router prices requests against.
   chain::AcceleratorConfig accelerator = analytical_accelerator_config();
   energy::EnergyModel energy = energy::EnergyModel::paper_calibrated();
   // Name stamped on every InferenceResult::chip — lets fleet members be
@@ -236,12 +232,6 @@ struct ServerOptions {
   std::int64_t fidelity_sample_every_n = 0;
   // Shared plan cache; nullptr creates a server-owned one.
   std::shared_ptr<PlanCache> plan_cache;
-  // Tensor pool for every request's working buffers (accumulator and
-  // ofmap surfaces — see tensor/arena.hpp); nullptr creates a
-  // server-owned one, so a request's buffers return to the pool as it
-  // completes and the next request reallocates them for free.
-  // Semantics-free: results are bit-identical with or without.
-  std::shared_ptr<TensorArena> arena;
   // Preemptive scheduling: when a strictly-higher-priority request is
   // queued while a lower-tier request runs, the worker checkpoints the
   // running request at its next inter-layer boundary (RunCheckpoint),
@@ -250,48 +240,19 @@ struct ServerOptions {
   // re-enqueued request later resumes from the checkpoint; a resumed
   // run's result is bit-identical to an uninterrupted one (ofmaps,
   // cycles, traffic — pinned by tests/serve/test_sched_properties.cpp).
-  // Off by default: a non-preemptive server schedules exactly as before.
-  // Re-enqueueing a checkpoint may transiently exceed max_queue (a
-  // worker cannot block on its own backpressure).
+  // Off by default. Re-enqueueing a checkpoint may transiently exceed
+  // max_queue (a worker cannot block on its own backpressure).
   bool enable_preemption = false;
-  // Called (outside the server lock) when a running request is
-  // checkpointed, with the modelled chain seconds of the layers this
-  // attempt newly completed — capped so the cumulative credit never
-  // exceeds RequestOptions::modelled_seconds. The Fleet uses it to give
-  // a preempted request credit for completed layers in the chip's
-  // modelled backlog ("resume-aware backlog accounting").
-  std::function<void(std::int64_t request_id, double retired_seconds)>
-      preemption_hook;
-  // Called (outside the server lock) right after a preemption banks a
-  // checkpoint, with the request's durable tag and the checkpoint
-  // itself. The Fleet journals it so a crash between the preemption and
-  // the eventual completion can resume from the banked layer prefix
-  // instead of replaying from scratch. Fires after preemption_hook.
-  std::function<void(std::uint64_t tag, const chain::RunCheckpoint& cp)>
-      checkpoint_hook;
-  // Seed for inputs generated by the submit(net, batch, ...) overload.
+  // Seed for inputs generated by submit(net, batch): request `tag` draws
+  // from Rng(input_seed ^ (0x9E3779B97F4A7C15 * tag)).
   std::uint64_t input_seed = 7;
-  // Called once per request, outside the server lock, immediately
-  // *before* its future resolves — so by the time a caller observes the
-  // result, the hook has already run (the Fleet relies on this to have
-  // retired routed backlog; tests use it to observe completion order).
-  // Every outcome fires it: kOk and kCancelled hooks receive the same
-  // result the future carries; for a request that threw, the hook
-  // receives a stub with status kFailed and only request_id / chip /
-  // modelled_seconds populated (the promise carries the error itself).
-  // wait_idle() returns only after all hooks have fired.
-  // Hooks should not throw (the Fleet's can: a failed journal append
-  // throws JournalError). If one does, the server catches it: the
-  // request counts once in ServerStats::failed (not completed or
-  // cancelled), its future rethrows the hook's exception (a request that
-  // had already thrown keeps its own error), and the hook is not called
-  // again for it.
-  std::function<void(const InferenceResult&)> completion_hook;
   // TEST HOOK: mutates the fidelity replay before the cross-check, so
   // tests can prove an injected divergence is caught and counted.
   std::function<void(std::int64_t request_id, chain::NetworkRunResult&)>
       fidelity_mutator_for_test;
 };
+
+class Fleet;
 
 class InferenceServer {
  public:
@@ -303,13 +264,15 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  // Enqueues one request; blocks while the queue is full. The future
-  // resolves when a worker finishes the run (or rethrows its error).
+  // Prices the request (an unplannable network throws the planner's
+  // std::logic_error here, before anything is queued or counted), then
+  // enqueues it; blocks while the queue is full. The future resolves
+  // when a worker finishes the run (or rethrows its error).
   [[nodiscard]] std::future<InferenceResult> submit(nn::NetworkModel net,
                                                     Tensor<std::int16_t> input,
                                                     RequestOptions options = {});
-  // Convenience: generates a deterministic random input of `batch`
-  // images shaped for the network's first layer.
+  // Convenience: a deterministic random input of `batch` images shaped
+  // for the network's first layer, drawn from (input_seed, tag).
   [[nodiscard]] std::future<InferenceResult> submit(
       const nn::NetworkModel& net, std::int64_t batch,
       RequestOptions options = {});
@@ -318,42 +281,12 @@ class InferenceServer {
   void wait_idle();
 
   [[nodiscard]] ServerStats stats() const;
-  [[nodiscard]] const std::shared_ptr<PlanCache>& plan_cache() const {
-    return cache_;
-  }
-  // The (shared or server-owned) tensor pool requests allocate from.
-  [[nodiscard]] const std::shared_ptr<TensorArena>& arena() const {
-    return arena_;
-  }
+  [[nodiscard]] const std::shared_ptr<PlanCache>& plan_cache() const;
   [[nodiscard]] const ServerOptions& options() const { return opts_; }
 
  private:
-  struct Task;
-  struct State;  // queue + counters (hidden so the header stays light)
-
-  // Claims the next request id (inputs are derived from it before the
-  // task enters the queue, so ids identify inputs even under concurrent
-  // submitters).
-  [[nodiscard]] std::int64_t allocate_id();
-  // Blocks while the queue is full, then queues the task.
-  [[nodiscard]] std::future<InferenceResult> enqueue(Task&& task);
-  // Runs the task (resuming its checkpoint when it carries one). Returns
-  // nullopt when the run was preempted: the task now carries an updated
-  // checkpoint and must be re-enqueued by the caller.
-  [[nodiscard]] std::optional<InferenceResult> execute_request(Task& task);
-  [[nodiscard]] chain::NetworkRunResult run_network(
-      const chain::AcceleratorConfig& cfg, const Task& task,
-      const std::function<bool()>& cancel_check,
-      const std::function<bool()>& preempt_check = {},
-      std::shared_ptr<const chain::RunCheckpoint> resume = nullptr);
-  // One drain task: pops and runs requests until the queue is empty,
-  // then retires (a later enqueue schedules a fresh drain).
-  void drain_loop();
-
   ServerOptions opts_;
-  std::shared_ptr<PlanCache> cache_;
-  std::shared_ptr<TensorArena> arena_;
-  State* state_ = nullptr;
+  std::unique_ptr<Fleet> fleet_;
 };
 
 }  // namespace chainnn::serve

@@ -219,17 +219,23 @@ void Journal::append(std::string_view payload) {
   ++stats_.records_appended;
   stats_.bytes_appended += static_cast<std::int64_t>(framed.size());
   if (opts_.fsync_every_records > 0 &&
-      ++since_fsync_ >= opts_.fsync_every_records) {
-    ::fsync(fd_);
-    since_fsync_ = 0;
-    ++stats_.fsyncs;
-  }
+      ++since_fsync_ >= opts_.fsync_every_records)
+    fsync_locked();
 }
 
 void Journal::sync() {
   MutexLock lock(mu_);
   if (fd_ < 0) return;
-  ::fsync(fd_);
+  fsync_locked();
+}
+
+void Journal::fsync_locked() {
+  // A failed fsync means write-back may have lost records already
+  // acknowledged: surface it like a failed write(), and count only
+  // fsyncs that succeeded.
+  if (::fsync(fd_) != 0)
+    throw JournalError("journal fsync failed: " + opts_.path + " (" +
+                       std::strerror(errno) + ")");
   since_fsync_ = 0;
   ++stats_.fsyncs;
 }

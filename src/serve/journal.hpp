@@ -187,15 +187,21 @@ class Journal {
   Journal& operator=(const Journal&) = delete;
 
   // Appends one framed record ([0] of `payload` must be the RecordType
-  // byte). One write() per record; fsync per JournalOptions.
+  // byte). One write() per record; fsync per JournalOptions. Throws
+  // JournalError when the write or a due fsync fails (the record counts
+  // as appended once its write succeeded).
   void append(std::string_view payload);
   // Forces an fsync now (e.g. before handing the path to a recovery).
+  // Throws JournalError when it fails.
   void sync();
 
   [[nodiscard]] JournalStats stats() const;
   [[nodiscard]] const std::string& path() const { return opts_.path; }
 
  private:
+  // fsync, or throw JournalError; only a successful one is counted.
+  void fsync_locked() CHAINNN_REQUIRES(mu_);
+
   JournalOptions opts_;
   mutable Mutex mu_;
   int fd_ CHAINNN_GUARDED_BY(mu_) = -1;

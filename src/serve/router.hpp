@@ -13,8 +13,9 @@
 // granularity, worker scheduling), not through model error.
 //
 // The router is execution-agnostic: it never runs anything. Fleet calls
-// route()/dispatch() at submission and complete() from the per-chip
-// completion hook, keeping per-chip backlogs in modelled seconds.
+// route()/dispatch() at submission, and each chip's executor calls
+// complete() when a request is preempted (the banked layers) and when it
+// ends (the rest), keeping per-chip backlogs in modelled seconds.
 #pragma once
 
 #include <cstdint>
@@ -124,12 +125,13 @@ class Router {
   // Commits a decision: charges its modelled seconds to the chip's
   // backlog and counts the dispatch.
   void dispatch(const RouteDecision& decision);
-  // Reverses a committed decision whose request never reached a server
+  // Reverses a committed decision whose request never reached a chip
   // queue (the enqueue threw after routing): backlog, cumulative
   // dispatched seconds and the routed count all give the seconds back,
   // so a failed submit cannot permanently skew placement.
   void retract(const RouteDecision& decision);
-  // Retires `request_seconds` of backlog from `chip` (completion hook).
+  // Retires `request_seconds` of backlog from `chip` (the chip executor,
+  // at a preemption and at the request's end).
   void complete(std::size_t chip, double request_seconds);
 
   [[nodiscard]] std::vector<double> backlog_seconds() const;

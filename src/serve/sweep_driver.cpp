@@ -24,12 +24,8 @@ std::vector<SweepPointResult> SweepDriver::run(
   ServerOptions so;
   so.accelerator.exec_mode = opts_.exec_mode;
   if (opts_.memory) so.accelerator.memory = *opts_.memory;
-  so.num_threads = opts_.server_threads;
-  so.max_queue = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(points.size()));
   so.fidelity_sample_every_n = opts_.fidelity_sample_every_n;
   so.plan_cache = cache_;
-  so.input_seed = opts_.input_seed;
   InferenceServer server(so);
 
   // One input for the whole sweep, so every point executes the same
@@ -47,8 +43,7 @@ std::vector<SweepPointResult> SweepDriver::run(
     ro.array = point.array;
     ro.inter_layer = opts_.inter_layer;
     // Points are submitted and awaited in turn, so the sweep's cache
-    // carry-over between points is deterministic whatever server_threads
-    // is.
+    // carry-over between points is deterministic.
     InferenceResult res = server.submit(net_, input, ro).get();
 
     SweepPointResult r;

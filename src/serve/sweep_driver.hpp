@@ -5,14 +5,18 @@
 // full-network evaluation methodology of the related accelerator-DSE
 // literature, this driver instead *executes* the workload network end to
 // end at every design point: each point becomes one request (per-request
-// ArrayShape override) through a shared InferenceServer, so
+// ArrayShape override) through a shared InferenceServer, submitted and
+// awaited one at a time, so
 //
 //   * ofmaps are actually computed (and optionally fidelity-sampled
 //     cycle-accurately) rather than assumed;
 //   * per-point latency / energy roll up from per-layer executed runs;
 //   * one PlanCache spans all points — points differing only in clock
 //     frequency share every plan, and repeated layer shapes hit across
-//     the whole sweep (plan_cache()->stats() shows what it saved).
+//     the whole sweep (plan_cache()->stats() shows what it saved). The
+//     server prices each point at submit, so a point's first lookup of a
+//     shape plans it and its execution then hits; a point the planner
+//     cannot map throws from run().
 //
 // The cache is semantics-free: a sweep with a shared cache produces
 // per-point cycles/energy identical to a cold-cache sweep
@@ -51,9 +55,8 @@ struct SweepPointResult {
   bool fidelity_diverged = false;
   // Host wall time *executing* this point, stamped server-side around
   // the execution attempts only (InferenceResult::wall_ms). Queue wait —
-  // time between submission and pickup, which with server_threads > 1 or
-  // co-tenant traffic on a shared server belongs to scheduling, not to
-  // the point — is reported separately, never folded into wall_ms
+  // time between submission and pickup, which belongs to scheduling, not
+  // to the point — is reported separately, never folded into wall_ms
   // (tests/serve/test_sweep_driver.cpp pins the split).
   double wall_ms = 0.0;
   double queue_ms = 0.0;
@@ -62,12 +65,12 @@ struct SweepPointResult {
 struct SweepOptions {
   chain::ExecMode exec_mode = chain::ExecMode::kAnalytical;
   std::int64_t batch = 1;
-  std::int64_t server_threads = 1;
   std::int64_t fidelity_sample_every_n = 0;  // forwarded to the server
   // Cache shared across the points (and with any other holder); nullptr
   // creates a driver-owned cache.
   std::shared_ptr<PlanCache> plan_cache;
   std::vector<chain::InterLayerOp> inter_layer;
+  // Seed of the one input every point executes.
   std::uint64_t input_seed = 7;
   // Memory hierarchy of the server's accelerator, for sweeps validating
   // design points whose oMemory differs from the paper default (the

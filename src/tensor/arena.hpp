@@ -18,10 +18,9 @@
 // one — not that the arena frees memory mid-flight.
 //
 // Thread safety: all arena operations lock a single mutex. The serving
-// layer gives each chip its own arena (ServerOptions::arena defaults to
-// a server-owned one), so contention stays within a chip, where the
-// chip's concurrent requests share it; the annotations below let
-// clang's -Wthread-safety prove the locking.
+// layer gives each chip its own arena, so contention stays within a
+// chip, where the chip's concurrent requests share it; the annotations
+// below let clang's -Wthread-safety prove the locking.
 #pragma once
 
 #include <cstddef>

@@ -1,4 +1,4 @@
-// WorkPool — the process-wide work-stealing pool (ROADMAP item 3).
+// WorkPool — the process-wide work-stealing pool.
 //
 // These suites run under TSan in CI (`ctest -L concurrency`), so they
 // are written to exercise real interleavings: submit storms from many

@@ -90,8 +90,8 @@ TEST(Traffic, Table4ShapeReproduced) {
   // Table IV (batch 4): our counting rules must reproduce the paper's
   // *shape*: oMemory dominates, kMemory next, iMemory and DRAM smallest;
   // kMemory and oMemory within ~25% of the printed numbers for the
-  // stride-1 layers (the paper's exact tiling for conv1 differs — see
-  // EXPERIMENTS.md).
+  // stride-1 layers (the paper's exact tiling for conv1 differs —
+  // bench_table4_memory prints every layer against the paper).
   const auto layers = nn::alexnet().conv_layers;
   for (std::size_t i = 1; i < layers.size(); ++i) {  // conv2..conv5
     const ExecutionPlan plan = plan_layer(layers[i], ArrayShape{});

@@ -57,7 +57,7 @@ TEST(PaperConstants, Fig9TotalsAndFps) {
   EXPECT_NEAR(fps, kFpsBatch128, 3.0);
   // Note: the printed batch time 349.92ms is inconsistent with the
   // printed per-layer times (which sum to 390.1ms); we pin both values
-  // and discuss the discrepancy in EXPERIMENTS.md.
+  // (bench_fig9_layer_time prints the per-layer times against ours).
   EXPECT_NEAR(conv_total, 390.1, 0.1);
 }
 

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <limits>
 #include <mutex>
@@ -49,6 +50,33 @@ Tensor<std::int16_t> tiny_input(std::int64_t batch, std::uint64_t seed) {
   input.fill_random(rng, -64, 64);
   return input;
 }
+
+using WeightInit = std::function<void(std::int64_t, Tensor<std::int16_t>&)>;
+
+void seeded_weights(std::int64_t, Tensor<std::int16_t>& kernels) {
+  Rng rng(7);
+  kernels.fill_random(rng, -16, 16);
+}
+
+// Observes completion order: wraps `weights` so the request appends `id`
+// to `ids` when its last layer (tiny_net's layer 1) starts. With one
+// worker requests run one at a time, so that order is the order they
+// complete in.
+struct LastLayerOrder {
+  std::mutex mu;
+  std::vector<std::int64_t> ids;
+
+  WeightInit record(std::int64_t id, WeightInit weights = seeded_weights) {
+    return [this, id, weights = std::move(weights)](
+               std::int64_t layer, Tensor<std::int16_t>& kernels) {
+      if (layer == 1) {
+        std::lock_guard<std::mutex> lock(mu);
+        ids.push_back(id);
+      }
+      weights(layer, kernels);
+    };
+  }
+};
 
 TEST(InferenceServer, DrainsQueueAndCountsRequests) {
   ServerOptions so;
@@ -261,44 +289,25 @@ TEST(InferenceServer, SharedCacheAcrossServers) {
 
 TEST(InferenceServer, RequestErrorsResolveTheFuture) {
   InferenceServer server{ServerOptions{}};
-  nn::NetworkModel net = tiny_net();
-  // Kernel taps exceed any chain: planning throws inside the worker and
-  // the future must carry the error instead of hanging.
-  net.conv_layers[0].kernel = 99;
-  net.conv_layers[0].in_height = net.conv_layers[0].in_width = 99;
-  auto future = server.submit(net, 1);
+  // Kernel taps exceed any chain: the request is priced at submit, so
+  // the planner refuses it there — nothing is queued or counted.
+  nn::NetworkModel unplannable = tiny_net();
+  unplannable.conv_layers[0].kernel = 99;
+  unplannable.conv_layers[0].in_height = 99;
+  unplannable.conv_layers[0].in_width = 99;
+  EXPECT_THROW((void)server.submit(unplannable, 1), std::logic_error);
+  EXPECT_EQ(server.stats().submitted, 0);
+
+  // An error raised during execution resolves the future with it instead
+  // of hanging.
+  RequestOptions throwing;
+  throwing.weight_init = [](std::int64_t, Tensor<std::int16_t>&) {
+    throw std::runtime_error("weights unavailable");
+  };
+  auto future = server.submit(tiny_net(), 1, throwing);
   EXPECT_ANY_THROW((void)future.get());
   server.wait_idle();
   EXPECT_EQ(server.stats().failed, 1);
-}
-
-TEST(InferenceServer, ThrowingCompletionHookFailsOnlyItsRequest) {
-  // The Fleet's hook appends to the journal, which throws on a failed
-  // write. The drain thread must survive it: that request resolves with
-  // the hook's exception and counts once as failed, and serving goes on.
-  std::atomic<int> hook_calls{0};
-  ServerOptions so;
-  so.num_threads = 1;
-  so.completion_hook = [&](const InferenceResult&) {
-    if (hook_calls.fetch_add(1) == 0)
-      throw std::runtime_error("journal append failed");
-  };
-  ServerStats stats;
-  {
-    InferenceServer server(so);
-    const nn::NetworkModel net = tiny_net();
-    auto first = server.submit(net, 1);
-    EXPECT_THROW((void)first.get(), std::runtime_error);
-    auto second = server.submit(net, 1);
-    EXPECT_EQ(second.get().status, RequestStatus::kOk);
-    server.wait_idle();
-    stats = server.stats();
-  }  // and the destructor returns
-  EXPECT_EQ(hook_calls.load(), 2);
-  EXPECT_EQ(stats.failed, 1);
-  EXPECT_EQ(stats.completed, 1);
-  EXPECT_EQ(stats.completed + stats.cancelled + stats.failed,
-            stats.submitted);
 }
 
 TEST(InferenceServer, PastDeadlineAtSubmitResolvesCancelled) {
@@ -316,6 +325,40 @@ TEST(InferenceServer, PastDeadlineAtSubmitResolvesCancelled) {
   EXPECT_EQ(stats.cancelled, 1);
   EXPECT_EQ(stats.completed, 0);
   EXPECT_EQ(stats.failed, 0);
+}
+
+TEST(InferenceServer, AdmissionRefusesInfeasibleDeadline) {
+  // A standalone server is a one-chip fleet, so it honours admission: a
+  // deadline the modelled chain time already misses is refused at
+  // submit, never queued and never run.
+  InferenceServer server{ServerOptions{}};
+  std::atomic<bool> ran{false};
+  RequestOptions doomed;
+  doomed.admission = true;
+  doomed.deadline_ms = 0.0;
+  doomed.weight_init = [&ran](std::int64_t layer, Tensor<std::int16_t>& k) {
+    ran = true;
+    seeded_weights(layer, k);
+  };
+  const InferenceResult r = server.submit(tiny_net(), 1, doomed).get();
+  EXPECT_EQ(r.status, RequestStatus::kRejected);
+  EXPECT_TRUE(r.run.layers.empty());
+  server.wait_idle();
+  EXPECT_FALSE(ran.load());
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 0);
+  EXPECT_EQ(stats.completed, 0);
+  EXPECT_EQ(stats.cancelled, 0);
+
+  // A feasible deadline passes admission and runs.
+  RequestOptions feasible;
+  feasible.admission = true;
+  feasible.deadline_ms = 60e3;
+  EXPECT_EQ(server.submit(tiny_net(), 1, feasible).get().status,
+            RequestStatus::kOk);
+  stats = server.stats();
+  EXPECT_EQ(stats.submitted, 1);
+  EXPECT_EQ(stats.completed, 1);
 }
 
 // Budgets past the clock's range saturate instead of overflowing the
@@ -384,38 +427,34 @@ TEST(InferenceServer, HighPriorityOvertakesQueuedLowPriority) {
   // running (it blocks inside weight_init until released), a second
   // low-priority request is queued, then a high-priority one arrives.
   // With one worker the high-priority request must overtake the queued
-  // low-priority one — completion order is observed via the hook.
-  std::vector<std::int64_t> completion_order;
-  std::mutex order_mu;
+  // low-priority one.
+  LastLayerOrder completion_order;
   std::promise<void> blocker_started;
   std::promise<void> release_blocker;
   std::shared_future<void> release = release_blocker.get_future().share();
 
   ServerOptions so;
   so.num_threads = 1;
-  so.completion_hook = [&](const InferenceResult& r) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    completion_order.push_back(r.request_id);
-  };
   InferenceServer server(so);
   const nn::NetworkModel net = tiny_net();
 
   RequestOptions blocker;
-  blocker.weight_init = [&](std::int64_t layer_index,
-                            Tensor<std::int16_t>& kernels) {
-    if (layer_index == 0) {
-      blocker_started.set_value();
-      release.wait();
-    }
-    Rng rng(7);
-    kernels.fill_random(rng, -16, 16);
-  };
+  blocker.weight_init = completion_order.record(
+      1, [&](std::int64_t layer_index, Tensor<std::int16_t>& kernels) {
+        if (layer_index == 0) {
+          blocker_started.set_value();
+          release.wait();
+        }
+        seeded_weights(layer_index, kernels);
+      });
   auto f1 = server.submit(net, 1, blocker);  // id 1, occupies the worker
   blocker_started.get_future().wait();
 
   RequestOptions low;   // id 2, tier 0
   RequestOptions high;  // id 3, tier 5
   high.priority = 5;
+  low.weight_init = completion_order.record(2);
+  high.weight_init = completion_order.record(3);
   auto f2 = server.submit(net, 1, low);
   auto f3 = server.submit(net, 1, high);
   release_blocker.set_value();
@@ -424,38 +463,33 @@ TEST(InferenceServer, HighPriorityOvertakesQueuedLowPriority) {
   (void)f3.get();
   server.wait_idle();
 
-  ASSERT_EQ(completion_order.size(), 3u);
-  EXPECT_EQ(completion_order[0], 1);  // the blocker finishes first
-  EXPECT_EQ(completion_order[1], 3);  // high priority overtakes...
-  EXPECT_EQ(completion_order[2], 2);  // ...the earlier low-priority one
+  const std::vector<std::int64_t>& order = completion_order.ids;
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order[0], 1);  // the blocker finishes first
+  EXPECT_EQ(order[1], 3);  // high priority overtakes...
+  EXPECT_EQ(order[2], 2);  // ...the earlier low-priority one
 }
 
 TEST(InferenceServer, EarliestDeadlineFirstWithinATier) {
-  std::vector<std::int64_t> completion_order;
-  std::mutex order_mu;
+  LastLayerOrder completion_order;
   std::promise<void> blocker_started;
   std::promise<void> release_blocker;
   std::shared_future<void> release = release_blocker.get_future().share();
 
   ServerOptions so;
   so.num_threads = 1;
-  so.completion_hook = [&](const InferenceResult& r) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    completion_order.push_back(r.request_id);
-  };
   InferenceServer server(so);
   const nn::NetworkModel net = tiny_net();
 
   RequestOptions blocker;
-  blocker.weight_init = [&](std::int64_t layer_index,
-                            Tensor<std::int16_t>& kernels) {
-    if (layer_index == 0) {
-      blocker_started.set_value();
-      release.wait();
-    }
-    Rng rng(7);
-    kernels.fill_random(rng, -16, 16);
-  };
+  blocker.weight_init = completion_order.record(
+      1, [&](std::int64_t layer_index, Tensor<std::int16_t>& kernels) {
+        if (layer_index == 0) {
+          blocker_started.set_value();
+          release.wait();
+        }
+        seeded_weights(layer_index, kernels);
+      });
   auto f1 = server.submit(net, 1, blocker);
   blocker_started.get_future().wait();
 
@@ -465,6 +499,9 @@ TEST(InferenceServer, EarliestDeadlineFirstWithinATier) {
   RequestOptions loose, tight;
   loose.deadline_ms = 60e3;              // id 3
   tight.deadline_ms = 30e3;              // id 4
+  none.weight_init = completion_order.record(2);
+  loose.weight_init = completion_order.record(3);
+  tight.weight_init = completion_order.record(4);
   auto f2 = server.submit(net, 1, none);
   auto f3 = server.submit(net, 1, loose);
   auto f4 = server.submit(net, 1, tight);
@@ -475,11 +512,12 @@ TEST(InferenceServer, EarliestDeadlineFirstWithinATier) {
   (void)f4.get();
   server.wait_idle();
 
-  ASSERT_EQ(completion_order.size(), 4u);
-  EXPECT_EQ(completion_order[0], 1);
-  EXPECT_EQ(completion_order[1], 4);  // tightest deadline first
-  EXPECT_EQ(completion_order[2], 3);
-  EXPECT_EQ(completion_order[3], 2);  // no deadline goes last
+  const std::vector<std::int64_t>& order = completion_order.ids;
+  ASSERT_EQ(order.size(), 4u);
+  EXPECT_EQ(order[0], 1);
+  EXPECT_EQ(order[1], 4);  // tightest deadline first
+  EXPECT_EQ(order[2], 3);
+  EXPECT_EQ(order[3], 2);  // no deadline goes last
 }
 
 TEST(InferenceServer, PreemptionCheckpointsAndResumesBitIdentical) {
@@ -488,8 +526,7 @@ TEST(InferenceServer, PreemptionCheckpointsAndResumesBitIdentical) {
   // must checkpoint the tier-0 run at the layer-1 boundary, serve the
   // tier-1 request first, then resume the checkpoint — and the resumed
   // result must be bit-identical to running the request undisturbed.
-  std::vector<std::int64_t> completion_order;
-  std::mutex order_mu;
+  LastLayerOrder completion_order;
   std::promise<void> blocker_started;
   std::promise<void> release_blocker;
   std::shared_future<void> release = release_blocker.get_future().share();
@@ -498,10 +535,6 @@ TEST(InferenceServer, PreemptionCheckpointsAndResumesBitIdentical) {
   ServerOptions so;
   so.num_threads = 1;
   so.enable_preemption = true;
-  so.completion_hook = [&](const InferenceResult& r) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    completion_order.push_back(r.request_id);
-  };
   InferenceServer server(so);
   const nn::NetworkModel net = tiny_net();
   const Tensor<std::int16_t> input = tiny_input(1, 321);
@@ -513,18 +546,20 @@ TEST(InferenceServer, PreemptionCheckpointsAndResumesBitIdentical) {
     k.fill_random(rng, -16, 16);
   };
   RequestOptions victim;  // id 1, tier 0
-  victim.weight_init = [&](std::int64_t layer, Tensor<std::int16_t>& k) {
-    if (layer == 0 && !gated.exchange(true)) {
-      blocker_started.set_value();
-      release.wait();
-    }
-    weights(layer, k);
-  };
+  victim.weight_init = completion_order.record(
+      1, [&](std::int64_t layer, Tensor<std::int16_t>& k) {
+        if (layer == 0 && !gated.exchange(true)) {
+          blocker_started.set_value();
+          release.wait();
+        }
+        weights(layer, k);
+      });
   auto victim_future = server.submit(net, input, victim);
   blocker_started.get_future().wait();
 
   RequestOptions urgent;  // id 2, tier 1 — queued while the victim runs
   urgent.priority = 1;
+  urgent.weight_init = completion_order.record(2);
   auto urgent_future = server.submit(net, 1, urgent);
   release_blocker.set_value();
 
@@ -540,9 +575,10 @@ TEST(InferenceServer, PreemptionCheckpointsAndResumesBitIdentical) {
   // resumed run (queue time between them excluded).
   EXPECT_GT(vr.wall_ms, 0.0);
   EXPECT_FALSE(ur.resumed);
-  ASSERT_EQ(completion_order.size(), 2u);
-  EXPECT_EQ(completion_order[0], 2);  // the urgent request went first
-  EXPECT_EQ(completion_order[1], 1);
+  const std::vector<std::int64_t>& order = completion_order.ids;
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0], 2);  // the urgent request went first
+  EXPECT_EQ(order[1], 1);
 
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed, 2);

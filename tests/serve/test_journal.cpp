@@ -203,6 +203,17 @@ TEST(Journal, AppendsAndFsyncBatching) {
               tag);
 }
 
+TEST(Journal, FsyncFailureThrowsAndIsNotCounted) {
+  // fsync on /dev/null fails (EINVAL on Linux) while write() succeeds, so
+  // this isolates the fsync path: both the batched fsync in append() and
+  // an explicit sync() must surface the failure, and neither counts.
+  Journal journal({"/dev/null", /*fsync_every_records=*/1});
+  EXPECT_THROW(journal.append(encode_complete(1)), JournalError);
+  EXPECT_THROW(journal.sync(), JournalError);
+  EXPECT_EQ(journal.stats().records_appended, 1);
+  EXPECT_EQ(journal.stats().fsyncs, 0);
+}
+
 TEST(Journal, ConcurrentAppendsNeverInterleave) {
   const std::string path = temp_path("concurrent.jrnl");
   constexpr int kThreads = 4;
