@@ -1,6 +1,6 @@
 // Parallel Pareto design-space search: expands the
 // (chain length x clock x kernel storage x oMemory x per-layer channel
-// mode) grid from the paper's 576-PE/700MHz seed with the no-hierarchy
+// mode) grid from the paper's 576-PE/700MHz seed with the tensor-free
 // closed-form evaluator, prunes dominated points, and emits the Pareto
 // frontier as a machine-readable artifact (pareto.json) plus a markdown
 // table.

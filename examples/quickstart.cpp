@@ -86,16 +86,16 @@ int main(int argc, char** argv) {
             << ")\n\n"
             << "traffic — DRAM "
             << strings::fmt_bytes(
-                   static_cast<double>(res.traffic.dram_bytes), 1)
+                   static_cast<double>(res.traffic.dram_total()), 1)
             << ", iMemory "
             << strings::fmt_bytes(
-                   static_cast<double>(res.traffic.imemory_bytes), 1)
+                   static_cast<double>(res.traffic.imem_total()), 1)
             << ", kMemory "
             << strings::fmt_bytes(
-                   static_cast<double>(res.traffic.kmemory_bytes), 1)
+                   static_cast<double>(res.traffic.kmem_total()), 1)
             << ", oMemory "
             << strings::fmt_bytes(
-                   static_cast<double>(res.traffic.omemory_bytes), 1)
+                   static_cast<double>(res.traffic.omem_total()), 1)
             << "\n";
   return exact ? 0 : 2;
 }

@@ -31,31 +31,6 @@ RunStats analytical_stats(const dataflow::ExecutionPlan& plan,
   return stats;
 }
 
-// Charges the closed-form traffic of `plan` to the hierarchy so that the
-// counter deltas (and any later inspection of the hierarchy totals) are
-// identical to a cycle-accurate run. model_traffic's per-operand byte
-// counts already equal the controller's measured charges exactly
-// (Accelerator.MeasuredTrafficMatchesAnalyticModel).
-void charge_analytical_traffic(const dataflow::ExecutionPlan& plan,
-                               std::int64_t batch,
-                               mem::MemoryHierarchy& hierarchy) {
-  const std::uint64_t wb = hierarchy.config().word_bytes;
-  const dataflow::LayerTrafficModel t = dataflow::model_traffic(
-      plan, batch, {wb, hierarchy.config().imemory_bytes, false});
-  hierarchy.imemory().read_words(t.imem_reads / wb);
-  hierarchy.imemory().write_words(t.imem_writes / wb);
-  hierarchy.kmemory().read_words(t.kmem_reads / wb);
-  hierarchy.kmemory().write_words(t.kmem_writes / wb);
-  hierarchy.omemory().read_words(t.omem_reads / wb);
-  hierarchy.omemory().write_words(t.omem_writes / wb);
-  hierarchy.dram().read_bytes(mem::Operand::kIfmap, t.dram_ifmap);
-  hierarchy.dram().read_bytes(mem::Operand::kKernel, t.dram_kernel);
-  hierarchy.dram().write_bytes(mem::Operand::kOfmap, t.dram_ofmap);
-  // Psum spill between channel residencies is one write + one read back.
-  hierarchy.dram().write_bytes(mem::Operand::kPsum, t.dram_psum / 2);
-  hierarchy.dram().read_bytes(mem::Operand::kPsum, t.dram_psum / 2);
-}
-
 }  // namespace
 
 double LayerRunResult::seconds() const {
@@ -79,7 +54,6 @@ double LayerRunResult::utilization() const {
 ChainAccelerator::ChainAccelerator(const AcceleratorConfig& cfg,
                                    std::shared_ptr<serve::PlanCache> plan_cache)
     : cfg_(cfg),
-      hierarchy_(cfg.memory),
       plan_cache_(plan_cache ? std::move(plan_cache)
                              : std::make_shared<serve::PlanCache>()) {}
 
@@ -90,15 +64,13 @@ dataflow::ExecutionPlan ChainAccelerator::plan(
 
 LayerRunResult ChainAccelerator::run_layer(
     const nn::ConvLayerParams& layer, const Tensor<std::int16_t>& ifmaps,
-    const Tensor<std::int16_t>& kernels, const Tensor<std::int16_t>* bias) {
+    const Tensor<std::int16_t>& kernels,
+    const Tensor<std::int16_t>* bias) const {
   if (bias) CHAINNN_CHECK(bias->shape() == Shape({layer.out_channels}));
 
   LayerRunResult result;
   result.plan = plan_cache_->plan_for(layer, cfg_.array, cfg_.memory);
 
-  const mem::HierarchySnapshot before = mem::snapshot(hierarchy_);
-  nn::ConvDispatch dispatch;
-  bool dispatched = false;
   if (cfg_.exec_mode == ExecMode::kAnalytical) {
     // Fast path: the golden fixed-point model produces the exact
     // accumulator surface the chain would (it is the oracle the
@@ -111,26 +83,19 @@ LayerRunResult ChainAccelerator::run_layer(
                          layer.kernel, layer.kernel}));
     if (cfg_.psum_storage == PsumStorage::kWide) {
       result.accumulators = nn::conv2d_fixed_accum_dispatch(
-          layer, ifmaps, kernels, &dispatch,
+          layer, ifmaps, kernels, nullptr,
           ArenaAllocator<std::int64_t>(cfg_.arena));
-      dispatched = true;
     } else {
       result.accumulators =
           staged_reference(cfg_, result.plan, ifmaps, kernels);
     }
     result.stats = analytical_stats(result.plan, layer.batch);
-    charge_analytical_traffic(result.plan, layer.batch, hierarchy_);
+    result.traffic = dataflow::model_traffic(result.plan, layer.batch);
   } else {
-    LayerController controller(cfg_, result.plan, hierarchy_);
-    result.accumulators = controller.run(ifmaps, kernels, result.stats);
+    LayerController controller(cfg_, result.plan);
+    result.accumulators =
+        controller.run(ifmaps, kernels, result.stats, result.traffic);
   }
-  // Host-side bookkeeping, set after the engines so the analytical path's
-  // wholesale stats replacement cannot drop it.
-  if (dispatched) {
-    result.stats.kernel_fast_dispatches = dispatch.fast ? 1 : 0;
-    result.stats.kernel_scalar_dispatches = dispatch.fast ? 0 : 1;
-  }
-  result.traffic = mem::traffic_since(hierarchy_, before, layer.name);
 
   // Requantize to 16-bit ofmaps. Uninit: the loop below writes every
   // element; pooled so repeated layer shapes reuse one surface.
@@ -167,7 +132,8 @@ LayerRunResult ChainAccelerator::run_layer(
 
 ChainAccelerator::FloatRunResult ChainAccelerator::run_layer_float(
     const nn::ConvLayerParams& layer, const Tensor<float>& ifmaps,
-    const Tensor<float>& kernels, fixed::NarrowingStats* quantization) {
+    const Tensor<float>& kernels,
+    fixed::NarrowingStats* quantization) const {
   const auto xq = fixed::quantize(ifmaps.data(), cfg_.ifmap_fmt,
                                   cfg_.rounding);
   const auto wq = fixed::quantize(kernels.data(), cfg_.kernel_fmt,

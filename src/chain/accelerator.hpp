@@ -1,11 +1,13 @@
 // ChainAccelerator — the public entry point of the Chain-NN library.
 //
-// Wraps the dataflow compiler (ExecutionPlan), the register-level chain
-// model (SystolicChain + LayerController) and the memory hierarchy into
+// Wraps the dataflow compiler (ExecutionPlan, through a plan cache) and
+// the register-level chain model (SystolicChain + LayerController) into
 // one object that runs convolutional layers bit-exactly and reports
 // cycles, utilization and per-memory traffic. AcceleratorConfig::exec_mode
 // selects between the cycle-accurate controller and the analytical fast
-// path (same results, closed-form accounting — see config.hpp).
+// path (same results, closed-form accounting — see config.hpp). It holds
+// only its config and its plan cache, so run_layer is const and returns
+// each layer's traffic in its result.
 //
 // Typical use (see examples/quickstart.cpp):
 //
@@ -14,7 +16,8 @@
 //   auto result = acc.run_layer(layer, ifmaps, kernels);
 //   // result.ofmaps    — 16-bit ofmaps (bit-exact vs. the golden model)
 //   // result.stats     — cycles, windows, MACs
-//   // result.traffic   — DRAM / iMemory / kMemory / oMemory bytes
+//   // result.traffic   — bytes per memory level (DRAM per operand,
+//   //                    iMemory / kMemory / oMemory reads and writes)
 #pragma once
 
 #include <cstdint>
@@ -27,7 +30,6 @@
 #include "chain/controller.hpp"
 #include "dataflow/plan.hpp"
 #include "dataflow/traffic.hpp"
-#include "mem/hierarchy.hpp"
 #include "nn/conv_params.hpp"
 #include "serve/plan_cache.hpp"
 #include "tensor/tensor.hpp"
@@ -39,7 +41,7 @@ struct LayerRunResult {
   Tensor<std::int64_t> accumulators;  // wide psums (or staged partials)
   Tensor<std::int16_t> ofmaps;        // requantized outputs
   RunStats stats;
-  mem::LayerTraffic traffic;          // measured (counter deltas)
+  dataflow::LayerTraffic traffic;     // bytes moved per memory level
   fixed::NarrowingStats narrowing;
 
   // Seconds for the whole batch at the configured clock.
@@ -67,21 +69,16 @@ class ChainAccelerator {
   [[nodiscard]] const std::shared_ptr<serve::PlanCache>& plan_cache() const {
     return plan_cache_;
   }
-  [[nodiscard]] mem::MemoryHierarchy& hierarchy() { return hierarchy_; }
-  [[nodiscard]] const mem::MemoryHierarchy& hierarchy() const {
-    return hierarchy_;
-  }
 
   // Runs one conv layer (whole batch) under cfg.exec_mode: either the
   // cycle-accurate chain model or the analytical fast path, which
-  // returns bit-identical ofmaps/accumulators and identical cycle and
-  // per-level traffic totals orders of magnitude faster.
+  // returns bit-identical ofmaps/accumulators and identical cycles and
+  // traffic orders of magnitude faster.
   // `bias`, if given, is {M} in ofmap format, applied at requantization.
-  // The batch's traffic is charged to this accelerator's hierarchy.
   [[nodiscard]] LayerRunResult run_layer(
       const nn::ConvLayerParams& layer, const Tensor<std::int16_t>& ifmaps,
       const Tensor<std::int16_t>& kernels,
-      const Tensor<std::int16_t>* bias = nullptr);
+      const Tensor<std::int16_t>* bias = nullptr) const;
 
   // Plans a layer without running it (for sizing / DSE).
   [[nodiscard]] dataflow::ExecutionPlan plan(
@@ -98,11 +95,10 @@ class ChainAccelerator {
   [[nodiscard]] FloatRunResult run_layer_float(
       const nn::ConvLayerParams& layer, const Tensor<float>& ifmaps,
       const Tensor<float>& kernels,
-      fixed::NarrowingStats* quantization = nullptr);
+      fixed::NarrowingStats* quantization = nullptr) const;
 
  private:
   AcceleratorConfig cfg_;
-  mem::MemoryHierarchy hierarchy_;
   std::shared_ptr<serve::PlanCache> plan_cache_;
 };
 

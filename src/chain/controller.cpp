@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "dataflow/traffic.hpp"
 
 namespace chainnn::chain {
 
@@ -23,11 +22,9 @@ void LayerController::enter_state(ControllerState s) {
 }
 
 LayerController::LayerController(const AcceleratorConfig& cfg,
-                                 const dataflow::ExecutionPlan& plan,
-                                 mem::MemoryHierarchy& hierarchy)
+                                 const dataflow::ExecutionPlan& plan)
     : cfg_(cfg),
       plan_(plan),
-      hierarchy_(hierarchy),
       chain_(plan.primitives, plan.taps, plan.array.kmem_words_per_pe) {
   // Resident-kernel groups: chunks of `primitives` kernels, never mixing
   // convolution groups (resident kernels share the ifmap stream).
@@ -49,7 +46,8 @@ LayerController::LayerController(const AcceleratorConfig& cfg,
 void LayerController::load_kernels_for(const MGroup& mg,
                                        std::int64_t c_tile_idx,
                                        const Tensor<std::int16_t>& kernels,
-                                       RunStats& stats) {
+                                       RunStats& stats,
+                                       dataflow::LayerTraffic& traffic) {
   enter_state(ControllerState::kLoadKernels);
   const nn::ConvLayerParams& layer = plan_.layer;
   const auto n_subs = static_cast<std::int64_t>(plan_.subconvs.size());
@@ -80,16 +78,17 @@ void LayerController::load_kernels_for(const MGroup& mg,
     }
   }
   stats.kernel_load_cycles += loads;  // 1 word per cycle (§V.B)
-  hierarchy_.kmemory().write_words(static_cast<std::uint64_t>(loads));
-  hierarchy_.dram().read_bytes(
-      mem::Operand::kKernel,
-      static_cast<std::uint64_t>(loads) * hierarchy_.config().word_bytes);
+  const std::uint64_t bytes =
+      static_cast<std::uint64_t>(loads) * plan_.memory.word_bytes;
+  traffic.kmem_writes += bytes;
+  traffic.dram_kernel += bytes;
 }
 
 void LayerController::accumulate(Tensor<std::int64_t>& acc, std::int64_t n,
                                  std::int64_t m, std::int64_t oy,
                                  std::int64_t ox, std::int64_t psum,
-                                 bool first_pass) {
+                                 bool first_pass,
+                                 dataflow::LayerTraffic& traffic) {
   std::int64_t& slot = acc.at(n, m, oy, ox);
   if (cfg_.psum_storage == PsumStorage::kWide) {
     fixed::Accumulator48 a(slot);
@@ -107,8 +106,8 @@ void LayerController::accumulate(Tensor<std::int64_t>& acc, std::int64_t n,
     sum = std::clamp<std::int64_t>(sum, -32768, 32767);
     slot = sum;
   }
-  hierarchy_.omemory().write_words(1);
-  if (!first_pass) hierarchy_.omemory().read_words(1);
+  traffic.omem_writes += plan_.memory.word_bytes;
+  if (!first_pass) traffic.omem_reads += plan_.memory.word_bytes;
 }
 
 void LayerController::run_pass(const MGroup& mg, std::int64_t image,
@@ -116,7 +115,8 @@ void LayerController::run_pass(const MGroup& mg, std::int64_t image,
                                const dataflow::Strip& strip,
                                std::int64_t c_abs, std::int64_t c_local,
                                const Tensor<std::int16_t>& ifmaps,
-                               Tensor<std::int64_t>& acc, RunStats& stats) {
+                               Tensor<std::int64_t>& acc, RunStats& stats,
+                               dataflow::LayerTraffic& traffic) {
   enter_state(ControllerState::kStream);
   const nn::ConvLayerParams& layer = plan_.layer;
   const dataflow::SubConvPlan& sp = plan_.subconvs[sub_index];
@@ -130,7 +130,8 @@ void LayerController::run_pass(const MGroup& mg, std::int64_t image,
   // Latch this pass's weights from kMemory into the MAC operand registers.
   const std::int64_t word = c_local * n_subs + sub_index;
   const std::int64_t kmem_reads = chain_.latch_weights(sub.taps(), word);
-  hierarchy_.kmemory().read_words(static_cast<std::uint64_t>(kmem_reads));
+  traffic.kmem_reads +=
+      static_cast<std::uint64_t>(kmem_reads) * plan_.memory.word_bytes;
 
   chain_.reset_pass_state();
 
@@ -141,8 +142,8 @@ void LayerController::run_pass(const MGroup& mg, std::int64_t image,
   const std::int64_t e_h = layer.out_height();
   const std::int64_t e_w = layer.out_width();
 
-  // Fetch one channel pixel for a scheduled slot, charging iMemory for
-  // real (non-padding) pixels.
+  // Fetch one channel pixel for a scheduled slot, counting an iMemory
+  // read for real (non-padding) pixels.
   auto fetch = [&](const std::optional<ScheduledPixel>& px) -> std::int16_t {
     if (!px) return 0;
     const std::int64_t dec_row = strip.first_out_row + px->row;
@@ -153,7 +154,7 @@ void LayerController::run_pass(const MGroup& mg, std::int64_t image,
     const std::int64_t c = pc - layer.pad_cols();
     if (r < 0 || r >= layer.in_height || c < 0 || c >= layer.in_width)
       return 0;  // padding, synthesized rather than read
-    hierarchy_.imemory().read_words(1);
+    traffic.imem_reads += plan_.memory.word_bytes;
     return ifmaps.at(image, c_abs, r, c);
   };
 
@@ -172,7 +173,7 @@ void LayerController::run_pass(const MGroup& mg, std::int64_t image,
     if (oy >= e_h || ox >= e_w) continue;
     for (std::int64_t q = 0; q < mg.kernels_resident; ++q) {
       accumulate(acc, image, mg.first_m + q, oy, ox, chain_.output(q),
-                 first_pass);
+                 first_pass, traffic);
       ++stats.windows_collected;
       stats.macs_performed += sub.taps();
     }
@@ -183,7 +184,8 @@ void LayerController::run_pass(const MGroup& mg, std::int64_t image,
 
 Tensor<std::int64_t> LayerController::run(const Tensor<std::int16_t>& ifmaps,
                                           const Tensor<std::int16_t>& kernels,
-                                          RunStats& stats) {
+                                          RunStats& stats,
+                                          dataflow::LayerTraffic& traffic) {
   const nn::ConvLayerParams& layer = plan_.layer;
   CHAINNN_CHECK(ifmaps.shape() == Shape({layer.batch, layer.in_channels,
                                          layer.in_height, layer.in_width}));
@@ -194,6 +196,7 @@ Tensor<std::int64_t> LayerController::run(const Tensor<std::int16_t>& ifmaps,
   Tensor<std::int64_t> acc(Shape{layer.batch, layer.out_channels,
                                  layer.out_height(), layer.out_width()});
 
+  const std::uint64_t wb = plan_.memory.word_bytes;
   // DRAM ifmap fetch policy must match dataflow::model_traffic: compute
   // whether strips can be fetched once and re-streamed across m-groups.
   std::uint64_t max_strip_bytes = 0;
@@ -202,19 +205,16 @@ Tensor<std::int64_t> LayerController::run(const Tensor<std::int16_t>& ifmaps,
       max_strip_bytes = std::max(
           max_strip_bytes,
           static_cast<std::uint64_t>(dataflow::strip_real_pixels(
-              layer, sp.sub, strip)) *
-              hierarchy_.config().word_bytes);
+              layer, sp.sub, strip)) * wb);
   const bool fetch_once = plan_.all_kernels_resident &&
-                          max_strip_bytes * 2 <=
-                              hierarchy_.config().imemory_bytes;
+                          max_strip_bytes * 2 <= plan_.memory.imemory_bytes;
 
   const std::int64_t e_h = layer.out_height();
-  const auto wb = hierarchy_.config().word_bytes;
 
   bool first_mgroup = true;
   for (const MGroup& mg : m_groups_) {
     for (std::int64_t ct = 0; ct < plan_.c_tiles; ++ct) {
-      load_kernels_for(mg, ct, kernels, stats);
+      load_kernels_for(mg, ct, kernels, stats, traffic);
       const std::int64_t c_base = ct * plan_.c_tile;
       const std::int64_t c_limit =
           std::min(plan_.c_tile, layer.channels_per_group() - c_base);
@@ -231,7 +231,10 @@ Tensor<std::int64_t> LayerController::run(const Tensor<std::int16_t>& ifmaps,
               static_cast<std::uint64_t>(mg.kernels_resident) *
               static_cast<std::uint64_t>(b_end - b) *
               static_cast<std::uint64_t>(layer.out_width()) * wb;
-          hierarchy_.omemory().reserve(block_bytes);
+          CHAINNN_CHECK_MSG(block_bytes <= plan_.memory.omemory_bytes,
+                            "oMemory: a row block's partials ("
+                                << block_bytes << "B) exceed its "
+                                << plan_.memory.omemory_bytes << "B");
           const auto n_subs =
               static_cast<std::int64_t>(plan_.subconvs.size());
           for (std::int64_t si = 0; si < n_subs; ++si) {
@@ -247,14 +250,14 @@ Tensor<std::int64_t> LayerController::run(const Tensor<std::int16_t>& ifmaps,
                                              layer, plan_.subconvs[si].sub,
                                              strip)) *
                                      wb;
-                  hierarchy_.dram().read_bytes(mem::Operand::kIfmap, bytes);
-                  hierarchy_.imemory().write_words(bytes / wb);
+                  traffic.dram_ifmap += bytes;
+                  traffic.imem_writes += bytes;
                 }
-                run_pass(mg, n, si, strip, c_abs, cl, ifmaps, acc, stats);
+                run_pass(mg, n, si, strip, c_abs, cl, ifmaps, acc, stats,
+                         traffic);
               }
             }
           }
-          hierarchy_.omemory().release(block_bytes);
         }
         // Psum spill between channel residencies (c_tiles > 1).
         if (plan_.c_tiles > 1 && ct + 1 < plan_.c_tiles) {
@@ -262,8 +265,7 @@ Tensor<std::int64_t> LayerController::run(const Tensor<std::int16_t>& ifmaps,
               static_cast<std::uint64_t>(mg.kernels_resident) *
               static_cast<std::uint64_t>(e_h) *
               static_cast<std::uint64_t>(layer.out_width()) * wb;
-          hierarchy_.dram().write_bytes(mem::Operand::kPsum, spill);
-          hierarchy_.dram().read_bytes(mem::Operand::kPsum, spill);
+          traffic.dram_psum += 2 * spill;  // written out, read back
         }
       }
     }
@@ -271,10 +273,9 @@ Tensor<std::int64_t> LayerController::run(const Tensor<std::int16_t>& ifmaps,
   }
 
   // Final ofmap writeback.
-  hierarchy_.dram().write_bytes(
-      mem::Operand::kOfmap,
+  traffic.dram_ofmap +=
       static_cast<std::uint64_t>(layer.ofmap_pixels_per_image()) *
-          static_cast<std::uint64_t>(layer.batch) * wb);
+      static_cast<std::uint64_t>(layer.batch) * wb;
 
   enter_state(ControllerState::kDrain);
   stats.drain_cycles = dataflow::layer_cycles(plan_, plan_.array).drain;

@@ -8,7 +8,8 @@
 //   m_group -> c_tile -> [load kernels] -> image -> phase -> strip -> c
 // and for every pass drives the SystolicChain one stream slot per cycle,
 // collecting completed windows into the accumulation surface (the
-// logical oMemory content), charging all memories as it goes.
+// logical oMemory content) and counting every memory access it makes
+// into the layer's dataflow::LayerTraffic.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,7 @@
 #include "chain/chain_core.hpp"
 #include "chain/config.hpp"
 #include "dataflow/plan.hpp"
-#include "mem/hierarchy.hpp"
+#include "dataflow/traffic.hpp"
 #include "tensor/tensor.hpp"
 
 namespace chainnn::chain {
@@ -35,14 +36,6 @@ struct RunStats {
   std::int64_t macs_performed = 0;  // real (non-masked) MACs
   std::int64_t passes = 0;
 
-  // Analytical MAC-kernel routing (host-side accounting, never part of
-  // the modelled cycles): layer runs dispatched to the vectorized
-  // saturation-free fast path vs the exact scalar sticky-clamp reference
-  // (see nn/conv_kernel.hpp). Both stay 0 for cycle-accurate and
-  // staged-psum runs, which don't go through the dispatcher.
-  std::int64_t kernel_fast_dispatches = 0;
-  std::int64_t kernel_scalar_dispatches = 0;
-
   [[nodiscard]] std::int64_t total_cycles() const {
     return kernel_load_cycles + stream_cycles + drain_cycles;
   }
@@ -51,17 +44,21 @@ struct RunStats {
 // Runs one layer, bit-exactly, on the register-level chain model.
 class LayerController {
  public:
+  // Memory sizes (word size, iMemory and oMemory capacity) are read from
+  // plan.memory.
   LayerController(const AcceleratorConfig& cfg,
-                  const dataflow::ExecutionPlan& plan,
-                  mem::MemoryHierarchy& hierarchy);
+                  const dataflow::ExecutionPlan& plan);
 
   // `ifmaps` {N,C,H,W} and `kernels` {M,C/g,K,K} are raw 16-bit words.
   // Returns wide accumulators {N,M,E_h,E_w}; `stats` receives the cycle
-  // accounting. In kStaged16 mode the accumulators hold the staged
-  // 16-bit partials (sign-extended).
+  // accounting and `traffic` the bytes moved at every memory level. In
+  // kStaged16 mode the accumulators hold the staged 16-bit partials
+  // (sign-extended). Throws std::logic_error if a row block's partials
+  // exceed plan.memory.omemory_bytes.
   [[nodiscard]] Tensor<std::int64_t> run(const Tensor<std::int16_t>& ifmaps,
                                          const Tensor<std::int16_t>& kernels,
-                                         RunStats& stats);
+                                         RunStats& stats,
+                                         dataflow::LayerTraffic& traffic);
 
   [[nodiscard]] ControllerState state() const { return state_; }
 
@@ -81,24 +78,24 @@ class LayerController {
 
   void load_kernels_for(const MGroup& mg, std::int64_t c_tile_idx,
                         const Tensor<std::int16_t>& kernels,
-                        RunStats& stats);
+                        RunStats& stats, dataflow::LayerTraffic& traffic);
   void run_pass(const MGroup& mg, std::int64_t image,
                 std::int64_t sub_index, const dataflow::Strip& strip,
                 std::int64_t c_abs, std::int64_t c_local,
                 const Tensor<std::int16_t>& ifmaps,
-                Tensor<std::int64_t>& acc, RunStats& stats);
+                Tensor<std::int64_t>& acc, RunStats& stats,
+                dataflow::LayerTraffic& traffic);
 
   // Accumulates one completed window psum into the surface under the
-  // configured PsumStorage policy; charges oMemory.
+  // configured PsumStorage policy; counts the oMemory accesses.
   void accumulate(Tensor<std::int64_t>& acc, std::int64_t n, std::int64_t m,
                   std::int64_t oy, std::int64_t ox, std::int64_t psum,
-                  bool first_pass);
+                  bool first_pass, dataflow::LayerTraffic& traffic);
 
   void enter_state(ControllerState s);
 
   const AcceleratorConfig& cfg_;
   const dataflow::ExecutionPlan& plan_;
-  mem::MemoryHierarchy& hierarchy_;
   SystolicChain chain_;
   ControllerState state_ = ControllerState::kIdle;
   std::vector<ControllerState> fsm_trace_;

@@ -1,7 +1,6 @@
 #include "chain/network_runner.hpp"
 
 #include <memory>
-#include <optional>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -90,19 +89,13 @@ NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
     }
   }
 
-  // One accelerator runs every layer: the caller's, unless the options
-  // change its engine, arena or plan cache. Then the run gets one
-  // accelerator of its own, so the caller's is never reconfigured.
+  // One accelerator, built from the effective config and cache, runs
+  // every layer.
   AcceleratorConfig cfg = acc_.config();
   if (options.exec_mode) cfg.exec_mode = *options.exec_mode;
   if (options.arena) cfg.arena = options.arena;
-  const std::shared_ptr<serve::PlanCache>& cache =
-      options.plan_cache ? options.plan_cache : acc_.plan_cache();
-  std::optional<ChainAccelerator> own;
-  if (cfg.exec_mode != acc_.config().exec_mode ||
-      cfg.arena != acc_.config().arena || cache != acc_.plan_cache())
-    own.emplace(cfg, cache);
-  ChainAccelerator& acc = own ? *own : acc_;
+  const ChainAccelerator acc(
+      cfg, options.plan_cache ? options.plan_cache : acc_.plan_cache());
 
   for (std::size_t i = first_layer; i < net.conv_layers.size(); ++i) {
     if (options.cancel_check && options.cancel_check())

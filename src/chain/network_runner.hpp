@@ -118,10 +118,8 @@ struct NetworkRunOptions {
   // Weight initializer; defaults to deterministic small uniforms.
   std::function<void(std::int64_t layer_index, Tensor<std::int16_t>&)>
       weight_init;
-  // The three overrides below leave the caller's accelerator untouched:
-  // a run that changes any of them executes on one accelerator built
-  // for the run from the effective config and cache. A run that changes
-  // none executes on the caller's accelerator.
+  // Every run executes on one accelerator built for it from the
+  // caller's config and cache, with the three overrides below applied.
   //
   // Overrides the accelerator's configured ExecMode for this run (e.g. a
   // cycle-accurate-configured accelerator can profile a network on the
@@ -161,7 +159,7 @@ struct NetworkRunOptions {
 
 class NetworkRunner {
  public:
-  explicit NetworkRunner(ChainAccelerator& accelerator,
+  explicit NetworkRunner(const ChainAccelerator& accelerator,
                          const energy::EnergyModel& energy_model)
       : acc_(accelerator), energy_(energy_model) {}
 
@@ -173,7 +171,7 @@ class NetworkRunner {
                                      const NetworkRunOptions& options = {});
 
  private:
-  ChainAccelerator& acc_;
+  const ChainAccelerator& acc_;
   const energy::EnergyModel& energy_;
 };
 

@@ -1,10 +1,10 @@
-// No-hierarchy point costing — the closed-form fast path the design-space
+// Tensor-free point costing — the closed-form fast path the design-space
 // search evaluates millions of points with.
 //
 // The executed path (ChainAccelerator → NetworkRunner → SweepDriver)
 // computes per-layer cycles from dataflow::layer_cycles, then *also*
-// allocates tensors, streams them, and charges a mem::MemoryHierarchy —
-// none of which changes the rolled-up cycles/seconds/energy figures.
+// allocates tensors and streams them through an engine — none of which
+// changes the rolled-up cycles/seconds/energy figures.
 // estimate_point_cost() keeps only the arithmetic:
 //
 //   cycles_l  = layer_cycles(plan, array).total(batch)
@@ -38,7 +38,7 @@
 
 namespace chainnn::dataflow {
 
-// The per-layer invariants of the no-hierarchy cost path: everything a
+// The per-layer invariants of the tensor-free cost path: everything a
 // point's cycles/energy need that does not depend on clock frequency or
 // batch size. Derived once per (layer, chain structure, channel mode)
 // and reused across every point sharing them.

@@ -44,30 +44,14 @@ std::int64_t strip_real_pixels_single_channel(
   return rows * cols;
 }
 
-// Strip pixels counting materialized padding as streamed words (the
-// accounting the paper's Table IV iMemory column appears to use: its
-// conv3 number matches padded streaming, not real-pixel streaming).
-std::int64_t strip_padded_pixels(const nn::ConvLayerParams& layer,
-                                 const SubConv& sub, const Strip& strip) {
-  (void)layer;
-  std::int64_t rows = 0;
-  const std::int64_t last_row =
-      strip.first_out_row + strip.out_rows + sub.kernel_rows - 2;
-  for (std::int64_t r = strip.first_out_row; r <= last_row; ++r)
-    if (r >= 0 && r < sub.in_rows) ++rows;
-  return rows * sub.in_cols;
-}
-
 std::int64_t strip_real_pixels(const nn::ConvLayerParams& layer,
                                const SubConv& sub, const Strip& strip) {
   // Strip streams decimated rows [first_out_row, first_out_row +
   // out_rows + K_r - 2], clipped to the decimated grid; of those, count
   // positions that land on real (non-padding) image pixels.
-  const std::int64_t s = layer.stride;
   std::int64_t real_rows = 0;
   const std::int64_t last_row =
       strip.first_out_row + strip.out_rows + sub.kernel_rows - 2;
-  (void)s;
   for (std::int64_t r = strip.first_out_row; r <= last_row; ++r)
     if (row_is_real(layer, sub, r)) ++real_rows;
   return real_rows * strip_real_cols(layer, sub);
@@ -94,26 +78,21 @@ double kmem_activity_factor(const ExecutionPlan& plan) {
   return cycles == 0.0 ? 0.0 : reads / cycles;
 }
 
-LayerTrafficModel model_traffic(const ExecutionPlan& plan,
-                                std::int64_t batch,
-                                const TrafficModelOptions& opt) {
+LayerTraffic model_traffic(const ExecutionPlan& plan, std::int64_t batch) {
   CHAINNN_CHECK(batch > 0);
   const nn::ConvLayerParams& layer = plan.layer;
-  const std::uint64_t wb = opt.word_bytes;
-  LayerTrafficModel t;
+  const std::uint64_t wb = plan.memory.word_bytes;
+  LayerTraffic t;
 
   // --- streamed pixels per channel pass -----------------------------------
   std::uint64_t streamed_per_channel = 0;  // real pixels, one m-group
   std::uint64_t max_strip_bytes = 0;
   for (const SubConvPlan& sp : plan.subconvs) {
     for (const Strip& strip : sp.strips) {
-      std::int64_t px = 0;
-      if (opt.count_padding_as_stream)
-        px = strip_padded_pixels(layer, sp.sub, strip);
-      else if (plan.array.dual_channel)
-        px = strip_real_pixels(layer, sp.sub, strip);
-      else
-        px = strip_real_pixels_single_channel(layer, sp.sub, strip);
+      const std::int64_t px =
+          plan.array.dual_channel
+              ? strip_real_pixels(layer, sp.sub, strip)
+              : strip_real_pixels_single_channel(layer, sp.sub, strip);
       streamed_per_channel += static_cast<std::uint64_t>(px);
       max_strip_bytes = std::max(
           max_strip_bytes,
@@ -136,7 +115,7 @@ LayerTrafficModel model_traffic(const ExecutionPlan& plan,
   // With all kernels resident in kMemory and a strip fitting half of
   // iMemory (double buffering), strips are fetched once and re-streamed
   // across m-groups; otherwise each m-group refetches from DRAM.
-  const bool strip_fits = max_strip_bytes * 2 <= opt.imemory_bytes;
+  const bool strip_fits = max_strip_bytes * 2 <= plan.memory.imemory_bytes;
   const std::uint64_t fetch_factor =
       (plan.all_kernels_resident && strip_fits) ? 1 : m_groups;
   std::uint64_t streamed_once_per_channel = 0;  // without 1/K re-reps

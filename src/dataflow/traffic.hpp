@@ -1,8 +1,13 @@
-// Analytic memory-traffic model — regenerates the paper's Table IV
-// ("memory communication breakdown") from an execution plan.
+// A layer's memory traffic, per level — the row format of the paper's
+// Table IV ("memory communication breakdown"). The column-wise scan makes
+// every level's traffic a closed form of the execution plan (§V.C);
+// model_traffic computes it, the analytical engine returns it as the
+// layer's traffic, and the cycle-accurate controller counts the same ten
+// fields pass by pass (pinned equal, field for field, by
+// Accelerator.MeasuredTrafficMatchesAnalyticModel). bench_table4_memory
+// prints it against the paper.
 //
-// Counting rules (derived in DESIGN.md §4-5 from the paper's §V.C and the
-// Table IV data itself):
+// Counting rules (from §V.C and the Table IV data itself):
 //   iMemory reads  — every real (non-padding) ifmap pixel streamed into
 //                    the chain: one read per pixel per strip pass, i.e.
 //                    about (2K-1)/K reads per pixel per m-group.
@@ -23,17 +28,10 @@
 #include <cstdint>
 
 #include "dataflow/plan.hpp"
-#include "mem/hierarchy.hpp"
 
 namespace chainnn::dataflow {
 
-struct TrafficModelOptions {
-  std::uint64_t word_bytes = 2;         // 16-bit operands
-  std::uint64_t imemory_bytes = 32 * 1024;
-  bool count_padding_as_stream = false;  // pad pixels are generated, not read
-};
-
-struct LayerTrafficModel {
+struct LayerTraffic {
   // Per-batch byte counts, split by operand where meaningful.
   std::uint64_t dram_ifmap = 0;
   std::uint64_t dram_kernel = 0;
@@ -60,17 +58,18 @@ struct LayerTrafficModel {
   [[nodiscard]] std::uint64_t omem_total() const {
     return omem_reads + omem_writes;
   }
+
+  friend bool operator==(const LayerTraffic&, const LayerTraffic&) = default;
 };
 
-// Models traffic for `batch` images of the planned layer.
-[[nodiscard]] LayerTrafficModel model_traffic(const ExecutionPlan& plan,
-                                              std::int64_t batch,
-                                              const TrafficModelOptions& opt =
-                                                  {});
+// Traffic for `batch` images of the planned layer; word size and iMemory
+// capacity come from plan.memory.
+[[nodiscard]] LayerTraffic model_traffic(const ExecutionPlan& plan,
+                                         std::int64_t batch);
 
 // Real (non-padding) pixels streamed for one strip of one channel of one
 // sub-convolution — exposed for tests and for the cycle simulator, which
-// must charge iMemory identically.
+// must count iMemory and DRAM fetches identically.
 [[nodiscard]] std::int64_t strip_real_pixels(const nn::ConvLayerParams& layer,
                                              const SubConv& sub,
                                              const Strip& strip);
@@ -78,13 +77,6 @@ struct LayerTrafficModel {
 // Same, for the single-channel (Fig. 5(a)) pattern, which re-streams each
 // output row's K_r-row band.
 [[nodiscard]] std::int64_t strip_real_pixels_single_channel(
-    const nn::ConvLayerParams& layer, const SubConv& sub,
-    const Strip& strip);
-
-// Strip pixels counting materialized zero-padding as streamed words (the
-// accounting Table IV's iMemory column uses — see model_traffic's
-// count_padding_as_stream option).
-[[nodiscard]] std::int64_t strip_padded_pixels(
     const nn::ConvLayerParams& layer, const SubConv& sub,
     const Strip& strip);
 

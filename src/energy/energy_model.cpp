@@ -100,14 +100,12 @@ ActivityRates rates_from_plan(const dataflow::ExecutionPlan& plan) {
   r.active_pe_fraction = static_cast<double>(plan.active_pes) /
                          static_cast<double>(plan.array.num_pes);
 
-  const dataflow::LayerTrafficModel t = dataflow::model_traffic(plan, 1);
-  const double wb = 2.0;
-  r.imem_accesses_per_cycle =
-      static_cast<double>(t.imem_reads + t.imem_writes) / wb / cycles;
-  r.kmem_accesses_per_cycle =
-      static_cast<double>(t.kmem_reads + t.kmem_writes) / wb / cycles;
-  r.omem_accesses_per_cycle =
-      static_cast<double>(t.omem_reads + t.omem_writes) / wb / cycles;
+  // The traffic both engines execute, sized by the plan's own memories.
+  const dataflow::LayerTraffic t = dataflow::model_traffic(plan, 1);
+  const auto wb = static_cast<double>(plan.memory.word_bytes);
+  r.imem_accesses_per_cycle = static_cast<double>(t.imem_total()) / wb / cycles;
+  r.kmem_accesses_per_cycle = static_cast<double>(t.kmem_total()) / wb / cycles;
+  r.omem_accesses_per_cycle = static_cast<double>(t.omem_total()) / wb / cycles;
   return r;
 }
 

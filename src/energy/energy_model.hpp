@@ -92,8 +92,8 @@ class EnergyModel {
 // The paper's Fig. 10 component powers (watts).
 [[nodiscard]] PowerBreakdown paper_power_breakdown();
 
-// Activity rates measured from an executed/planned layer: events per
-// streaming cycle.
+// Activity rates of a planned layer: events per streaming cycle, from the
+// traffic both engines execute (model_traffic, sized by plan.memory).
 [[nodiscard]] ActivityRates rates_from_plan(
     const dataflow::ExecutionPlan& plan);
 

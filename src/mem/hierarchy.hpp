@@ -1,13 +1,10 @@
-// The Chain-NN memory hierarchy instance (Fig. 7 of the paper):
-// off-chip DRAM + iMemory / oMemory on the side of the chain + kMemory
-// distributed into the PEs.
+// The Chain-NN memory sizes (Fig. 7 of the paper): iMemory and oMemory on
+// the side of the chain, kMemory distributed into the PEs, and the word
+// size of every access. Plans carry them (ExecutionPlan::memory) and both
+// engines size their traffic from the plan's copy.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-
-#include "mem/dram.hpp"
-#include "mem/sram.hpp"
 
 namespace chainnn::mem {
 
@@ -17,59 +14,5 @@ struct HierarchyConfig {
   std::uint64_t kmemory_bytes = 295 * 1024;  // §V.B: 295KB over 576 PEs
   std::uint64_t word_bytes = 2;              // 16-bit datapath words
 };
-
-// Owns the four memory models and gives the dataflow/accelerator layers a
-// single object to charge traffic to.
-class MemoryHierarchy {
- public:
-  explicit MemoryHierarchy(const HierarchyConfig& cfg = {});
-
-  [[nodiscard]] SramModel& imemory() { return imemory_; }
-  [[nodiscard]] SramModel& omemory() { return omemory_; }
-  [[nodiscard]] SramModel& kmemory() { return kmemory_; }
-  [[nodiscard]] DramModel& dram() { return dram_; }
-  [[nodiscard]] const SramModel& imemory() const { return imemory_; }
-  [[nodiscard]] const SramModel& omemory() const { return omemory_; }
-  [[nodiscard]] const SramModel& kmemory() const { return kmemory_; }
-  [[nodiscard]] const DramModel& dram() const { return dram_; }
-
-  [[nodiscard]] const HierarchyConfig& config() const { return cfg_; }
-
-  // Total on-chip memory (the paper's "352KB on-chip memory").
-  [[nodiscard]] std::uint64_t total_onchip_bytes() const {
-    return cfg_.imemory_bytes + cfg_.omemory_bytes + cfg_.kmemory_bytes;
-  }
-
-  void reset_stats();
-
- private:
-  HierarchyConfig cfg_;
-  SramModel imemory_;
-  SramModel omemory_;
-  SramModel kmemory_;
-  DramModel dram_;
-};
-
-// Traffic snapshot for one layer — the row format of the paper's
-// Table IV ("memory communication breakdown", MByte per layer).
-struct LayerTraffic {
-  std::string layer_name;
-  std::uint64_t dram_bytes = 0;
-  std::uint64_t imemory_bytes = 0;
-  std::uint64_t kmemory_bytes = 0;
-  std::uint64_t omemory_bytes = 0;
-};
-
-// Captures the difference between two hierarchy snapshots as one layer's
-// traffic (call snapshot() before and after running a layer).
-struct HierarchySnapshot {
-  SramStats imem, omem, kmem;
-  DramStats dram;
-};
-
-[[nodiscard]] HierarchySnapshot snapshot(const MemoryHierarchy& h);
-[[nodiscard]] LayerTraffic traffic_since(const MemoryHierarchy& h,
-                                         const HierarchySnapshot& before,
-                                         const std::string& layer_name);
 
 }  // namespace chainnn::mem

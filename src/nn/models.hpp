@@ -1,9 +1,10 @@
 // Model zoo: the convolutional-layer shapes of the four networks the
 // paper evaluates with (§V.A: MNIST, Cifar-10, AlexNet, VGG-16).
 //
-// Weight values are synthetic (the accelerator's timing/energy behaviour
-// depends only on shapes; numerics are validated separately against the
-// golden models) — see DESIGN.md §2 for the substitution rationale.
+// Weight values are synthetic: the accelerator's timing/energy behaviour
+// depends only on shapes, and numerics are validated separately against
+// the golden models, so trained weights would change no reproduced
+// figure.
 #pragma once
 
 #include <string>

@@ -14,7 +14,7 @@
 //   * canonical-form deduplication: a hash-consed visited set, sharded
 //     and mutex-striped, admits each point exactly once however many
 //     workers discover it simultaneously;
-//   * per-point cost comes from the no-hierarchy closed forms
+//   * per-point cost comes from the tensor-free closed forms
 //     (dataflow::estimate_point_cost's accumulate path) over per-layer
 //     LayerCostModels hash-consed per (chain, kmem, omem, mode) — the
 //     clock axis and the batch never rebuild a plan;

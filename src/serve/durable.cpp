@@ -134,8 +134,6 @@ void write_run_stats(ByteWriter& w, const chain::RunStats& s) {
   w.i64(s.windows_collected);
   w.i64(s.macs_performed);
   w.i64(s.passes);
-  w.i64(s.kernel_fast_dispatches);
-  w.i64(s.kernel_scalar_dispatches);
 }
 
 chain::RunStats read_run_stats(ByteReader& r) {
@@ -146,26 +144,34 @@ chain::RunStats read_run_stats(ByteReader& r) {
   s.windows_collected = r.i64();
   s.macs_performed = r.i64();
   s.passes = r.i64();
-  s.kernel_fast_dispatches = r.i64();
-  s.kernel_scalar_dispatches = r.i64();
   return s;
 }
 
-void write_traffic(ByteWriter& w, const mem::LayerTraffic& t) {
-  w.str(t.layer_name);
-  w.u64(t.dram_bytes);
-  w.u64(t.imemory_bytes);
-  w.u64(t.kmemory_bytes);
-  w.u64(t.omemory_bytes);
+void write_traffic(ByteWriter& w, const dataflow::LayerTraffic& t) {
+  w.u64(t.dram_ifmap);
+  w.u64(t.dram_kernel);
+  w.u64(t.dram_ofmap);
+  w.u64(t.dram_psum);
+  w.u64(t.imem_reads);
+  w.u64(t.imem_writes);
+  w.u64(t.kmem_reads);
+  w.u64(t.kmem_writes);
+  w.u64(t.omem_reads);
+  w.u64(t.omem_writes);
 }
 
-mem::LayerTraffic read_traffic(ByteReader& r) {
-  mem::LayerTraffic t;
-  t.layer_name = r.str();
-  t.dram_bytes = r.u64();
-  t.imemory_bytes = r.u64();
-  t.kmemory_bytes = r.u64();
-  t.omemory_bytes = r.u64();
+dataflow::LayerTraffic read_traffic(ByteReader& r) {
+  dataflow::LayerTraffic t;
+  t.dram_ifmap = r.u64();
+  t.dram_kernel = r.u64();
+  t.dram_ofmap = r.u64();
+  t.dram_psum = r.u64();
+  t.imem_reads = r.u64();
+  t.imem_writes = r.u64();
+  t.kmem_reads = r.u64();
+  t.kmem_writes = r.u64();
+  t.omem_reads = r.u64();
+  t.omem_writes = r.u64();
   return t;
 }
 

@@ -30,10 +30,7 @@ bool network_runs_identical(const chain::NetworkRunResult& a,
          << la.stats.total_cycles() << " vs " << lb.stats.total_cycles();
       return fail(os.str());
     }
-    if (la.traffic.dram_bytes != lb.traffic.dram_bytes ||
-        la.traffic.imemory_bytes != lb.traffic.imemory_bytes ||
-        la.traffic.kmemory_bytes != lb.traffic.kmemory_bytes ||
-        la.traffic.omemory_bytes != lb.traffic.omemory_bytes)
+    if (!(la.traffic == lb.traffic))
       return fail("traffic differs at layer " + name);
     // Power is a pure function of the plan, so the engines must agree on
     // it bit for bit; comparing it (and the energy rollups below)
@@ -47,17 +44,9 @@ bool network_runs_identical(const chain::NetworkRunResult& a,
   }
   if (!(a.final_activations == b.final_activations))
     return fail("final activations differ");
-  // Whole-run rollups: LayerTraffic totals and the energy/time figures.
-  // Per-layer identity already implies these, but the rollups are what
-  // dashboards and sweeps actually read, so pin them directly too.
-  std::uint64_t traffic_a = 0, traffic_b = 0;
-  for (const auto& l : a.layers)
-    traffic_a += l.run.traffic.dram_bytes + l.run.traffic.imemory_bytes +
-                 l.run.traffic.kmemory_bytes + l.run.traffic.omemory_bytes;
-  for (const auto& l : b.layers)
-    traffic_b += l.run.traffic.dram_bytes + l.run.traffic.imemory_bytes +
-                 l.run.traffic.kmemory_bytes + l.run.traffic.omemory_bytes;
-  if (traffic_a != traffic_b) return fail("traffic rollup differs");
+  // Whole-run rollups: the energy/time figures. Per-layer identity
+  // already implies these, but the rollups are what dashboards and
+  // sweeps actually read, so pin them directly too.
   if (a.total_energy_j() != b.total_energy_j())
     return fail("energy rollup differs");
   if (a.total_seconds() != b.total_seconds())

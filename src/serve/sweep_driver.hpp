@@ -72,7 +72,7 @@ struct SweepOptions {
   std::vector<chain::InterLayerOp> inter_layer;
   // Seed of the one input every point executes.
   std::uint64_t input_seed = 7;
-  // Memory hierarchy of the server's accelerator, for sweeps validating
+  // Memory sizes of the server's accelerator, for sweeps validating
   // design points whose oMemory differs from the paper default (the
   // per-point ArrayShape override covers the chain and kernel-storage
   // axes; memory capacities live in the accelerator config). nullopt

@@ -163,19 +163,9 @@ TEST(Accelerator, MeasuredTrafficMatchesAnalyticModel) {
     const TestData d = make_data(p, 11);
     ChainAccelerator acc(small_config(256));
     const LayerRunResult res = acc.run_layer(p, d.ifmaps, d.kernels);
-    const dataflow::LayerTrafficModel model =
-        dataflow::model_traffic(res.plan, p.batch,
-                                {2, acc.config().memory.imemory_bytes, false});
-    EXPECT_EQ(res.traffic.imemory_bytes,
-              model.imem_reads + model.imem_writes)
+    // All ten fields: DRAM bytes per operand, reads and writes per SRAM.
+    EXPECT_EQ(res.traffic, dataflow::model_traffic(res.plan, p.batch))
         << p.to_string();
-    EXPECT_EQ(res.traffic.kmemory_bytes,
-              model.kmem_reads + model.kmem_writes)
-        << p.to_string();
-    EXPECT_EQ(res.traffic.omemory_bytes,
-              model.omem_reads + model.omem_writes)
-        << p.to_string();
-    EXPECT_EQ(res.traffic.dram_bytes, model.dram_total()) << p.to_string();
   }
 }
 

@@ -35,11 +35,11 @@ struct Fixture {
 
 TEST(ControllerFsm, SequenceStartsWithLoadAndEndsIdle) {
   Fixture f;
-  mem::MemoryHierarchy hierarchy(f.cfg.memory);
   const auto plan = dataflow::plan_layer(f.layer, f.cfg.array, f.cfg.memory);
-  LayerController ctrl(f.cfg, plan, hierarchy);
+  LayerController ctrl(f.cfg, plan);
   RunStats stats;
-  (void)ctrl.run(f.x, f.w, stats);
+  dataflow::LayerTraffic traffic;
+  (void)ctrl.run(f.x, f.w, stats, traffic);
 
   const auto& trace = ctrl.fsm_trace();
   ASSERT_GE(trace.size(), 4u);
@@ -51,12 +51,12 @@ TEST(ControllerFsm, SequenceStartsWithLoadAndEndsIdle) {
 
 TEST(ControllerFsm, OneLoadPerMGroupResidency) {
   Fixture f(5);  // 5 kernels, 2 primitives -> 3 m-groups
-  mem::MemoryHierarchy hierarchy(f.cfg.memory);
   const auto plan = dataflow::plan_layer(f.layer, f.cfg.array, f.cfg.memory);
   ASSERT_EQ(plan.m_groups, 3);
-  LayerController ctrl(f.cfg, plan, hierarchy);
+  LayerController ctrl(f.cfg, plan);
   RunStats stats;
-  (void)ctrl.run(f.x, f.w, stats);
+  dataflow::LayerTraffic traffic;
+  (void)ctrl.run(f.x, f.w, stats, traffic);
 
   std::int64_t loads = 0;
   for (const ControllerState s : ctrl.fsm_trace())
@@ -66,11 +66,11 @@ TEST(ControllerFsm, OneLoadPerMGroupResidency) {
 
 TEST(ControllerFsm, OneStreamStatePerPass) {
   Fixture f;
-  mem::MemoryHierarchy hierarchy(f.cfg.memory);
   const auto plan = dataflow::plan_layer(f.layer, f.cfg.array, f.cfg.memory);
-  LayerController ctrl(f.cfg, plan, hierarchy);
+  LayerController ctrl(f.cfg, plan);
   RunStats stats;
-  (void)ctrl.run(f.x, f.w, stats);
+  dataflow::LayerTraffic traffic;
+  (void)ctrl.run(f.x, f.w, stats, traffic);
 
   std::int64_t streams = 0;
   for (const ControllerState s : ctrl.fsm_trace())
@@ -85,14 +85,20 @@ TEST(ControllerFsm, StateNames) {
   EXPECT_STREQ(state_name(ControllerState::kDrain), "DRAIN");
 }
 
-TEST(ControllerFsm, OmemoryReservationReleasedAtEnd) {
+TEST(ControllerFsm, OversizedOmemoryBlockIsRefused) {
+  // The controller enforces the oMemory capacity the plan promised: a
+  // row block whose partials exceed plan.memory.omemory_bytes throws.
   Fixture f;
-  mem::MemoryHierarchy hierarchy(f.cfg.memory);
-  const auto plan = dataflow::plan_layer(f.layer, f.cfg.array, f.cfg.memory);
-  LayerController ctrl(f.cfg, plan, hierarchy);
+  auto plan = dataflow::plan_layer(f.layer, f.cfg.array, f.cfg.memory);
+  const std::uint64_t block_bytes =
+      static_cast<std::uint64_t>(plan.primitives * plan.row_block *
+                                 f.layer.out_width()) *
+      plan.memory.word_bytes;
+  plan.memory.omemory_bytes = block_bytes - 1;
+  LayerController ctrl(f.cfg, plan);
   RunStats stats;
-  (void)ctrl.run(f.x, f.w, stats);
-  EXPECT_EQ(hierarchy.omemory().reserved_bytes(), 0u);
+  dataflow::LayerTraffic traffic;
+  EXPECT_THROW((void)ctrl.run(f.x, f.w, stats, traffic), std::logic_error);
 }
 
 TEST(ControllerFsm, OversizedBlockRejectedByPlan) {

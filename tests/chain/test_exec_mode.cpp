@@ -67,10 +67,7 @@ void expect_modes_equivalent(AcceleratorConfig cfg,
   EXPECT_EQ(ra.stats.macs_performed, rc.stats.macs_performed) << ctx;
   EXPECT_EQ(ra.stats.passes, rc.stats.passes) << ctx;
 
-  EXPECT_EQ(ra.traffic.dram_bytes, rc.traffic.dram_bytes) << ctx;
-  EXPECT_EQ(ra.traffic.imemory_bytes, rc.traffic.imemory_bytes) << ctx;
-  EXPECT_EQ(ra.traffic.kmemory_bytes, rc.traffic.kmemory_bytes) << ctx;
-  EXPECT_EQ(ra.traffic.omemory_bytes, rc.traffic.omemory_bytes) << ctx;
+  EXPECT_EQ(ra.traffic, rc.traffic) << ctx;
 
   EXPECT_EQ(ra.narrowing.count, rc.narrowing.count) << ctx;
   EXPECT_EQ(ra.narrowing.saturations, rc.narrowing.saturations) << ctx;
@@ -194,9 +191,7 @@ TEST(ExecModeEquivalence, NetworkRunnerOverride) {
     EXPECT_EQ(ra.layers[i].run.stats.total_cycles(),
               rc.layers[i].run.stats.total_cycles())
         << i;
-    EXPECT_EQ(ra.layers[i].run.traffic.dram_bytes,
-              rc.layers[i].run.traffic.dram_bytes)
-        << i;
+    EXPECT_EQ(ra.layers[i].run.traffic, rc.layers[i].run.traffic) << i;
   }
   EXPECT_DOUBLE_EQ(ra.total_seconds(), rc.total_seconds());
 }

@@ -76,7 +76,7 @@ void check_plan_invariants(const nn::ConvLayerParams& layer,
   EXPECT_LE(plan.utilization_per_image(), 1.0) << ctx;
 
   // Traffic model sanity: all components positive and finite.
-  const LayerTrafficModel t = model_traffic(plan, 2);
+  const LayerTraffic t = model_traffic(plan, 2);
   EXPECT_GT(t.imem_reads, 0u) << ctx;
   EXPECT_GT(t.kmem_reads, 0u) << ctx;
   EXPECT_GT(t.omem_writes, 0u) << ctx;

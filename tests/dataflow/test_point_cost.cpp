@@ -1,4 +1,4 @@
-// The no-hierarchy closed-form point cost (dataflow::estimate_point_cost)
+// The tensor-free closed-form point cost (dataflow::estimate_point_cost)
 // must agree with the *executed* SweepDriver rollups: cycles exactly
 // (identical integer closed forms), seconds and energy to double
 // round-off (identical expressions, identical evaluation order). This is

@@ -19,6 +19,17 @@ nn::ConvLayerParams simple_layer(std::int64_t k, std::int64_t hw = 16,
   return p;
 }
 
+// Strip pixels counting materialized zero-padding as streamed words: the
+// strip's decimated rows, clipped to the grid, times its columns.
+std::int64_t strip_padded_pixels(const SubConv& sub, const Strip& strip) {
+  std::int64_t rows = 0;
+  const std::int64_t last_row =
+      strip.first_out_row + strip.out_rows + sub.kernel_rows - 2;
+  for (std::int64_t r = strip.first_out_row; r <= last_row; ++r)
+    if (r >= 0 && r < sub.in_rows) ++rows;
+  return rows * sub.in_cols;
+}
+
 TEST(StripRealPixels, NoPaddingCountsFullStrip) {
   const ExecutionPlan plan = plan_layer(simple_layer(3), ArrayShape{});
   const SubConvPlan& sp = plan.subconvs[0];
@@ -57,7 +68,7 @@ TEST(KmemActivity, Conv3MatchesPaper) {
 TEST(Traffic, OmemoryAccountsReadModifyWrite) {
   const nn::ConvLayerParams layer = simple_layer(3, 16, 2, 4);
   const ExecutionPlan plan = plan_layer(layer, ArrayShape{});
-  const LayerTrafficModel t = model_traffic(plan, 1);
+  const LayerTraffic t = model_traffic(plan, 1);
   const std::uint64_t completions = 14 * 14 * 4 * 2;
   const std::uint64_t outputs = 14 * 14 * 4;
   EXPECT_EQ(t.omem_writes, completions * 2);
@@ -67,8 +78,8 @@ TEST(Traffic, OmemoryAccountsReadModifyWrite) {
 TEST(Traffic, KernelBytesOncePerBatch) {
   const nn::ConvLayerParams layer = simple_layer(3, 16, 2, 4);
   const ExecutionPlan plan = plan_layer(layer, ArrayShape{});
-  const LayerTrafficModel t1 = model_traffic(plan, 1);
-  const LayerTrafficModel t4 = model_traffic(plan, 4);
+  const LayerTraffic t1 = model_traffic(plan, 1);
+  const LayerTraffic t4 = model_traffic(plan, 4);
   EXPECT_EQ(t1.dram_kernel,
             static_cast<std::uint64_t>(layer.weight_count()) * 2);
   EXPECT_EQ(t4.dram_kernel, t1.dram_kernel);  // batch-independent
@@ -82,7 +93,7 @@ TEST(Traffic, PsumSpillOnlyWithMultipleCTiles) {
   const ExecutionPlan two = plan_layer(simple_layer(3, 16, 512, 64),
                                        ArrayShape{});
   ASSERT_EQ(two.c_tiles, 2);
-  const LayerTrafficModel t = model_traffic(two, 1);
+  const LayerTraffic t = model_traffic(two, 1);
   EXPECT_EQ(t.dram_psum, static_cast<std::uint64_t>(14 * 14 * 64) * 2 * 2);
 }
 
@@ -95,7 +106,7 @@ TEST(Traffic, Table4ShapeReproduced) {
   const auto layers = nn::alexnet().conv_layers;
   for (std::size_t i = 1; i < layers.size(); ++i) {  // conv2..conv5
     const ExecutionPlan plan = plan_layer(layers[i], ArrayShape{});
-    const LayerTrafficModel t = model_traffic(plan, 4);
+    const LayerTraffic t = model_traffic(plan, 4);
     const double mb = 1024.0 * 1024.0;
     const auto& paper = report::kTable4[i];
     EXPECT_NEAR(static_cast<double>(t.omem_total()) / mb / paper.omem_mb,
@@ -115,13 +126,21 @@ TEST(Traffic, Conv3IMemoryNearPaper) {
       plan_layer(nn::alexnet().conv_layers[2], ArrayShape{});
   const double mb = 1024.0 * 1024.0;
   // With materialized padding streamed from iMemory (the accounting the
-  // paper's 4.8 MB corresponds to):
-  TrafficModelOptions padded;
-  padded.count_padding_as_stream = true;
-  const LayerTrafficModel tp = model_traffic(plan, 4, padded);
-  EXPECT_NEAR(static_cast<double>(tp.imem_reads) / mb, 4.8, 0.8);
+  // paper's 4.8 MB corresponds to): every strip's rows x columns of the
+  // padded grid, per channel, m-group and image, 2 bytes each.
+  std::uint64_t padded_per_channel = 0;
+  for (const SubConvPlan& sp : plan.subconvs)
+    for (const Strip& strip : sp.strips)
+      padded_per_channel +=
+          static_cast<std::uint64_t>(strip_padded_pixels(sp.sub, strip));
+  const std::uint64_t padded_reads =
+      padded_per_channel *
+      static_cast<std::uint64_t>(plan.layer.channels_per_group() *
+                                 plan.m_groups * 4) *
+      2;
+  EXPECT_NEAR(static_cast<double>(padded_reads) / mb, 4.8, 0.8);
   // With on-the-fly padding (our streamer's default) ~30% fewer reads:
-  const LayerTrafficModel tr = model_traffic(plan, 4);
+  const LayerTraffic tr = model_traffic(plan, 4);
   EXPECT_NEAR(static_cast<double>(tr.imem_reads) / mb, 3.2, 0.3);
 }
 
@@ -131,8 +150,8 @@ TEST(Traffic, SingleChannelStreamsKTimesMore) {
   const nn::ConvLayerParams layer = simple_layer(3, 31);
   const ExecutionPlan pd = plan_layer(layer, ArrayShape{});
   const ExecutionPlan ps = plan_layer(layer, single);
-  const LayerTrafficModel td = model_traffic(pd, 1);
-  const LayerTrafficModel ts = model_traffic(ps, 1);
+  const LayerTraffic td = model_traffic(pd, 1);
+  const LayerTraffic ts = model_traffic(ps, 1);
   const double ratio = static_cast<double>(ts.imem_reads) /
                        static_cast<double>(td.imem_reads);
   EXPECT_GT(ratio, 1.5);  // row-at-a-time replays rows ~K/(2K/K)...

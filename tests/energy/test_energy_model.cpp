@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "chain/accelerator.hpp"
+#include "common/rng.hpp"
 #include "nn/models.hpp"
 #include "report/paper_constants.hpp"
 
@@ -91,6 +93,43 @@ TEST(EnergyModel, RatesFromPlanReasonableForAlexNetConv3) {
   // iMemory: close to 2 words/cycle in steady state.
   EXPECT_GT(r.imem_accesses_per_cycle, 1.0);
   EXPECT_LT(r.imem_accesses_per_cycle, 4.1);
+}
+
+TEST(EnergyModel, RatesFromPlanPriceTheExecutedIMemoryTraffic) {
+  // A 1 KiB iMemory cannot double-buffer this layer's strips, so every
+  // m-group refetches them: the rates must be sized by the plan's memory,
+  // not by the paper chip's 32 KiB.
+  chain::AcceleratorConfig cfg;
+  cfg.exec_mode = chain::ExecMode::kAnalytical;
+  cfg.array.num_pes = 18;  // two 3x3 primitives
+  cfg.memory.imemory_bytes = 1024;
+  nn::ConvLayerParams layer;
+  layer.name = "small_imem";
+  layer.in_channels = 2;
+  layer.out_channels = 4;
+  layer.in_height = 8;
+  layer.in_width = 64;
+  layer.kernel = 3;
+  layer.pad = 1;
+  layer.validate();
+  Rng rng(5);
+  Tensor<std::int16_t> x(Shape{1, 2, 8, 64});
+  Tensor<std::int16_t> w(Shape{4, 2, 3, 3});
+  x.fill_random(rng, -16, 16);
+  w.fill_random(rng, -4, 4);
+  const chain::LayerRunResult res =
+      chain::ChainAccelerator(cfg).run_layer(layer, x, w);
+  ASSERT_EQ(res.traffic.imem_total(), 12288u);
+
+  // iMemory bytes the rates imply: accesses per cycle x (stream + drain
+  // cycles) x word bytes.
+  const ActivityRates r = rates_from_plan(res.plan);
+  const dataflow::LayerCycles c =
+      dataflow::layer_cycles(res.plan, res.plan.array);
+  const double implied = r.imem_accesses_per_cycle *
+                         static_cast<double>(c.stream_per_image + c.drain) *
+                         static_cast<double>(res.plan.memory.word_bytes);
+  EXPECT_NEAR(implied, static_cast<double>(res.traffic.imem_total()), 1e-6);
 }
 
 TEST(Efficiency, GopsPerWatt) {

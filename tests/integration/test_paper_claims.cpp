@@ -105,7 +105,7 @@ TEST(PaperClaims, GateCount3751k) {
   EXPECT_NEAR(area.total_gates(576) / 1e3, report::kGateCountK, 1.0);
 }
 
-TEST(PaperClaims, MemoryHierarchyPowerShareSmall) {
+TEST(PaperClaims, MemoryPowerShareSmall) {
   // §V.C: memory hierarchy (iMemory + oMemory) ~10.55% of chip power.
   const energy::EnergyModel model = energy::EnergyModel::paper_calibrated();
   const energy::PowerBreakdown p =

@@ -2,16 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include "report/paper_constants.hpp"
+
 namespace chainnn::mem {
 namespace {
 
+std::uint64_t onchip_bytes(const HierarchyConfig& cfg) {
+  return cfg.imemory_bytes + cfg.omemory_bytes + cfg.kmemory_bytes;
+}
+
 TEST(Hierarchy, PaperCapacities) {
   // §V.B: 32KB iMemory + 295KB kMemory + 25KB oMemory = 352KB on-chip.
-  MemoryHierarchy h;
-  EXPECT_EQ(h.imemory().size_bytes(), 32u * 1024);
-  EXPECT_EQ(h.omemory().size_bytes(), 25u * 1024);
-  EXPECT_EQ(h.kmemory().size_bytes(), 295u * 1024);
-  EXPECT_EQ(h.total_onchip_bytes(), 352u * 1024);
+  const HierarchyConfig cfg;
+  EXPECT_EQ(cfg.imemory_bytes, 32u * 1024);
+  EXPECT_EQ(cfg.omemory_bytes, 25u * 1024);
+  EXPECT_EQ(cfg.kmemory_bytes, 295u * 1024);
+  EXPECT_EQ(cfg.word_bytes, 2u);
+  EXPECT_EQ(static_cast<double>(onchip_bytes(cfg)) / 1024.0,
+            report::kOnChipKiB);
 }
 
 TEST(Hierarchy, CustomConfig) {
@@ -19,33 +27,7 @@ TEST(Hierarchy, CustomConfig) {
   cfg.imemory_bytes = 1024;
   cfg.omemory_bytes = 2048;
   cfg.kmemory_bytes = 4096;
-  MemoryHierarchy h(cfg);
-  EXPECT_EQ(h.total_onchip_bytes(), 7u * 1024);
-}
-
-TEST(Hierarchy, SnapshotDeltaIsolatesOneLayer) {
-  MemoryHierarchy h;
-  h.imemory().read_words(100);  // pre-existing traffic
-  const HierarchySnapshot before = snapshot(h);
-  h.imemory().read_words(10);
-  h.omemory().write_words(5);
-  h.kmemory().read_words(3);
-  h.dram().read_bytes(Operand::kIfmap, 64);
-  const LayerTraffic t = traffic_since(h, before, "conv1");
-  EXPECT_EQ(t.layer_name, "conv1");
-  EXPECT_EQ(t.imemory_bytes, 20u);  // 10 words x 2B, pre-existing excluded
-  EXPECT_EQ(t.omemory_bytes, 10u);
-  EXPECT_EQ(t.kmemory_bytes, 6u);
-  EXPECT_EQ(t.dram_bytes, 64u);
-}
-
-TEST(Hierarchy, ResetStatsClearsAll) {
-  MemoryHierarchy h;
-  h.imemory().read_words(1);
-  h.dram().write_bytes(Operand::kOfmap, 8);
-  h.reset_stats();
-  EXPECT_EQ(h.imemory().stats().total_bytes(), 0u);
-  EXPECT_EQ(h.dram().stats().total_bytes(), 0u);
+  EXPECT_EQ(onchip_bytes(cfg), 7u * 1024);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 
-#include "chain/accelerator.hpp"
 #include "common/rng.hpp"
 #include "fixed/fixed16.hpp"
 #include "nn/golden.hpp"
@@ -173,35 +172,6 @@ TEST(ConvKernelDispatch, OperandScanAdmitsSmallMagnitudes) {
   const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
   for (std::int64_t i = 0; i < oracle.num_elements(); ++i)
     ASSERT_EQ(oracle.at_flat(i), routed.at_flat(i)) << i;
-}
-
-TEST(ConvKernelDispatch, RunStatsCountsAnalyticalDispatch) {
-  chain::AcceleratorConfig cfg;
-  cfg.exec_mode = chain::ExecMode::kAnalytical;
-  chain::ChainAccelerator acc(cfg);
-
-  ConvLayerParams p;
-  p.name = "stats";
-  p.in_channels = 2;
-  p.out_channels = 2;
-  p.in_height = p.in_width = 6;
-  p.kernel = 3;
-  p.validate();
-
-  Rng rng(3);
-  Tensor<std::int16_t> x(Shape{1, 2, 6, 6});
-  Tensor<std::int16_t> w(Shape{2, 2, 3, 3});
-  x.fill_random(rng, -100, 100);
-  w.fill_random(rng, -100, 100);
-
-  const chain::LayerRunResult r = acc.run_layer(p, x, w);
-  if (simd_kernel_enabled()) {
-    EXPECT_EQ(r.stats.kernel_fast_dispatches, 1);
-    EXPECT_EQ(r.stats.kernel_scalar_dispatches, 0);
-  } else {
-    EXPECT_EQ(r.stats.kernel_fast_dispatches, 0);
-    EXPECT_EQ(r.stats.kernel_scalar_dispatches, 1);
-  }
 }
 
 }  // namespace

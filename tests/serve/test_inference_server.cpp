@@ -248,10 +248,10 @@ TEST(InferenceServer, EnergyAndTrafficDivergencesAreCaught) {
   EXPECT_NE(power.fidelity.detail.find("power"), std::string::npos)
       << power.fidelity.detail;
 
-  // Traffic drift (one stray kmemory byte): caught.
+  // Traffic drift (one stray kMemory read byte): caught.
   const InferenceResult traffic = run_with_mutation(
       [](chain::NetworkRunResult& replay) {
-        replay.layers.front().run.traffic.kmemory_bytes += 1;
+        replay.layers.front().run.traffic.kmem_reads += 1;
       });
   EXPECT_TRUE(traffic.fidelity.diverged);
   EXPECT_NE(traffic.fidelity.detail.find("traffic"), std::string::npos)

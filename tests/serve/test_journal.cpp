@@ -143,15 +143,17 @@ TEST(JournalFraming, HeaderValidation) {
   EXPECT_THROW((void)read_journal_file(temp_path("nonexistent.jrnl")),
                JournalError);
 
-  // Version mismatch refuses.
+  // Version mismatch refuses, older (the previous format's CHECKPOINT
+  // records carry a different RunStats/traffic layout) and newer alike.
   const std::string path = temp_path("version.jrnl");
-  {
+  for (const std::uint32_t version :
+       {kJournalFormatVersion - 1, kJournalFormatVersion + 1}) {
     ByteWriter w;
     for (const char c : kJournalMagic) w.u8(static_cast<std::uint8_t>(c));
-    w.u32(kJournalFormatVersion + 1);
+    w.u32(version);
     write_file(path, w.take());
+    EXPECT_THROW((void)read_journal_file(path), JournalError) << version;
   }
-  EXPECT_THROW((void)read_journal_file(path), JournalError);
 
   // Wrong magic refuses.
   {
@@ -358,8 +360,7 @@ TEST(DurableCodecs, CheckpointRoundTripsAndResumesBitIdentical) {
                   cp->layers[i].run.accumulators);
       EXPECT_EQ(rcp.layers[i].run.stats.total_cycles(),
                 cp->layers[i].run.stats.total_cycles());
-      EXPECT_EQ(rcp.layers[i].run.traffic.dram_bytes,
-                cp->layers[i].run.traffic.dram_bytes);
+      EXPECT_EQ(rcp.layers[i].run.traffic, cp->layers[i].run.traffic);
       EXPECT_EQ(rcp.layers[i].verified, cp->layers[i].verified);
     }
     EXPECT_TRUE(rcp.activations == cp->activations);
