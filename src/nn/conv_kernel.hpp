@@ -1,5 +1,5 @@
-// Vectorized fixed-point convolution with a proven saturation-free fast
-// path.
+// Vectorized fixed-point convolution with proven saturation-free fast
+// paths.
 //
 // conv2d_fixed_accum (nn/golden.cpp) applies Accumulator48's sticky
 // 48-bit saturation after every MAC, which defeats autovectorization:
@@ -8,17 +8,30 @@
 // running it: with T = channels_per_group * K * K taps per output and
 // operand magnitudes bounded by max|x| and max|w|, every intermediate
 // partial sum satisfies |sum| <= T * max|x| * max|w|. If that bound is
-// <= Accumulator48::kMax, no step of the scalar reference can clamp
-// (kMin = -(kMax + 1), so checking against kMax covers both signs), the
+// <= a limit L, every partial sum fits in [-L, L]. With L =
+// Accumulator48::kMax no step of the scalar reference can clamp (kMin =
+// -(kMax + 1), so checking against kMax covers both signs), the
 // accumulation is plain int64 arithmetic — exact and associative — and
 // a reassociated, vectorizable kernel produces bit-identical results.
+// With L = 2^31 - 1 the same holds in int32 lanes, twice as many per
+// vector; since 2^31 is far below kMax, the reference never clamps
+// either.
 //
-// The static bound uses max|x| = max|w| = 2^15 (|int16| <= 32768), which
-// admits every layer with T <= kMax / 2^30 = 131071 taps — all of
-// AlexNet/VGG and far beyond. Layers that fail it get one cheap operand
-// scan to tighten the bound with the tensors' real magnitudes; only if
-// that also fails (saturation genuinely possible) does the dispatcher
-// fall back to the exact scalar sticky-clamp path.
+// The fast kernel runs Chain-NN's own dataflow: a block of up to 128
+// output channels of a group stays resident (transposed so one tap's
+// weights for every channel of the block are contiguous) and each ifmap
+// pixel is broadcast against all of them, so the innermost loop
+// multiplies one pixel by a vector of output channels (two input rows per
+// pass, so each accumulator load and store carries two taps).
+//
+// The int32 bound at int16's worst case (max|x| = max|w| = 2^15) admits
+// only one-tap layers, so the dispatcher always scans both operands for
+// their real magnitudes (O(ifmap + weights), against O(outputs * taps)
+// MACs). It runs the int32 nest when the scanned bound holds for
+// 2^31 - 1, else the int64 nest when the 48-bit bound holds — statically
+// (T <= kMax / 2^30 = 131071 taps, all of AlexNet/VGG and far beyond) or
+// with the scanned magnitudes — and only when saturation is genuinely
+// possible the exact scalar sticky-clamp path.
 //
 // The CHAINNN_SIMD CMake knob (default ON) gates the dispatcher; OFF
 // forces the scalar path everywhere so the two configurations can be
@@ -27,6 +40,7 @@
 
 #include <cstdint>
 
+#include "fixed/fixed16.hpp"
 #include "nn/conv_params.hpp"
 #include "tensor/tensor.hpp"
 
@@ -39,41 +53,46 @@ namespace chainnn::nn {
 
 // How one conv2d_fixed_accum_dispatch call was routed.
 struct ConvDispatch {
-  bool fast = false;          // vectorized clamp-free kernel ran
-  bool data_scanned = false;  // static bound failed; operand scan decided
+  bool fast = false;          // a vectorized clamp-free nest ran
+  bool data_scanned = false;  // static 48-bit bound failed; scan decided
+  bool int32 = false;         // the fast nest accumulated in int32
 };
 
-// Conservative proof that no intermediate accumulation step of the
-// scalar reference can saturate: taps * max_abs_ifmap * max_abs_kernel
-// <= Accumulator48::kMax (evaluated by division so the product cannot
-// itself overflow int64). Magnitudes default to the int16 worst case
-// 2^15; pass scanned maxima to tighten the bound.
-[[nodiscard]] bool saturation_free(const ConvLayerParams& p,
-                                   std::int64_t max_abs_ifmap = 32768,
-                                   std::int64_t max_abs_kernel = 32768);
+// Conservative proof that no partial sum of the layer leaves [-limit,
+// limit]: taps * max_abs_ifmap * max_abs_kernel <= limit (evaluated by
+// division so the product cannot itself overflow int64). The default
+// limit, Accumulator48::kMax, proves the scalar reference never
+// saturates; 2^31 - 1 proves int32 accumulation exact. Magnitudes
+// default to the int16 worst case 2^15; pass scanned maxima to tighten
+// the bound.
+[[nodiscard]] bool saturation_free(
+    const ConvLayerParams& p, std::int64_t max_abs_ifmap = 32768,
+    std::int64_t max_abs_kernel = 32768,
+    std::int64_t limit = fixed::Accumulator48::kMax);
 
-// Clamp-free row-accumulation kernel. Bit-identical to
-// conv2d_fixed_accum *provided* saturation_free() holds for the actual
-// operands (each output's taps are accumulated in the same (c, ky, kx)
-// order, and without saturation that order computes the same exact
-// int64 sum). Callers should go through conv2d_fixed_accum_dispatch,
-// which performs the proof; this entry point exists for the kernel
-// micro-benchmark and the property tests.
-// `alloc` sources the output surface (default: heap); the kernel writes
-// every element (each row is zero-filled before accumulation), so the
-// allocation is uninitialized.
+// The clamp-free output-channel nest with int64 accumulators.
+// Bit-identical to conv2d_fixed_accum *provided* saturation_free() holds
+// for the actual operands (the taps are summed in another order, and
+// without saturation every order computes the same exact int64 sum).
+// Callers should go through conv2d_fixed_accum_dispatch, which performs
+// the proof and picks int32 accumulators when it can; this entry point
+// lets the property tests pin the int64 instantiation on its own.
+// `alloc` sources the output surface and the call's scratch (one block's
+// transposed kernels and one output row's accumulators; default: heap);
+// the kernel writes every output element, so the allocation is
+// uninitialized.
 [[nodiscard]] Tensor<std::int64_t> conv2d_fixed_accum_fast(
     const ConvLayerParams& p, const Tensor<std::int16_t>& ifmaps,
     const Tensor<std::int16_t>& kernels,
     ArenaAllocator<std::int64_t> alloc = {});
 
-// Dispatcher used by the analytical engine: the fast kernel when the
-// build enables it and the layer is provably saturation-free (static
-// bound first, one operand scan to tighten if needed), else the exact
+// Dispatcher used by the analytical engine: the int32 nest when the
+// build enables it and the scanned operands prove int32 exact, else the
+// int64 nest when the layer is provably saturation-free, else the exact
 // scalar sticky-clamp reference. Always bit-identical to
 // conv2d_fixed_accum. `dispatch`, if non-null, receives the routing
-// decision for RunStats accounting.
-// `alloc` is honoured on the fast path only (the scalar reference owns
+// decision (the benchmark's replay and bench_micro report it).
+// `alloc` is honoured on the fast paths only (the scalar reference owns
 // its allocation); results are bit-identical either way.
 [[nodiscard]] Tensor<std::int64_t> conv2d_fixed_accum_dispatch(
     const ConvLayerParams& p, const Tensor<std::int16_t>& ifmaps,

@@ -8,6 +8,12 @@
 
 namespace chainnn::nn {
 
+void PoolParams::validate() const {
+  CHAINNN_CHECK_MSG(window >= 1 && stride >= 1 && pad >= 0 && pad < window,
+                    "pool window " << window << ", stride " << stride
+                                   << ", pad " << pad);
+}
+
 namespace {
 
 template <typename T>

@@ -15,7 +15,16 @@ struct PoolParams {
   std::int64_t stride = 2;
   std::int64_t pad = 0;
 
+  // Throws std::logic_error unless window >= 1, stride >= 1 and
+  // 0 <= pad < window. pad < window keeps every pool window on the
+  // input, so no output is the all-padding value.
+  void validate() const;
+
+  // Pooled extent of an `in`-long axis. Validates first, so every user
+  // of a pool (max_pool, avg_pool, serve::resolve_network_layers) refuses
+  // bad params before dividing by the stride.
   [[nodiscard]] std::int64_t out_size(std::int64_t in) const {
+    validate();
     return (in + 2 * pad - window) / stride + 1;
   }
 };

@@ -1,20 +1,30 @@
 // The vectorized analytical MAC kernel (nn/conv_kernel.hpp) against the
 // scalar sticky-saturation oracle it must match bit-for-bit.
 //
-// The contract under test: whenever the saturation-free proof admits a
-// layer, the clamp-free fast kernel computes exactly what
-// conv2d_fixed_accum computes; whenever saturation is actually possible
-// the bound check must say so and the dispatcher must route to the
-// scalar path (whose sticky clamps the fast kernel cannot reproduce).
+// The contract under test: whenever a saturation-free proof admits a
+// layer, the clamp-free output-channel nest computes exactly what
+// conv2d_fixed_accum computes — in int32 lanes when taps * max|x| *
+// max|w| <= 2^31 - 1, in int64 lanes when the 48-bit bound holds;
+// whenever saturation is actually possible the bound check must say so
+// and the dispatcher must route to the scalar path (whose sticky clamps
+// the fast nest cannot reproduce).
+//
+// The randomized cases draw their seeds from property_seeds(): fixed in
+// tier-1, rotated per run by CHAINNN_SCHED_ROTATE in CI's sanitize lane.
 #include "nn/conv_kernel.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <string>
 
 #include "common/rng.hpp"
 #include "fixed/fixed16.hpp"
 #include "nn/golden.hpp"
+#include "property_seeds.hpp"
 
 namespace chainnn::nn {
 namespace {
@@ -23,6 +33,69 @@ namespace {
 // kMax / 2^30 (the worst-case |product| of two int16 operands).
 constexpr std::int64_t kStaticTapLimit =
     fixed::Accumulator48::kMax / (std::int64_t{1} << 30);  // 131071
+
+// Largest partial sum an int32 accumulator holds exactly.
+constexpr std::int64_t kInt32Limit = std::numeric_limits<std::int32_t>::max();
+
+std::int64_t taps_of(const ConvLayerParams& p) {
+  return p.channels_per_group() * p.kernel * p.kernel;
+}
+
+std::int64_t max_abs_of(const Tensor<std::int16_t>& t) {
+  std::int64_t m = 0;
+  for (const std::int16_t v : t.data())
+    m = std::max(m, std::abs(std::int64_t{v}));
+  return m;
+}
+
+// What the dispatcher must report for these operands: the int32 nest
+// exactly when taps * max|x| * max|w| <= 2^31 - 1 (taps stay tiny here,
+// so the product cannot overflow int64).
+bool int32_expected(const ConvLayerParams& p, const Tensor<std::int16_t>& x,
+                    const Tensor<std::int16_t>& w) {
+  return simd_kernel_enabled() &&
+         taps_of(p) * max_abs_of(x) * max_abs_of(w) <= kInt32Limit;
+}
+
+// A random strided, grouped, asymmetrically padded layer with 1-64
+// output channels per group and at least one output site.
+ConvLayerParams random_layer(Rng& rng) {
+  ConvLayerParams p;
+  p.name = "prop";
+  p.groups = rng.uniform_int(1, 3);
+  p.kernel = rng.uniform_int(1, 5);
+  p.stride = rng.uniform_int(1, 3);
+  p.pad_h = rng.uniform_int(0, 2);
+  p.pad_w = rng.uniform_int(0, 2);
+  p.in_channels = p.groups * rng.uniform_int(1, 4);
+  p.out_channels = p.groups * rng.uniform_int(1, 64);
+  p.batch = rng.uniform_int(1, 2);
+  // Keep at least one output site: H + 2*pad >= K.
+  p.in_height = rng.uniform_int(
+      std::max<std::int64_t>(1, p.kernel - 2 * p.pad_h), 12);
+  p.in_width = rng.uniform_int(
+      std::max<std::int64_t>(1, p.kernel - 2 * p.pad_w), 12);
+  p.validate();
+  return p;
+}
+
+// Uniform values in [-peak, peak] (clipped to int16), with one element
+// pinned to -peak so the tensor's max |value| is exactly `peak`.
+void fill_to_peak(Tensor<std::int16_t>& t, Rng& rng, std::int64_t peak) {
+  t.fill_random(rng, static_cast<double>(-peak),
+                static_cast<double>(std::min<std::int64_t>(peak, 32767)));
+  t.at_flat(rng.uniform_int(0, t.num_elements() - 1)) =
+      static_cast<std::int16_t>(-peak);
+}
+
+void expect_bit_identical(const Tensor<std::int64_t>& oracle,
+                          const Tensor<std::int64_t>& got,
+                          const ConvLayerParams& p) {
+  ASSERT_EQ(oracle.shape(), got.shape());
+  for (std::int64_t i = 0; i < oracle.num_elements(); ++i)
+    ASSERT_EQ(oracle.at_flat(i), got.at_flat(i))
+        << "site " << i << " of " << p.to_string();
+}
 
 // A 1x1-output layer with more taps than the static bound admits:
 // C * K * K = 14564 * 9 = 131076 > 131071.
@@ -61,57 +134,177 @@ TEST(ConvKernelBound, StaticBoundMath) {
   EXPECT_TRUE(saturation_free(edge, 1, 1));
   EXPECT_TRUE(saturation_free(edge, 0, 32768));
   EXPECT_FALSE(saturation_free(edge, 32768, 32768));
+
+  // The int32 limit: at int16's worst case only a one-tap layer fits
+  // (2^30 <= 2^31 - 1 < 2 * 2^30), so the dispatcher must scan.
+  ConvLayerParams one_tap = edge;
+  one_tap.in_channels = 1;
+  EXPECT_TRUE(saturation_free(one_tap, 32768, 32768, kInt32Limit));
+  one_tap.in_channels = 2;
+  EXPECT_FALSE(saturation_free(one_tap, 32768, 32768, kInt32Limit));
+  // Exactly on the limit is admitted, one tap past it is not.
+  edge.in_channels = kInt32Limit;
+  EXPECT_TRUE(saturation_free(edge, 1, 1, kInt32Limit));
+  edge.in_channels = kInt32Limit + 1;
+  EXPECT_FALSE(saturation_free(edge, 1, 1, kInt32Limit));
+  // The default limit is Accumulator48's.
+  EXPECT_TRUE(saturation_free(edge, 1, 1));
 }
 
 TEST(ConvKernelProperty, FastMatchesScalarOracleOnRandomLayers) {
-  // Randomized layer geometries (kernel, stride, asymmetric padding,
-  // groups, batch) with full-range int16 operands. Tap counts stay tiny,
-  // so the static proof holds and the fast kernel must reproduce the
-  // sticky-clamp oracle exactly — every clamp is provably dead.
-  Rng rng(2024);
-  for (int iter = 0; iter < 60; ++iter) {
-    ConvLayerParams p;
-    p.name = "prop";
-    p.groups = rng.uniform_int(1, 2);
-    p.kernel = rng.uniform_int(1, 5);
-    p.stride = rng.uniform_int(1, 3);
-    p.pad_h = rng.uniform_int(0, 2);
-    p.pad_w = rng.uniform_int(0, 2);
-    p.in_channels = p.groups * rng.uniform_int(1, 4);
-    p.out_channels = p.groups * rng.uniform_int(1, 4);
-    p.batch = rng.uniform_int(1, 2);
-    // Keep at least one output site: H + 2*pad >= K.
-    const std::int64_t lo =
-        std::max<std::int64_t>(1, p.kernel - 2 * p.pad_h);
-    p.in_height = rng.uniform_int(lo, 12);
-    const std::int64_t lo_w =
-        std::max<std::int64_t>(1, p.kernel - 2 * p.pad_w);
-    p.in_width = rng.uniform_int(lo_w, 12);
-    p.validate();
-    ASSERT_TRUE(saturation_free(p));
+  // Random layer geometries with full-range int16 operands. Tap counts
+  // stay tiny, so the static 48-bit proof holds and the int64 nest must
+  // reproduce the sticky-clamp oracle exactly — every clamp is provably
+  // dead. The dispatcher takes the int32 nest only where the scanned
+  // operands prove it exact.
+  for (const std::uint64_t seed : property_seeds()) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    for (int iter = 0; iter < 40; ++iter) {
+      const ConvLayerParams p = random_layer(rng);
+      ASSERT_TRUE(saturation_free(p));
 
-    Tensor<std::int16_t> x(
-        Shape{p.batch, p.in_channels, p.in_height, p.in_width});
-    Tensor<std::int16_t> w(Shape{p.out_channels, p.channels_per_group(),
-                                 p.kernel, p.kernel});
-    x.fill_random(rng, -32768, 32767);
-    w.fill_random(rng, -32768, 32767);
+      Tensor<std::int16_t> x(
+          Shape{p.batch, p.in_channels, p.in_height, p.in_width});
+      Tensor<std::int16_t> w(Shape{p.out_channels, p.channels_per_group(),
+                                   p.kernel, p.kernel});
+      x.fill_random(rng, -32768, 32767);
+      w.fill_random(rng, -32768, 32767);
 
-    const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
-    const Tensor<std::int64_t> fast = conv2d_fixed_accum_fast(p, x, w);
-    ASSERT_EQ(oracle.shape(), fast.shape());
-    for (std::int64_t i = 0; i < oracle.num_elements(); ++i)
-      ASSERT_EQ(oracle.at_flat(i), fast.at_flat(i))
-          << "site " << i << " of " << p.to_string();
+      const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
+      expect_bit_identical(oracle, conv2d_fixed_accum_fast(p, x, w), p);
 
-    ConvDispatch d;
-    const Tensor<std::int64_t> routed =
-        conv2d_fixed_accum_dispatch(p, x, w, &d);
-    EXPECT_EQ(d.fast, simd_kernel_enabled());
-    EXPECT_FALSE(d.data_scanned);
-    for (std::int64_t i = 0; i < oracle.num_elements(); ++i)
-      ASSERT_EQ(oracle.at_flat(i), routed.at_flat(i)) << i;
+      ConvDispatch d;
+      const Tensor<std::int64_t> routed =
+          conv2d_fixed_accum_dispatch(p, x, w, &d);
+      EXPECT_EQ(d.fast, simd_kernel_enabled());
+      EXPECT_FALSE(d.data_scanned);
+      EXPECT_EQ(d.int32, int32_expected(p, x, w)) << p.to_string();
+      expect_bit_identical(oracle, routed, p);
+    }
   }
+}
+
+TEST(ConvKernelProperty, Int32NestOnBothSidesOfTheBound) {
+  // Operand magnitudes drawn so taps * max|x| * max|w| lands within a
+  // factor of two of 2^31 - 1, on either side: the dispatcher must take
+  // the int32 nest exactly when the product fits, the int64 nest
+  // otherwise, and both must match the oracle bit for bit.
+  for (const std::uint64_t seed : property_seeds()) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    int admitted = 0;
+    int refused = 0;
+    for (int iter = 0; iter < 40; ++iter) {
+      const ConvLayerParams p = random_layer(rng);
+      const std::int64_t peak_w = rng.uniform_int(1, 32768);
+      // factor / 2 in {1/2, 1, 3/2, 2} of the largest admissible |x|.
+      const std::int64_t peak_x = std::clamp<std::int64_t>(
+          kInt32Limit / (taps_of(p) * peak_w) * rng.uniform_int(1, 4) / 2, 1,
+          32768);
+
+      Tensor<std::int16_t> x(
+          Shape{p.batch, p.in_channels, p.in_height, p.in_width});
+      Tensor<std::int16_t> w(Shape{p.out_channels, p.channels_per_group(),
+                                   p.kernel, p.kernel});
+      fill_to_peak(x, rng, peak_x);
+      fill_to_peak(w, rng, peak_w);
+
+      ConvDispatch d;
+      const Tensor<std::int64_t> routed =
+          conv2d_fixed_accum_dispatch(p, x, w, &d);
+      const bool want_int32 = int32_expected(p, x, w);
+      EXPECT_EQ(d.int32, want_int32) << p.to_string();
+      EXPECT_EQ(d.fast, simd_kernel_enabled());
+      expect_bit_identical(conv2d_fixed_accum(p, x, w), routed, p);
+      (want_int32 ? admitted : refused) += 1;
+    }
+    if (simd_kernel_enabled()) {
+      EXPECT_GT(admitted, 0);
+      EXPECT_GT(refused, 0);
+    }
+  }
+}
+
+TEST(ConvKernelProperty, WideGroupsSpanSeveralChannelBlocks) {
+  // More output channels per group than one 128-lane block: the nest
+  // transposes and sweeps each group block by block, the last block
+  // partial. Both accumulator widths must match the oracle.
+  for (const std::uint64_t seed : property_seeds()) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    for (int iter = 0; iter < 4; ++iter) {
+      ConvLayerParams p = random_layer(rng);
+      p.out_channels = p.groups * rng.uniform_int(129, 300);
+      p.validate();
+
+      Tensor<std::int16_t> x(
+          Shape{p.batch, p.in_channels, p.in_height, p.in_width});
+      Tensor<std::int16_t> w(Shape{p.out_channels, p.channels_per_group(),
+                                   p.kernel, p.kernel});
+      fill_to_peak(x, rng, 64);
+      fill_to_peak(w, rng, 16);
+
+      const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
+      expect_bit_identical(oracle, conv2d_fixed_accum_fast(p, x, w), p);
+      ConvDispatch d;
+      expect_bit_identical(oracle, conv2d_fixed_accum_dispatch(p, x, w, &d),
+                           p);
+      EXPECT_EQ(d.int32, int32_expected(p, x, w)) << p.to_string();
+    }
+  }
+}
+
+TEST(ConvKernelDispatch, Int32NestHoldsTheLargestAdmittedSum) {
+  // 2^31 - 1 is prime, so no tap count times two int16 magnitudes equals
+  // it; 3 * 21846 * 32767 = 2^31 - 2 is the largest product that fits.
+  // With every term at its maximum the int32 accumulator really holds
+  // that sum, and the layer must be admitted.
+  ConvLayerParams p;
+  p.name = "int32-edge";
+  p.in_channels = 3;
+  p.out_channels = 8;
+  p.in_height = p.in_width = 2;
+  p.kernel = 1;
+  p.validate();
+  const Tensor<std::int16_t> x(Shape{1, 3, 2, 2}, std::int16_t{21846});
+  const Tensor<std::int16_t> w(Shape{8, 3, 1, 1}, std::int16_t{32767});
+  ASSERT_EQ(taps_of(p) * 21846 * 32767, kInt32Limit - 1);
+
+  ConvDispatch d;
+  const Tensor<std::int64_t> routed = conv2d_fixed_accum_dispatch(p, x, w, &d);
+  EXPECT_EQ(d.int32, simd_kernel_enabled());
+  const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
+  expect_bit_identical(oracle, routed, p);
+  EXPECT_EQ(routed.at_flat(0), kInt32Limit - 1);
+
+  // One step up in max|w| and the same layer no longer fits.
+  EXPECT_FALSE(saturation_free(p, 21846, 32768, kInt32Limit));
+}
+
+TEST(ConvKernelDispatch, Int32WrapIsRefusedAndStillExact) {
+  // All-extreme operands: three taps of (-2^15)^2 = 2^30 sum to 3 * 2^30,
+  // which an int32 accumulator would wrap. The scan must refuse the
+  // int32 nest; the 48-bit bound still holds, so the int64 nest runs and
+  // matches the oracle.
+  ConvLayerParams p;
+  p.name = "int32-wrap";
+  p.in_channels = 3;
+  p.out_channels = 5;
+  p.in_height = p.in_width = 3;
+  p.kernel = 1;
+  p.validate();
+  const Tensor<std::int16_t> x(Shape{1, 3, 3, 3}, std::int16_t{-32768});
+  const Tensor<std::int16_t> w(Shape{5, 3, 1, 1}, std::int16_t{-32768});
+
+  ConvDispatch d;
+  const Tensor<std::int64_t> routed = conv2d_fixed_accum_dispatch(p, x, w, &d);
+  EXPECT_FALSE(d.int32);
+  EXPECT_EQ(d.fast, simd_kernel_enabled());
+  const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
+  expect_bit_identical(oracle, routed, p);
+  EXPECT_EQ(routed.at_flat(0), 3 * (std::int64_t{1} << 30));
+  EXPECT_GT(routed.at_flat(0), kInt32Limit);
 }
 
 TEST(ConvKernelDispatch, AdversarialSaturatingTapsRouteToScalar) {
@@ -142,6 +335,7 @@ TEST(ConvKernelDispatch, AdversarialSaturatingTapsRouteToScalar) {
   const Tensor<std::int64_t> routed =
       conv2d_fixed_accum_dispatch(p, x, w, &d);
   EXPECT_FALSE(d.fast);
+  EXPECT_FALSE(d.int32);
   EXPECT_EQ(d.data_scanned, simd_kernel_enabled());
 
   const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
@@ -154,7 +348,8 @@ TEST(ConvKernelDispatch, AdversarialSaturatingTapsRouteToScalar) {
 
 TEST(ConvKernelDispatch, OperandScanAdmitsSmallMagnitudes) {
   // Same oversized-tap geometry, but the data is tiny: the static bound
-  // fails, the scan proves |x|,|w| <= 2 and re-admits the fast path.
+  // fails, the scan proves |x|,|w| <= 2 and re-admits the fast path —
+  // in int32, since 131076 taps * 2 * 2 is far below 2^31 - 1.
   const ConvLayerParams p = oversized_taps_layer();
   Rng rng(7);
   Tensor<std::int16_t> x(
@@ -167,6 +362,7 @@ TEST(ConvKernelDispatch, OperandScanAdmitsSmallMagnitudes) {
   const Tensor<std::int64_t> routed =
       conv2d_fixed_accum_dispatch(p, x, w, &d);
   EXPECT_EQ(d.fast, simd_kernel_enabled());
+  EXPECT_EQ(d.int32, simd_kernel_enabled());
   EXPECT_EQ(d.data_scanned, simd_kernel_enabled());
 
   const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);

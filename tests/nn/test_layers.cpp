@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.hpp"
 
 namespace chainnn::nn {
@@ -115,6 +117,26 @@ TEST(PoolParams, OutSize) {
   const PoolParams p{3, 2, 0};
   EXPECT_EQ(p.out_size(55), 27);
   EXPECT_EQ(p.out_size(13), 6);
+}
+
+TEST(PoolParams, RejectsDegenerateWindowsBeforeDividing) {
+  // A zero stride used to divide by zero (SIGFPE) in out_size; a pad of
+  // a whole window would let a window fall entirely on padding.
+  for (const PoolParams bad : {PoolParams{2, 0, 0}, PoolParams{0, 2, 0},
+                               PoolParams{2, -1, 0}, PoolParams{2, 2, -1},
+                               PoolParams{2, 2, 2}, PoolParams{3, 1, 5}}) {
+    EXPECT_THROW(bad.validate(), std::logic_error);
+    EXPECT_THROW((void)bad.out_size(8), std::logic_error);
+  }
+  EXPECT_NO_THROW((PoolParams{3, 2, 2}.validate()));
+}
+
+TEST(MaxPool, ZeroStrideThrows) {
+  const Tensor<std::int16_t> in(Shape{1, 1, 4, 4}, std::int16_t{7});
+  EXPECT_THROW((void)max_pool(in, PoolParams{2, 0, 0}), std::logic_error);
+  const Tensor<float> f(Shape{1, 1, 4, 4}, 1.0f);
+  EXPECT_THROW((void)max_pool(f, PoolParams{2, 0, 0}), std::logic_error);
+  EXPECT_THROW((void)avg_pool(f, PoolParams{2, 0, 0}), std::logic_error);
 }
 
 }  // namespace

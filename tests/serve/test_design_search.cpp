@@ -19,40 +19,21 @@
 //
 // Seeds: three fixed seeds in tier-1; CHAINNN_SCHED_ROTATE rotates fresh
 // triples in CI's sanitize lane and CHAINNN_SCHED_SEED replays a logged
-// seed exactly (same contract as test_sched_properties.cpp).
+// seed exactly (see property_seeds.hpp).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/work_pool.hpp"
+#include "property_seeds.hpp"
 #include "serve/design_search.hpp"
 #include "serve/router.hpp"
 
 namespace chainnn::serve {
 namespace {
-
-std::vector<std::uint64_t> scheduling_seeds() {
-  std::vector<std::uint64_t> seeds;
-  if (const char* exact = std::getenv("CHAINNN_SCHED_SEED")) {
-    seeds = {std::strtoull(exact, nullptr, 10)};
-  } else if (const char* env = std::getenv("CHAINNN_SCHED_ROTATE")) {
-    static std::atomic<std::uint64_t> rotation{0};
-    const std::uint64_t n = rotation.fetch_add(1);
-    const std::uint64_t base = 1024 * std::strtoull(env, nullptr, 10);
-    seeds = {base + 3 * n, base + 3 * n + 1, base + 3 * n + 2};
-  } else {
-    seeds = {1, 2, 3};  // fixed tier-1 seeds
-  }
-  for (const std::uint64_t s : seeds)
-    std::cout << "[sched-seed] " << s << "\n";
-  return seeds;
-}
 
 nn::NetworkModel tiny_net(Rng& rng) {
   nn::NetworkModel net;
@@ -180,7 +161,7 @@ std::map<DesignPointId, dataflow::PointCost> enumerate_all(
 }
 
 TEST(DesignSearchProperties, FrontierMatchesExhaustiveOracle) {
-  for (const std::uint64_t seed : scheduling_seeds()) {
+  for (const std::uint64_t seed : property_seeds()) {
     Rng rng(seed);
     SCOPED_TRACE("seed " + std::to_string(seed));
     const nn::NetworkModel net = tiny_net(rng);
@@ -250,7 +231,7 @@ TEST(DesignSearchProperties, FrontierMatchesExhaustiveOracle) {
 // count — including under max_points truncation, where wave membership
 // itself is at stake.
 TEST(DesignSearchProperties, FrontierIsWorkerCountIndependent) {
-  for (const std::uint64_t seed : scheduling_seeds()) {
+  for (const std::uint64_t seed : property_seeds()) {
     Rng rng(seed);
     SCOPED_TRACE("seed " + std::to_string(seed));
     const nn::NetworkModel net = tiny_net(rng);

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -214,6 +215,21 @@ TEST(Fleet, RejectedSubmitLeavesRouterUntouched) {
     expect_router_untouched(fleet);
     std::filesystem::remove(path);
   }
+}
+
+TEST(Fleet, ZeroPoolStrideIsRefusedAtSubmit) {
+  // Routing resolves the pooled geometry of every layer; a pool stride
+  // of 0 used to divide by zero there and kill the process (SIGFPE). It
+  // is refused at submit, before anything is charged or enqueued.
+  FleetOptions fo;
+  fo.threads_per_chip = 1;
+  Fleet fleet(fo);
+  RequestOptions opts;
+  opts.inter_layer.resize(1);
+  opts.inter_layer[0].pool = true;
+  opts.inter_layer[0].pool_params = nn::PoolParams{2, 0, 0};
+  EXPECT_THROW((void)fleet.submit(tiny_net(), 1, opts), std::logic_error);
+  expect_router_untouched(fleet);
 }
 
 TEST(Fleet, FailedCompleteAppendFailsOnlyItsRequest) {

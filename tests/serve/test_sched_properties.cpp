@@ -35,45 +35,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <future>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "chain/network_runner.hpp"
 #include "common/rng.hpp"
+#include "property_seeds.hpp"
 #include "serve/fleet.hpp"
 
 namespace chainnn::serve {
 namespace {
-
-std::vector<std::uint64_t> scheduling_seeds() {
-  std::vector<std::uint64_t> seeds;
-  if (const char* exact = std::getenv("CHAINNN_SCHED_SEED")) {
-    // Reproduction mode: exactly this one seed in every test, so a seed
-    // logged by a failing CI run replays regardless of which tests run
-    // before it (the rotation below is process-global, so re-running the
-    // whole binary would otherwise hand the triple to a different test).
-    seeds = {std::strtoull(exact, nullptr, 10)};
-  } else if (const char* env = std::getenv("CHAINNN_SCHED_ROTATE")) {
-    // Rotating mode (CI): a fresh seed triple per call, offset by the
-    // rotation counter so --gtest_repeat never replays a triple. The
-    // base (CI passes the workflow run number) is strided by 1024 so
-    // consecutive runs draw disjoint seed sets — one sanitize invocation
-    // (3 tests x 5 repeats x 3 seeds = 45) stays well under the stride.
-    static std::atomic<std::uint64_t> rotation{0};
-    const std::uint64_t n = rotation.fetch_add(1);
-    const std::uint64_t base = 1024 * std::strtoull(env, nullptr, 10);
-    seeds = {base + 3 * n, base + 3 * n + 1, base + 3 * n + 2};
-  } else {
-    seeds = {1, 2, 3};  // fixed tier-1 seeds
-  }
-  for (const std::uint64_t s : seeds)
-    std::cout << "[sched-seed] " << s << "\n";
-  return seeds;
-}
 
 nn::NetworkModel tiny_net(int layers) {
   nn::NetworkModel net;
@@ -297,7 +270,7 @@ void run_trace_and_assert_invariants(Fleet& fleet,
 }
 
 TEST(SchedProperties, RandomizedMixedTraceMatchesOracle) {
-  for (const std::uint64_t seed : scheduling_seeds()) {
+  for (const std::uint64_t seed : property_seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const nn::NetworkModel net2 = tiny_net(2);
     const nn::NetworkModel net3 = tiny_net(3);
@@ -340,7 +313,7 @@ TEST(SchedProperties, PreemptionBurstIsBitIdenticalToOracle) {
   // victim is preempted at its layer-1 boundary. The oracle (direct,
   // undisturbed execution) must match every result bit for bit, and the
   // preemption/resume counters must balance.
-  for (const std::uint64_t seed : scheduling_seeds()) {
+  for (const std::uint64_t seed : property_seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const nn::NetworkModel net = tiny_net(3);
 
@@ -444,7 +417,7 @@ TEST(SchedProperties, AdmissionNeverIncreasesMissedDeadlines) {
   // On: every doomed request is rejected at submit and counts as
   // nothing. Admission must strictly reduce missed deadlines here, and
   // rejected requests must never execute.
-  for (const std::uint64_t seed : scheduling_seeds()) {
+  for (const std::uint64_t seed : property_seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const nn::NetworkModel net2 = tiny_net(2);
     const nn::NetworkModel net3 = tiny_net(3);
