@@ -112,8 +112,8 @@ int main(int argc, char** argv) {
             << (s.contains_paper_point ? "ON" : "OFF") << " the frontier\n\n";
 
   // Markdown table: the k cheapest-by-cycles frontier points that an
-  // executed sweep can reproduce (uniform channel mode — the per-request
-  // ArrayShape override sets dual_channel globally).
+  // executed sweep can reproduce (uniform channel mode — a chip's
+  // ArrayShape sets dual_channel for every layer).
   std::vector<const serve::EvaluatedDesignPoint*> rerun;
   for (const serve::EvaluatedDesignPoint& p : result.frontier)
     if (p.uniform_mode()) rerun.push_back(&p);
@@ -142,20 +142,24 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   // Validate the closed forms end to end: every tabled point re-executes
-  // through SweepDriver (its own server carries the point's memory
-  // config; the plan cache is shared with the search, so plans are not
-  // rebuilt).
-  bool executed_ok = true;
+  // as a chip of its own through one SweepDriver (the plan cache is
+  // shared with the search, so plans are not rebuilt).
+  std::vector<serve::ChipSpec> chips;
   for (const auto* p : rerun) {
-    serve::SweepOptions so;
-    so.batch = opts.batch;
-    so.plan_cache = cache;
-    so.memory = p->memory;
-    serve::SweepDriver driver(proxy, so);
-    dataflow::ArrayShape array = p->array;
-    array.dual_channel = p->layer_dual.empty() || p->layer_dual.front() != 0;
-    const auto executed = driver.run({{p->label, array}});
-    const auto& r = executed.front();
+    serve::ChipSpec chip{p->label, p->array, p->memory};
+    chip.array.dual_channel =
+        p->layer_dual.empty() || p->layer_dual.front() != 0;
+    chips.push_back(std::move(chip));
+  }
+  serve::SweepOptions so;
+  so.batch = opts.batch;
+  so.plan_cache = cache;
+  serve::SweepDriver driver(proxy, so);
+  const auto executed = driver.run(chips);
+  bool executed_ok = true;
+  for (std::size_t i = 0; i < rerun.size(); ++i) {
+    const auto* p = rerun[i];
+    const auto& r = executed[i];
     const double energy_rel =
         r.energy_j == 0.0 ? std::abs(p->cost.energy_j - r.energy_j)
                           : std::abs(p->cost.energy_j - r.energy_j) /

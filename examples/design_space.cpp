@@ -7,8 +7,8 @@
 //   1. closed-form tables straight from the plans (instant, every chain
 //      length / clock / batch), as before;
 //   2. an *executed* sweep (serve::SweepDriver): a channel-reduced proxy
-//      of the network actually runs end to end at every design point
-//      through one InferenceServer, with a single PlanCache shared
+//      of the network actually runs end to end at every design point,
+//      each point a chip of its own, with a single PlanCache shared
 //      across the points — per-point executed cycles / energy / fps plus
 //      the cache's totals. Clock-variant points share every plan with
 //      the 576-PE point (the clock is outside the plan key), so the
@@ -116,7 +116,7 @@ void print_closed_form_tables(const nn::NetworkModel& net,
   std::cout << t3.to_ascii() << "\n";
 }
 
-// Executes the proxy network at every design point through the server,
+// Executes the proxy network at every design point, one chip per point,
 // prints the per-point executed figures, and returns the exit code
 // (0 unless no two points shared a plan or a fidelity sample diverged).
 int run_executed_sweep(const nn::NetworkModel& net, const CliFlags& flags,
@@ -131,7 +131,7 @@ int run_executed_sweep(const nn::NetworkModel& net, const CliFlags& flags,
   opts.fidelity_sample_every_n = flags.get_int("fidelity-every");
   serve::SweepDriver driver(proxy, opts);
 
-  std::vector<serve::SweepPointSpec> points = serve::default_sweep_points();
+  std::vector<serve::ChipSpec> points = serve::default_sweep_points();
   const std::int64_t limit = flags.get_int("points");
   if (limit > 0 &&
       limit < static_cast<std::int64_t>(points.size()))
@@ -150,7 +150,7 @@ int run_executed_sweep(const nn::NetworkModel& net, const CliFlags& flags,
     layers_executed += r.run.layers.size();
     fidelity_ok = fidelity_ok && !r.fidelity_diverged;
     const double per_image = static_cast<double>(opts.batch);
-    t.add_row({r.point.label, std::to_string(r.point.array.num_pes),
+    t.add_row({r.point.name, std::to_string(r.point.array.num_pes),
                strings::fmt_fixed(r.point.array.clock_hz / 1e6, 0),
                strings::fmt_fixed(static_cast<double>(r.total_cycles) / 1e6,
                                   2),

@@ -92,7 +92,6 @@ NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
   // One accelerator, built from the effective config and cache, runs
   // every layer.
   AcceleratorConfig cfg = acc_.config();
-  if (options.exec_mode) cfg.exec_mode = *options.exec_mode;
   if (options.arena) cfg.arena = options.arena;
   const ChainAccelerator acc(
       cfg, options.plan_cache ? options.plan_cache : acc_.plan_cache());

@@ -1,14 +1,13 @@
 // NetworkRunner: executes a whole convolutional network on Chain-NN — the
 // conv layers on the chain (cycle-accurately or on the analytical fast
-// path, see NetworkRunOptions::exec_mode), the host-side layers (ReLU,
-// pooling) in between — and rolls per-layer results up into the
+// path, as AcceleratorConfig::exec_mode selects), the host-side layers
+// (ReLU, pooling) in between — and rolls per-layer results up into the
 // batch-level figures the paper reports (fps, time split, traffic,
 // modelled power/energy).
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -119,13 +118,8 @@ struct NetworkRunOptions {
   std::function<void(std::int64_t layer_index, Tensor<std::int16_t>&)>
       weight_init;
   // Every run executes on one accelerator built for it from the
-  // caller's config and cache, with the three overrides below applied.
+  // caller's config and cache, with the two overrides below applied.
   //
-  // Overrides the accelerator's configured ExecMode for this run (e.g. a
-  // cycle-accurate-configured accelerator can profile a network on the
-  // analytical fast path without being reconfigured). nullopt keeps the
-  // accelerator's own cfg.exec_mode.
-  std::optional<ExecMode> exec_mode;
   // Plan cache for this run, shared with whoever else holds it (other
   // runs, sweep points). nullptr keeps the accelerator's own cache.
   // Semantics-free: results are bit-identical either way.

@@ -3,7 +3,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <stdexcept>
+#include <exception>
 #include <utility>
 
 #include "net/json.hpp"
@@ -92,13 +92,6 @@ GatewayStats Gateway::stats() const {
   return out;
 }
 
-serve::LatencyHistogram& Gateway::tier_histogram(std::int32_t priority) {
-  MutexLock lock(mu_);
-  auto& slot = tiers_[priority];
-  if (!slot) slot = std::make_unique<serve::LatencyHistogram>();
-  return *slot;
-}
-
 HttpResponse Gateway::handle(const HttpRequest& request) {
   if (request.target == "/healthz") {
     if (request.method != "GET" && request.method != "HEAD")
@@ -141,8 +134,7 @@ HttpResponse Gateway::handle_submit(const HttpRequest& request) {
   // deadline is worse than a 400.
   for (const auto& [key, value] : body->as_object()) {
     if (key != "model" && key != "batch" && key != "priority" &&
-        key != "deadline_ms" && key != "exec_mode" && key != "array" &&
-        key != "admission")
+        key != "deadline_ms" && key != "exec_mode" && key != "admission")
       return bad("unknown key \"" + key + "\"");
   }
 
@@ -167,7 +159,9 @@ HttpResponse Gateway::handle_submit(const HttpRequest& request) {
   if (const Json* f = body->find("priority")) {
     if (!f->is_integer()) return bad("\"priority\" must be an integer");
     const std::int64_t p = f->as_int();
-    if (p < INT32_MIN || p > INT32_MAX) return bad("\"priority\" out of range");
+    if (p < 0 || p >= kPriorityTiers)
+      return bad("\"priority\" must be in [0, " +
+                 std::to_string(kPriorityTiers - 1) + "]");
     options.priority = static_cast<std::int32_t>(p);
   }
   if (const Json* f = body->find("deadline_ms")) {
@@ -188,31 +182,6 @@ HttpResponse Gateway::handle_submit(const HttpRequest& request) {
     if (!f->is_bool()) return bad("\"admission\" must be a boolean");
     options.admission = f->as_bool();
   }
-  if (const Json* f = body->find("array")) {
-    if (!f->is_object()) return bad("\"array\" must be an object");
-    dataflow::ArrayShape array;
-    for (const auto& [key, value] : f->as_object()) {
-      if (key == "num_pes") {
-        if (!value.is_integer() || value.as_int() < 1)
-          return bad("\"array.num_pes\" must be a positive integer");
-        array.num_pes = value.as_int();
-      } else if (key == "kmem_words_per_pe") {
-        if (!value.is_integer() || value.as_int() < 1)
-          return bad("\"array.kmem_words_per_pe\" must be a positive integer");
-        array.kmem_words_per_pe = value.as_int();
-      } else if (key == "clock_hz") {
-        if (!value.is_number() || value.as_double() <= 0)
-          return bad("\"array.clock_hz\" must be a positive number");
-        array.clock_hz = value.as_double();
-      } else if (key == "dual_channel") {
-        if (!value.is_bool()) return bad("\"array.dual_channel\" must be a boolean");
-        array.dual_channel = value.as_bool();
-      } else {
-        return bad("unknown key \"array." + key + "\"");
-      }
-    }
-    options.array = array;
-  }
 
   // Resolve (and cache) the served model.
   std::shared_ptr<const nn::NetworkModel> model;
@@ -228,18 +197,6 @@ HttpResponse Gateway::handle_submit(const HttpRequest& request) {
     model = slot;
   }
 
-  // A client-chosen array the model cannot be planned on (say, fewer PEs
-  // than a layer's taps) is a bad request, not a serving failure: plan
-  // the route without dispatching and answer the planner's refusal here,
-  // before anything reaches the fleet.
-  if (options.array) {
-    try {
-      (void)fleet_.plan_route(*model, batch, options);
-    } catch (const std::logic_error& e) {
-      return bad(e.what());
-    }
-  }
-
   const auto t0 = Clock::now();
   serve::InferenceResult result;
   try {
@@ -252,7 +209,7 @@ HttpResponse Gateway::handle_submit(const HttpRequest& request) {
     return json_error(500, std::string("request failed: ") + e.what());
   }
   const double gateway_ms = ms_since(t0);
-  tier_histogram(options.priority).record(gateway_ms);
+  tiers_[static_cast<std::size_t>(options.priority)].record(gateway_ms);
   {
     MutexLock lock(mu_);
     switch (result.status) {
@@ -492,13 +449,13 @@ std::string Gateway::metrics_text() const {
   // -- per-tier latency histograms ----------------------------------------
   w.family("chainnn_gateway_request_latency_ms", "histogram",
            "End-to-end /v1/submit latency (parse to future resolution).");
+  // A tier is printed once it has a sample.
   std::vector<std::pair<std::int32_t, serve::LatencyHistogram::Snapshot>>
       tiers;
-  {
-    MutexLock lock(mu_);
-    tiers.reserve(tiers_.size());
-    for (const auto& [priority, hist] : tiers_)
-      tiers.emplace_back(priority, hist->snapshot());
+  for (std::int32_t priority = 0; priority < kPriorityTiers; ++priority) {
+    serve::LatencyHistogram::Snapshot snap =
+        tiers_[static_cast<std::size_t>(priority)].snapshot();
+    if (snap.count > 0) tiers.emplace_back(priority, std::move(snap));
   }
   for (const auto& [priority, snap] : tiers) {
     const std::string tier = "tier=\"" + std::to_string(priority) + "\"";

@@ -3,8 +3,7 @@
 // Three endpoints:
 //   POST /v1/submit   {"model": "alexnet", "batch": 4, "priority": 1,
 //                      "deadline_ms": 250, "exec_mode": "analytical",
-//                      "admission": true,
-//                      "array": {"num_pes": 288, "clock_hz": 9e8}}
+//                      "admission": true}
 //                     -> blocks on the fleet future and answers the full
 //                        outcome: {"id", "status", "chip", "wall_ms",
 //                        "queue_ms", "modelled_seconds", "preemptions",
@@ -21,9 +20,12 @@
 //   GET  /healthz     {"status": "ok"} — liveness only.
 //
 // Validation is strict: unknown body keys, wrong types, unknown models,
-// out-of-range batches and an `array` the model cannot be planned on
-// (Fleet::plan_route refuses it) are answered 400 with a reason, before
-// anything is dispatched. A deadline_ms too large for the clock never
+// out-of-range batches and a priority outside [0, kPriorityTiers) are
+// answered 400 with a reason, before anything is dispatched. Nothing a
+// client sends can grow the gateway or the fleet: the chip is the
+// router's choice (there is no per-request array, so the plan cache
+// holds only the fleet's chips), and the per-tier histograms are a fixed
+// set of kPriorityTiers. A deadline_ms too large for the clock never
 // expires; one in the past resolves kCancelled. A resolved future —
 // kOk, kCancelled or kRejected — is a 200 whose "status" field carries
 // the verdict; HTTP 5xx is reserved for requests that threw, so the
@@ -36,6 +38,7 @@
 // layer's geometry (and therefore the planning/routing behaviour).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -47,6 +50,9 @@
 #include "serve/latency_histogram.hpp"
 
 namespace chainnn::net {
+
+// Scheduling tiers a client may ask for: "priority" is 0..7.
+inline constexpr std::int32_t kPriorityTiers = 8;
 
 struct GatewayOptions {
   HttpServerOptions http;
@@ -86,8 +92,6 @@ class Gateway {
  private:
   HttpResponse handle(const HttpRequest& request);
   HttpResponse handle_submit(const HttpRequest& request);
-  // Histogram for one priority tier, created on first use.
-  serve::LatencyHistogram& tier_histogram(std::int32_t priority);
 
   serve::Fleet& fleet_;
   GatewayOptions opts_;
@@ -95,11 +99,9 @@ class Gateway {
   mutable Mutex mu_;
   std::map<std::string, std::shared_ptr<const nn::NetworkModel>> models_
       CHAINNN_GUARDED_BY(mu_);
-  // Unique_ptr values: histograms must not move once handed out —
-  // record() runs outside the lock (the histogram itself is lock-free,
-  // see serve/latency_histogram.hpp). Only the map is mu_-guarded.
-  std::map<std::int32_t, std::unique_ptr<serve::LatencyHistogram>> tiers_
-      CHAINNN_GUARDED_BY(mu_);
+  // One latency histogram per priority tier. Lock-free (see
+  // serve/latency_histogram.hpp), so not guarded by mu_.
+  std::array<serve::LatencyHistogram, kPriorityTiers> tiers_;
   std::int64_t submits_ok_ CHAINNN_GUARDED_BY(mu_) = 0;
   std::int64_t submits_cancelled_ CHAINNN_GUARDED_BY(mu_) = 0;
   std::int64_t submits_rejected_ CHAINNN_GUARDED_BY(mu_) = 0;

@@ -97,8 +97,8 @@ struct EvaluatedDesignPoint {
   dataflow::PointCost cost;
 
   // True when every layer streams the same mode — exactly the points an
-  // executed SweepDriver re-run can reproduce (its per-request ArrayShape
-  // sets dual_channel globally).
+  // executed SweepDriver re-run can reproduce (a chip's ArrayShape sets
+  // dual_channel for every layer).
   [[nodiscard]] bool uniform_mode() const;
 };
 

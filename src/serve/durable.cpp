@@ -339,8 +339,6 @@ std::string encode_submit(const SubmitRecord& rec) {
   w.u8(rec.exec_mode ? 1 : 0);
   if (rec.exec_mode)
     w.u8(*rec.exec_mode == chain::ExecMode::kAnalytical ? 1 : 0);
-  w.u8(rec.array ? 1 : 0);
-  if (rec.array) write_array_shape(w, *rec.array);
   write_inter_layer(w, rec.inter_layer);
   return w.take();
 }
@@ -357,7 +355,6 @@ SubmitRecord decode_submit(std::string_view payload) {
   if (r.u8() != 0)
     rec.exec_mode = r.u8() != 0 ? chain::ExecMode::kAnalytical
                                 : chain::ExecMode::kCycleAccurate;
-  if (r.u8() != 0) rec.array = read_array_shape(r);
   rec.inter_layer = read_inter_layer(r);
   return rec;
 }

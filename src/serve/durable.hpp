@@ -57,7 +57,6 @@ struct SubmitRecord {
   std::int64_t priority = 0;
   bool verify_against_golden = false;
   std::optional<chain::ExecMode> exec_mode;
-  std::optional<dataflow::ArrayShape> array;
   std::vector<chain::InterLayerOp> inter_layer;
 };
 

@@ -301,7 +301,6 @@ std::optional<InferenceResult> Fleet::Executor::execute_request(Task& task) {
 
   chain::AcceleratorConfig cfg = opts_.accelerator;
   cfg.arena = arena_;
-  if (task.options.array) cfg.array = *task.options.array;
   if (task.options.exec_mode) cfg.exec_mode = *task.options.exec_mode;
   out.exec_mode = cfg.exec_mode;
 
@@ -656,7 +655,6 @@ std::future<InferenceResult> Fleet::journal_and_enqueue(
       rec.priority = options.priority;
       rec.verify_against_golden = options.verify_against_golden;
       rec.exec_mode = options.exec_mode;
-      rec.array = options.array;
       rec.inter_layer = options.inter_layer;
       // SUBMIT hits the log *before* the request can reach a chip queue,
       // so a crash at any later point finds the request journaled: the
@@ -710,7 +708,7 @@ std::future<InferenceResult> Fleet::submit_tagged(
   CHAINNN_CHECK(input.shape().rank() == 4);
   const RouteDecision decision = router_->route_and_dispatch(
       net, input.shape().dim(0), input.shape().dim(2), input.shape().dim(3),
-      options.inter_layer, options.array, admission_deadline_s(options));
+      options.inter_layer, admission_deadline_s(options));
   return journal_and_enqueue(decision, std::move(net), std::move(input),
                              std::move(options), tag, std::move(resume));
 }
@@ -761,7 +759,6 @@ RecoveryReport Fleet::recover(const std::string& journal_path) {
     options.priority = static_cast<std::int32_t>(s.priority);
     options.verify_against_golden = s.verify_against_golden;
     options.exec_mode = s.exec_mode;
-    options.array = s.array;
     options.inter_layer = s.inter_layer;
     if (req.checkpoint) ++report.resumed_from_checkpoint;
 
@@ -788,7 +785,7 @@ RecoveryReport Fleet::recover(const std::string& journal_path) {
       d.chip_name = pin_name;
       d.request_seconds = router_->modelled_request_seconds(
           *pin, s.net, s.input.shape().dim(0), s.input.shape().dim(2),
-          s.input.shape().dim(3), s.inter_layer, s.array);
+          s.input.shape().dim(3), s.inter_layer);
       router_->dispatch(d);
       fut = journal_and_enqueue(d, std::move(s.net), std::move(s.input),
                                 std::move(options), s.tag, req.checkpoint);
@@ -816,7 +813,7 @@ RouteDecision Fleet::plan_route(const nn::NetworkModel& net,
                                 const RequestOptions& options) const {
   const nn::ConvLayerParams& first = first_layer(net);
   return router_->route(net, batch, first.in_height, first.in_width,
-                        options.inter_layer, options.array);
+                        options.inter_layer);
 }
 
 void Fleet::wait_idle() {
@@ -864,14 +861,10 @@ FleetTraceReport run_fleet_trace(Fleet& fleet,
                       "trace entry without a network");
     const nn::ConvLayerParams& first = e.net->conv_layers.front();
     entry_seconds[i].resize(num_chips);
-    // The entry's per-request array override applies on both sides:
-    // busy_seconds accrues override-based modelled_seconds, so pricing
-    // the single-chip replay on the chip's native array would compare
-    // two different workloads.
     for (std::size_t c = 0; c < num_chips; ++c)
       entry_seconds[i][c] = fleet.router().modelled_request_seconds(
           c, *e.net, e.batch, first.in_height, first.in_width,
-          e.options.inter_layer, e.options.array);
+          e.options.inter_layer);
   }
 
   const auto t0 = std::chrono::steady_clock::now();

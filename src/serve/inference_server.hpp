@@ -42,11 +42,11 @@
 // RequestOptions::admission, a deadline the modelled chain time already
 // misses is refused at submit instead (RequestStatus::kRejected).
 //
-// Per-request knobs:
-//   * ExecMode — capacity-planning requests run on the analytical fast
-//     path, fidelity-sensitive ones cycle-accurately, in one process;
-//   * array    — a per-request ArrayShape override, which is what lets
-//     SweepDriver push whole design-space points through one server.
+// Per-request engine: capacity-planning requests run on the analytical
+// fast path, fidelity-sensitive ones cycle-accurately, in one process.
+// The chip is not a per-request knob: every request runs on the array
+// and memory of the chip it is placed on (a server is one chip), so the
+// plan cache holds at most one plan per (layer shape, chip).
 //
 // Fidelity sampling: with ServerOptions::fidelity_sample_every_n = N,
 // every Nth request is re-executed on the *other* engine (analytical ↔
@@ -97,10 +97,6 @@ enum class RequestStatus {
 struct RequestOptions {
   // Engine for this request; nullopt uses the server accelerator's mode.
   std::optional<chain::ExecMode> exec_mode;
-  // Design-point override: run this request on a different chain shape
-  // (PE count, clock, ...). Plans are still shared through the cache
-  // with every other request whose structural key matches.
-  std::optional<dataflow::ArrayShape> array;
   // Scheduling tier: higher values always dequeue before lower ones.
   std::int32_t priority = 0;
   // Wall-clock budget in milliseconds from submission; nullopt = none.
@@ -215,9 +211,9 @@ struct ServerStats {
 }
 
 struct ServerOptions {
-  // Base accelerator config; requests override exec_mode / array, and
-  // the chip's own tensor pool replaces the config's arena. Its array and
-  // memory are the chip the request router prices requests against.
+  // The chip: its array and memory are what every request runs on and is
+  // priced against. Requests may override exec_mode only, and the chip's
+  // own tensor pool replaces the config's arena.
   chain::AcceleratorConfig accelerator = analytical_accelerator_config();
   energy::EnergyModel energy = energy::EnergyModel::paper_calibrated();
   // Name stamped on every InferenceResult::chip — lets fleet members be

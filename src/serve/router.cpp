@@ -74,21 +74,19 @@ Router::Router(std::vector<ChipSpec> chips, std::shared_ptr<PlanCache> cache)
 
 std::int64_t Router::cycles_for_resolved(
     std::size_t chip, const std::vector<nn::ConvLayerParams>& layers,
-    std::int64_t batch,
-    const std::optional<dataflow::ArrayShape>& array_override) const {
+    std::int64_t batch) const {
   CHAINNN_CHECK_MSG(chip < chips_.size(),
                     "chip " << chip << " out of range");
-  const dataflow::ArrayShape& array =
-      array_override ? *array_override : chips_[chip].array;
+  const ChipSpec& spec = chips_[chip];
   std::int64_t total = 0;
   for (const nn::ConvLayerParams& layer : layers) {
     // Shared fetch: sizing a request stays a hash lookup per layer, not
-    // a deep plan copy; the caller's array goes to the closed form
+    // a deep plan copy; the chip's array goes to the closed form
     // explicitly since the cached entry's array may differ outside the
     // key.
     const std::shared_ptr<const dataflow::ExecutionPlan> plan =
-        cache_->shared_plan_for(layer, array, chips_[chip].memory);
-    total += dataflow::layer_cycles(*plan, array).total(batch);
+        cache_->shared_plan_for(layer, spec.array, spec.memory);
+    total += dataflow::layer_cycles(*plan, spec.array).total(batch);
   }
   return total;
 }
@@ -96,31 +94,26 @@ std::int64_t Router::cycles_for_resolved(
 std::int64_t Router::modelled_request_cycles(
     std::size_t chip, const nn::NetworkModel& net, std::int64_t batch,
     std::int64_t in_height, std::int64_t in_width,
-    const std::vector<chain::InterLayerOp>& inter_layer,
-    const std::optional<dataflow::ArrayShape>& array_override) const {
+    const std::vector<chain::InterLayerOp>& inter_layer) const {
   return cycles_for_resolved(
       chip, resolve_network_layers(net, batch, in_height, in_width, inter_layer),
-      batch, array_override);
+      batch);
 }
 
 double Router::modelled_request_seconds(
     std::size_t chip, const nn::NetworkModel& net, std::int64_t batch,
     std::int64_t in_height, std::int64_t in_width,
-    const std::vector<chain::InterLayerOp>& inter_layer,
-    const std::optional<dataflow::ArrayShape>& array_override) const {
-  const dataflow::ArrayShape& array =
-      array_override ? *array_override : chips_[chip].array;
-  return static_cast<double>(modelled_request_cycles(
-             chip, net, batch, in_height, in_width, inter_layer,
-             array_override)) /
-         array.clock_hz;
+    const std::vector<chain::InterLayerOp>& inter_layer) const {
+  // Sized first: it range-checks `chip` before chips_ is indexed.
+  const std::int64_t cycles = modelled_request_cycles(
+      chip, net, batch, in_height, in_width, inter_layer);
+  return static_cast<double>(cycles) / chips_[chip].array.clock_hz;
 }
 
 Router::Estimates Router::estimate_all(
     const nn::NetworkModel& net, std::int64_t batch, std::int64_t in_height,
     std::int64_t in_width,
-    const std::vector<chain::InterLayerOp>& inter_layer,
-    const std::optional<dataflow::ArrayShape>& array_override) const {
+    const std::vector<chain::InterLayerOp>& inter_layer) const {
   // Plan lookups may plan on a cold cache, so estimation never holds the
   // router lock. The resolved geometry is chip-independent, so resolve
   // (and validate) once, not once per chip.
@@ -130,10 +123,9 @@ Router::Estimates Router::estimate_all(
   est.cycles.resize(chips_.size());
   est.seconds.resize(chips_.size());
   for (std::size_t c = 0; c < chips_.size(); ++c) {
-    est.cycles[c] = cycles_for_resolved(c, layers, batch, array_override);
-    const dataflow::ArrayShape& array =
-        array_override ? *array_override : chips_[c].array;
-    est.seconds[c] = static_cast<double>(est.cycles[c]) / array.clock_hz;
+    est.cycles[c] = cycles_for_resolved(c, layers, batch);
+    est.seconds[c] =
+        static_cast<double>(est.cycles[c]) / chips_[c].array.clock_hz;
   }
   return est;
 }
@@ -158,10 +150,9 @@ RouteDecision Router::pick_locked(const Estimates& est) const {
 RouteDecision Router::route(
     const nn::NetworkModel& net, std::int64_t batch, std::int64_t in_height,
     std::int64_t in_width,
-    const std::vector<chain::InterLayerOp>& inter_layer,
-    const std::optional<dataflow::ArrayShape>& array_override) const {
-  const Estimates est = estimate_all(net, batch, in_height, in_width,
-                                     inter_layer, array_override);
+    const std::vector<chain::InterLayerOp>& inter_layer) const {
+  const Estimates est =
+      estimate_all(net, batch, in_height, in_width, inter_layer);
   MutexLock lock(mu_);
   return pick_locked(est);
 }
@@ -170,10 +161,9 @@ RouteDecision Router::route_and_dispatch(
     const nn::NetworkModel& net, std::int64_t batch, std::int64_t in_height,
     std::int64_t in_width,
     const std::vector<chain::InterLayerOp>& inter_layer,
-    const std::optional<dataflow::ArrayShape>& array_override,
     const std::optional<double>& admission_deadline_s) {
-  const Estimates est = estimate_all(net, batch, in_height, in_width,
-                                     inter_layer, array_override);
+  const Estimates est =
+      estimate_all(net, batch, in_height, in_width, inter_layer);
   MutexLock lock(mu_);
   RouteDecision decision = pick_locked(est);
   if (admission_deadline_s &&

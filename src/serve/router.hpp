@@ -12,6 +12,10 @@
 // routing quality degrades only through host-side effects (queueing
 // granularity, worker scheduling), not through model error.
 //
+// Every estimate is for a chip's own array and memory: the chips are the
+// only arrays a request can run on, so the shared cache holds at most one
+// plan per (layer shape, chip) however many clients the fleet serves.
+//
 // The router is execution-agnostic: it never runs anything. Fleet calls
 // route()/dispatch() at submission, and each chip's executor calls
 // complete() when a request is preempted (the banked layers) and when it
@@ -81,26 +85,21 @@ class Router {
 
   // Modelled chain cycles of `batch` images of `net` on chip `chip`:
   // the total_cycles() a NetworkRunner run on that chip records.
-  // `array_override`, when set, replaces the chip's array (a request
-  // pinning its own ArrayShape still gets backlog-aware placement).
   [[nodiscard]] std::int64_t modelled_request_cycles(
       std::size_t chip, const nn::NetworkModel& net, std::int64_t batch,
       std::int64_t in_height, std::int64_t in_width,
-      const std::vector<chain::InterLayerOp>& inter_layer,
-      const std::optional<dataflow::ArrayShape>& array_override = {}) const;
+      const std::vector<chain::InterLayerOp>& inter_layer) const;
   [[nodiscard]] double modelled_request_seconds(
       std::size_t chip, const nn::NetworkModel& net, std::int64_t batch,
       std::int64_t in_height, std::int64_t in_width,
-      const std::vector<chain::InterLayerOp>& inter_layer,
-      const std::optional<dataflow::ArrayShape>& array_override = {}) const;
+      const std::vector<chain::InterLayerOp>& inter_layer) const;
 
   // Earliest-finish-time placement over the current backlogs. Pure: the
   // backlog is only charged when the caller commits with dispatch().
   [[nodiscard]] RouteDecision route(
       const nn::NetworkModel& net, std::int64_t batch,
       std::int64_t in_height, std::int64_t in_width,
-      const std::vector<chain::InterLayerOp>& inter_layer,
-      const std::optional<dataflow::ArrayShape>& array_override = {}) const;
+      const std::vector<chain::InterLayerOp>& inter_layer) const;
 
   // route() + dispatch() under one lock hold: concurrent submitters each
   // see the backlog the previous decision committed, so two simultaneous
@@ -119,7 +118,6 @@ class Router {
       const nn::NetworkModel& net, std::int64_t batch,
       std::int64_t in_height, std::int64_t in_width,
       const std::vector<chain::InterLayerOp>& inter_layer,
-      const std::optional<dataflow::ArrayShape>& array_override = {},
       const std::optional<double>& admission_deadline_s = {});
 
   // Commits a decision: charges its modelled seconds to the chip's
@@ -150,13 +148,11 @@ class Router {
   [[nodiscard]] Estimates estimate_all(
       const nn::NetworkModel& net, std::int64_t batch,
       std::int64_t in_height, std::int64_t in_width,
-      const std::vector<chain::InterLayerOp>& inter_layer,
-      const std::optional<dataflow::ArrayShape>& array_override) const;
+      const std::vector<chain::InterLayerOp>& inter_layer) const;
   // Cycle cost of already-resolved layers on one chip; requires no lock.
   [[nodiscard]] std::int64_t cycles_for_resolved(
       std::size_t chip, const std::vector<nn::ConvLayerParams>& layers,
-      std::int64_t batch,
-      const std::optional<dataflow::ArrayShape>& array_override) const;
+      std::int64_t batch) const;
   // Picks the earliest finish over backlog_.
   [[nodiscard]] RouteDecision pick_locked(const Estimates& est) const
       CHAINNN_REQUIRES(mu_);

@@ -1,12 +1,18 @@
 #include "serve/sweep_driver.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 
 namespace chainnn::serve {
+
+namespace {
+// Seed of the one input every point executes.
+constexpr std::uint64_t kInputSeed = 7;
+}  // namespace
 
 SweepDriver::SweepDriver(nn::NetworkModel network, SweepOptions options)
     : net_(std::move(network)),
@@ -20,31 +26,34 @@ SweepDriver::SweepDriver(nn::NetworkModel network, SweepOptions options)
 }
 
 std::vector<SweepPointResult> SweepDriver::run(
-    const std::vector<SweepPointSpec>& points) {
-  ServerOptions so;
-  so.accelerator.exec_mode = opts_.exec_mode;
-  if (opts_.memory) so.accelerator.memory = *opts_.memory;
-  so.fidelity_sample_every_n = opts_.fidelity_sample_every_n;
-  so.plan_cache = cache_;
-  InferenceServer server(so);
-
+    const std::vector<ChipSpec>& points) {
   // One input for the whole sweep, so every point executes the same
   // workload and the per-point figures are directly comparable.
   const nn::ConvLayerParams& first = net_.conv_layers.front();
   Tensor<std::int16_t> input(Shape{opts_.batch, first.in_channels,
                                    first.in_height, first.in_width});
-  Rng rng(opts_.input_seed);
+  Rng rng(kInputSeed);
   input.fill_random(rng, -64, 64);
 
+  const std::int64_t n = opts_.fidelity_sample_every_n;
   std::vector<SweepPointResult> results;
   results.reserve(points.size());
-  for (const SweepPointSpec& point : points) {
-    RequestOptions ro;
-    ro.array = point.array;
-    ro.inter_layer = opts_.inter_layer;
-    // Points are submitted and awaited in turn, so the sweep's cache
-    // carry-over between points is deterministic.
-    InferenceResult res = server.submit(net_, input, ro).get();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const ChipSpec& point = points[i];
+    ServerOptions so;
+    so.accelerator.exec_mode = opts_.exec_mode;
+    so.accelerator.array = point.array;
+    so.accelerator.memory = point.memory;
+    so.name = point.name;
+    so.plan_cache = cache_;
+    // The point's one request is sampled exactly when the point is.
+    const bool sampled =
+        n > 0 && (static_cast<std::int64_t>(i) + 1) % n == 0;
+    so.fidelity_sample_every_n = sampled ? 1 : 0;
+    // Points run one after another, so the sweep's cache carry-over
+    // between points is deterministic.
+    InferenceServer server(so);
+    InferenceResult res = server.submit(net_, input).get();
 
     SweepPointResult r;
     r.point = point;
@@ -61,9 +70,7 @@ std::vector<SweepPointResult> SweepDriver::run(
     r.fidelity_sampled = res.fidelity.sampled;
     r.fidelity_diverged = res.fidelity.diverged;
     // Server-side stamps: wall_ms covers the execution attempts only,
-    // queue_ms the wait before pickup. Folding the wait into wall_ms
-    // would charge earlier points' service time to whichever point
-    // queued behind them whenever the server is shared.
+    // queue_ms the wait before pickup.
     r.wall_ms = res.wall_ms;
     r.queue_ms = res.queue_ms;
     results.push_back(std::move(r));
@@ -71,23 +78,23 @@ std::vector<SweepPointResult> SweepDriver::run(
   return results;
 }
 
-std::vector<SweepPointSpec> default_sweep_points() {
+std::vector<ChipSpec> default_sweep_points() {
   // The paper point first, then its clock variants (which share every
   // cached plan with it — the clock is outside the plan key), then the
   // other chain lengths. Ordered so any prefix of >= 2 points already
   // exercises cross-point cache hits.
-  std::vector<SweepPointSpec> points;
-  points.push_back({"pes-576", dataflow::ArrayShape{}});
+  std::vector<ChipSpec> points;
+  points.push_back({"pes-576", dataflow::ArrayShape{}, {}});
   for (const double mhz : {350.0, 900.0}) {
     dataflow::ArrayShape array;
     array.clock_hz = mhz * 1e6;
     points.push_back(
-        {"clk-" + std::to_string(static_cast<int>(mhz)), array});
+        {"clk-" + std::to_string(static_cast<int>(mhz)), array, {}});
   }
   for (const std::int64_t pes : {144, 288, 1152}) {
     dataflow::ArrayShape array;
     array.num_pes = pes;
-    points.push_back({"pes-" + std::to_string(pes), array});
+    points.push_back({"pes-" + std::to_string(pes), array, {}});
   }
   return points;
 }

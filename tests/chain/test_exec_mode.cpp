@@ -159,8 +159,9 @@ TEST(ExecModeEquivalence, MultipleCTilesWithPsumSpill) {
 }
 
 TEST(ExecModeEquivalence, NetworkRunnerOverride) {
-  // A cycle-accurate-configured accelerator profiles a small network on
-  // the analytical path via the per-run override; totals must agree.
+  // The cycle-accurate config, overridden to the analytical engine,
+  // profiles a small network; totals must agree with the cycle-accurate
+  // run.
   nn::NetworkModel net;
   net.name = "tiny";
   net.conv_layers = {layer_of(1, 2, 3, 10, 3, 1, 1),
@@ -176,11 +177,10 @@ TEST(ExecModeEquivalence, NetworkRunnerOverride) {
   NetworkRunner runner_cycle(acc_cycle, energy);
   const NetworkRunResult rc = runner_cycle.run(net, input, {});
 
+  cfg.exec_mode = ExecMode::kAnalytical;
   ChainAccelerator acc_fast(cfg);
   NetworkRunner runner_fast(acc_fast, energy);
-  NetworkRunOptions fast_opts;
-  fast_opts.exec_mode = ExecMode::kAnalytical;
-  const NetworkRunResult ra = runner_fast.run(net, input, fast_opts);
+  const NetworkRunResult ra = runner_fast.run(net, input, {});
 
   EXPECT_TRUE(rc.all_verified());
   EXPECT_TRUE(ra.all_verified());

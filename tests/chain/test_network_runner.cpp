@@ -186,22 +186,23 @@ TEST(NetworkRunner, CancelCheckStopsBetweenLayers) {
 }
 
 // A run that passes no plan_cache resolves every plan through the
-// accelerator's own cache, also under an engine override: the first run
-// of a network plans into that cache, and the second only hits it.
+// accelerator's own cache, also with the engine overridden in the
+// accelerator config: the first run of a network plans into that cache,
+// and the second only hits it.
 TEST(NetworkRunner, OverrideRunUsesTheAcceleratorsPlanCache) {
   const auto model = energy::EnergyModel::paper_calibrated();
   Rng rng(6);
   Tensor<std::int16_t> input(Shape{4, 1, 12, 12});
   input.fill_random(rng, -64, 64);
 
-  NetworkRunOptions analytical;
-  analytical.exec_mode = ExecMode::kAnalytical;
-  ChainAccelerator acc(small_cfg());
+  AcceleratorConfig cfg = small_cfg();
+  cfg.exec_mode = ExecMode::kAnalytical;
+  ChainAccelerator acc(cfg);
   NetworkRunner runner(acc, model);
-  (void)runner.run(tiny_net(), input, analytical);
+  (void)runner.run(tiny_net(), input, {});
   const serve::PlanCacheStats first = acc.plan_cache()->stats();
   EXPECT_GT(first.misses, 0u);
-  (void)runner.run(tiny_net(), input, analytical);
+  (void)runner.run(tiny_net(), input, {});
   const serve::PlanCacheStats second = acc.plan_cache()->stats();
   EXPECT_GT(second.hits, first.hits);
   EXPECT_EQ(second.misses, first.misses);

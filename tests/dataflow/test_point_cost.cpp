@@ -52,7 +52,7 @@ void cross_check_at_batch(std::int64_t batch) {
       serve::resolve_network_layers(net, batch, first.in_height,
                                     first.in_width, {});
   for (const auto& r : executed) {
-    SCOPED_TRACE(r.point.label + " batch " + std::to_string(batch));
+    SCOPED_TRACE(r.point.name + " batch " + std::to_string(batch));
     PointCostOptions opts;
     opts.batch = batch;
     const PointCost est =

@@ -90,9 +90,10 @@ TEST(Gateway, MalformedSubmitBodiesAre400NotCrashes) {
       "{\"model\": \"lenet\", \"batch\": 0}",           // batch < 1
       "{\"model\": \"lenet\", \"batch\": 1e9}",         // batch not integral
       "{\"model\": \"lenet\", \"priority\": \"high\"}",  // wrong type
+      "{\"model\": \"lenet\", \"priority\": -1}",  // below tier 0
+      "{\"model\": \"lenet\", \"priority\": 8}",   // above tier 7
       "{\"model\": \"lenet\", \"exec_mode\": \"quantum\"}",
-      "{\"model\": \"lenet\", \"array\": {\"num_pes\": 0}}",
-      "{\"model\": \"lenet\", \"array\": {\"pes\": 4}}",  // unknown array key
+      "{\"model\": \"lenet\", \"array\": {\"num_pes\": 288}}",  // no such key
   };
   for (const char* body : bad_bodies) {
     HttpResponse resp;
@@ -226,30 +227,31 @@ TEST(Gateway, HugeDeadlineIsServed) {
   EXPECT_EQ(gateway.stats().submits_ok, 1);
 }
 
-// An array the model cannot be planned on (LeNet's 5x5 kernels need 25
-// taps) is the client's error: a 400 with the planner's reason, before
-// the fleet sees the request — never a 5xx.
-TEST(Gateway, UnplannableArrayIs400) {
+// A client cannot choose the chip: an "array" body is an unknown key,
+// refused before anything is planned, so no sequence of distinct arrays
+// grows the fleet's plan cache.
+TEST(Gateway, ArrayBodiesAre400AndPlanNothing) {
   serve::Fleet fleet;
   Gateway gateway(fleet, quick_gateway_options());
   HttpClient client("127.0.0.1", gateway.port());
 
-  HttpResponse resp;
-  ASSERT_TRUE(client.post_json(
-      "/v1/submit", "{\"model\": \"lenet\", \"array\": {\"num_pes\": 7}}",
-      &resp))
-      << client.error();
-  EXPECT_EQ(resp.status, 400) << resp.body;
-  const auto wire = Json::parse(resp.body);
-  ASSERT_TRUE(wire.has_value());
-  ASSERT_NE(wire->find("error"), nullptr);
-  EXPECT_NE(wire->find("error")->as_string().find("taps"), std::string::npos)
-      << resp.body;
+  constexpr int kArrays = 120;
+  for (int i = 0; i < kArrays; ++i) {
+    const std::string body =
+        "{\"model\": \"lenet\", \"array\": {\"num_pes\": " +
+        std::to_string(32 + 8 * i) + ", \"clock_hz\": " +
+        std::to_string(100 + i) + "e6}}";
+    HttpResponse resp;
+    ASSERT_TRUE(client.post_json("/v1/submit", body, &resp))
+        << body << ": " << client.error();
+    EXPECT_EQ(resp.status, 400) << body << " -> " << resp.body;
+  }
 
   const GatewayStats stats = gateway.stats();
-  EXPECT_EQ(stats.bad_requests, 1);
+  EXPECT_EQ(stats.bad_requests, kArrays);
   EXPECT_EQ(stats.submits_failed, 0);
   EXPECT_EQ(stats.http.responses_5xx, 0);
+  EXPECT_EQ(fleet.plan_cache()->stats().entries, 0u);
   EXPECT_EQ(fleet.stats().submitted, 0);
 }
 

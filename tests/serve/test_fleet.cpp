@@ -447,20 +447,5 @@ TEST(Fleet, AdmissionRejectsDeadlineInfeasibleOnEveryChip) {
     EXPECT_NEAR(chip.backlog_seconds, 0.0, 1e-12);
 }
 
-TEST(Fleet, HonorsPerRequestArrayOverride) {
-  Fleet fleet{FleetOptions{}};
-  RequestOptions ro;
-  dataflow::ArrayShape pinned;
-  pinned.num_pes = 144;
-  pinned.clock_hz = 350e6;
-  ro.array = pinned;
-  const InferenceResult r = fleet.submit(tiny_net(), 1, ro).get();
-  ASSERT_EQ(r.status, RequestStatus::kOk);
-  for (const auto& layer : r.run.layers) {
-    EXPECT_EQ(layer.run.plan.array.num_pes, 144);
-    EXPECT_EQ(layer.run.plan.array.clock_hz, 350e6);
-  }
-}
-
 }  // namespace
 }  // namespace chainnn::serve

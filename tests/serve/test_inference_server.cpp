@@ -1,5 +1,5 @@
-// InferenceServer: request scheduling, per-request ExecMode / array
-// overrides, and fidelity sampling — sampled cycle-accurate replays must
+// InferenceServer: request scheduling, per-request ExecMode overrides,
+// and fidelity sampling — sampled cycle-accurate replays must
 // be bit-identical to the analytical results, and an injected divergence
 // must be caught and counted.
 #include <gtest/gtest.h>
@@ -128,20 +128,6 @@ TEST(InferenceServer, PerRequestExecModeMatchesBitForBit) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.analytical_runs, 1);
   EXPECT_EQ(stats.cycle_accurate_runs, 1);
-}
-
-TEST(InferenceServer, PerRequestArrayOverride) {
-  InferenceServer server{ServerOptions{}};
-  RequestOptions ro;
-  dataflow::ArrayShape array;
-  array.num_pes = 288;
-  array.clock_hz = 350e6;
-  ro.array = array;
-  const InferenceResult r = server.submit(tiny_net(), 1, ro).get();
-  for (const auto& layer : r.run.layers) {
-    EXPECT_EQ(layer.run.plan.array.num_pes, 288);
-    EXPECT_EQ(layer.run.plan.array.clock_hz, 350e6);
-  }
 }
 
 TEST(InferenceServer, FidelitySamplesAreBitIdentical) {

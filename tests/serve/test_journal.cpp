@@ -250,9 +250,6 @@ TEST(DurableCodecs, SubmitRecordRoundTrips) {
   rec.priority = -3;
   rec.verify_against_golden = true;
   rec.exec_mode = chain::ExecMode::kCycleAccurate;
-  rec.array = dataflow::ArrayShape{};
-  rec.array->num_pes = 288;
-  rec.array->clock_hz = 9e8;
   chain::InterLayerOp op;
   op.relu = true;
   op.pool = true;
@@ -281,9 +278,6 @@ TEST(DurableCodecs, SubmitRecordRoundTrips) {
   EXPECT_TRUE(back.verify_against_golden);
   ASSERT_TRUE(back.exec_mode.has_value());
   EXPECT_EQ(*back.exec_mode, chain::ExecMode::kCycleAccurate);
-  ASSERT_TRUE(back.array.has_value());
-  EXPECT_EQ(back.array->num_pes, 288);
-  EXPECT_EQ(back.array->clock_hz, 9e8);
   ASSERT_EQ(back.inter_layer.size(), 2u);
   EXPECT_TRUE(back.inter_layer[0].relu);
   EXPECT_TRUE(back.inter_layer[0].pool);
@@ -300,7 +294,6 @@ TEST(DurableCodecs, SubmitRecordRoundTrips) {
   const SubmitRecord plain_back =
       decode_submit(std::string_view(plain_enc).substr(1));
   EXPECT_FALSE(plain_back.exec_mode.has_value());
-  EXPECT_FALSE(plain_back.array.has_value());
   EXPECT_TRUE(plain_back.inter_layer.empty());
   EXPECT_FALSE(plain_back.verify_against_golden);
 }

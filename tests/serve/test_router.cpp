@@ -170,23 +170,6 @@ TEST(Router, ModelledCyclesEqualExecutedRunsOnBothEngines) {
     }
   }
 
-  // A request pinning its own array is costed with that array.
-  const ChipSpec& chip = router.chips()[0];
-  dataflow::ArrayShape pinned = router.chips()[1].array;
-  pinned.dual_channel = false;
-  pinned.pipeline_stages += 3;
-  const SizedNet& n = nets.back();
-  for (const std::int64_t batch : {1, 2, 7}) {
-    populate(*cache, n, batch, router.chips()[1].array, chip.memory);
-    const std::uint64_t misses = cache->stats().misses;
-    const std::int64_t modelled = router.modelled_request_cycles(
-        0, n.net, batch, n.in_size, n.in_size, n.inter, pinned);
-    EXPECT_EQ(cache->stats().misses, misses);
-    for (const chain::ExecMode mode :
-         {chain::ExecMode::kAnalytical, chain::ExecMode::kCycleAccurate})
-      EXPECT_EQ(modelled, executed_cycles(chip, pinned, mode, n, batch))
-          << chain::exec_mode_name(mode) << " batch " << batch;
-  }
 }
 
 TEST(Router, RoutesToEarliestModelledFinish) {
@@ -266,25 +249,6 @@ TEST(Router, RouteAndDispatchCommitsAtomically) {
   }
   EXPECT_EQ(routed_total, 2);
   EXPECT_DOUBLE_EQ(backlog_total, d0.request_seconds + d1.request_seconds);
-}
-
-TEST(Router, ArrayOverrideStillGetsBacklogAwarePlacement) {
-  auto cache = std::make_shared<PlanCache>();
-  Router router(default_fleet_chips(), cache);
-  const nn::NetworkModel net = pooled_net();
-  dataflow::ArrayShape pinned;
-  pinned.num_pes = 144;
-
-  // With a pinned array every chip models the same request seconds, so
-  // the decision is purely backlog-driven.
-  const RouteDecision d0 = router.route(net, 1, 16, 16, {}, pinned);
-  for (std::size_t c = 0; c < router.chips().size(); ++c)
-    EXPECT_DOUBLE_EQ(
-        router.modelled_request_seconds(c, net, 1, 16, 16, {}, pinned),
-        d0.request_seconds);
-  router.dispatch(d0);
-  const RouteDecision d1 = router.route(net, 1, 16, 16, {}, pinned);
-  EXPECT_NE(d1.chip, d0.chip);
 }
 
 }  // namespace

@@ -78,16 +78,13 @@ Tensor<std::int16_t> request_input(const nn::NetworkModel& net,
 }
 
 // The chip configuration a fleet request actually executed under,
-// recovered from the result's chip name (a per-request array override
-// replaces the chip's array but keeps its memory, exactly as
-// InferenceServer::execute_request does).
-chain::AcceleratorConfig routed_chip_config(
-    const Fleet& fleet, const std::string& chip_name,
-    const std::optional<dataflow::ArrayShape>& array_override = {}) {
+// recovered from the result's chip name.
+chain::AcceleratorConfig routed_chip_config(const Fleet& fleet,
+                                            const std::string& chip_name) {
   for (const ChipSpec& chip : fleet.chips()) {
     if (chip.name != chip_name) continue;
     chain::AcceleratorConfig cfg = analytical_accelerator_config();
-    cfg.array = array_override ? *array_override : chip.array;
+    cfg.array = chip.array;
     cfg.memory = chip.memory;
     return cfg;
   }
@@ -317,19 +314,19 @@ TEST(SchedProperties, PreemptionBurstIsBitIdenticalToOracle) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const nn::NetworkModel net = tiny_net(3);
 
+    // Three identical paper chips: every burst request's modelled seconds
+    // are the same on each, so the earliest-finish tie-break round-robins
+    // deterministically — victims land one per chip, urgents two per chip,
+    // with no dependence on the chips' relative speeds.
     FleetOptions fo;
+    for (const char* name : {"pe576-a", "pe576-b", "pe576-c"})
+      fo.chips.push_back({name, {}, {}});
     fo.threads_per_chip = 1;
     fo.preemption = true;
     Fleet fleet(fo);
     const std::size_t num_chips = fleet.chips().size();
     ASSERT_EQ(num_chips, 3u);
 
-    // Every burst request pins the same ArrayShape (the paper chip), so
-    // its modelled seconds are identical on every chip and the
-    // earliest-finish tie-break round-robins deterministically: victims
-    // land one per chip, urgents two per chip — no dependence on the
-    // chips' relative speeds for this shape.
-    const dataflow::ArrayShape pinned;
     // Per-layer-pure weights, shared by the victims and the oracle.
     const auto weights = [seed](std::int64_t layer,
                                 Tensor<std::int16_t>& k) {
@@ -345,7 +342,6 @@ TEST(SchedProperties, PreemptionBurstIsBitIdenticalToOracle) {
     for (std::size_t v = 0; v < num_chips; ++v) {
       auto once = std::make_shared<std::atomic<bool>>(false);
       RequestOptions ro;
-      ro.array = pinned;
       std::promise<void>* my_started = &started[v];
       ro.weight_init = [gate, once, my_started, weights](
                            std::int64_t layer, Tensor<std::int16_t>& k) {
@@ -368,7 +364,6 @@ TEST(SchedProperties, PreemptionBurstIsBitIdenticalToOracle) {
     for (int u = 0; u < 6; ++u) {
       RequestOptions ro;
       ro.priority = 2;
-      ro.array = pinned;
       urgent_inputs.push_back(
           request_input(net, 1, seed * 99 + static_cast<std::uint64_t>(u)));
       urgent.push_back(fleet.submit(net, urgent_inputs.back(), ro));
@@ -382,7 +377,7 @@ TEST(SchedProperties, PreemptionBurstIsBitIdenticalToOracle) {
       EXPECT_TRUE(r.resumed) << "victim " << v;
       const chain::NetworkRunResult reference =
           direct_run(net, victim_inputs[v],
-                     routed_chip_config(fleet, r.chip, pinned), weights);
+                     routed_chip_config(fleet, r.chip), weights);
       std::string why;
       EXPECT_TRUE(network_runs_identical(r.run, reference, &why))
           << "victim " << v << ": " << why;
@@ -393,7 +388,7 @@ TEST(SchedProperties, PreemptionBurstIsBitIdenticalToOracle) {
       EXPECT_EQ(r.preemptions, 0) << "urgent " << u;  // top tier
       const chain::NetworkRunResult reference =
           direct_run(net, urgent_inputs[u],
-                     routed_chip_config(fleet, r.chip, pinned), {});
+                     routed_chip_config(fleet, r.chip), {});
       std::string why;
       EXPECT_TRUE(network_runs_identical(r.run, reference, &why))
           << "urgent " << u << ": " << why;

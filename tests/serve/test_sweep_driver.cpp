@@ -34,15 +34,15 @@ nn::NetworkModel tiny_net() {
   return net;
 }
 
-std::vector<SweepPointSpec> test_points() {
-  std::vector<SweepPointSpec> points;
-  points.push_back({"pes-576", dataflow::ArrayShape{}});
+std::vector<ChipSpec> test_points() {
+  std::vector<ChipSpec> points;
+  points.push_back({"pes-576", dataflow::ArrayShape{}, {}});
   dataflow::ArrayShape clocked;
   clocked.clock_hz = 350e6;
-  points.push_back({"clk-350", clocked});
+  points.push_back({"clk-350", clocked, {}});
   dataflow::ArrayShape shorter;
   shorter.num_pes = 144;
-  points.push_back({"pes-144", shorter});
+  points.push_back({"pes-144", shorter, {}});
   return points;
 }
 
@@ -55,7 +55,7 @@ struct PointRun {
   std::uint64_t misses = 0;
 };
 
-PointRun run_point(SweepDriver& driver, const SweepPointSpec& point) {
+PointRun run_point(SweepDriver& driver, const ChipSpec& point) {
   const PlanCacheStats before = driver.plan_cache()->stats();
   std::vector<SweepPointResult> results = driver.run({point});
   EXPECT_EQ(results.size(), 1u);
@@ -67,7 +67,7 @@ PointRun run_point(SweepDriver& driver, const SweepPointSpec& point) {
 TEST(SweepDriver, SharedCacheHitsAcrossPoints) {
   SweepDriver driver(tiny_net(), {});
   std::vector<PointRun> runs;
-  for (const SweepPointSpec& point : test_points())
+  for (const ChipSpec& point : test_points())
     runs.push_back(run_point(driver, point));
   ASSERT_EQ(runs.size(), 3u);
 
@@ -127,7 +127,7 @@ TEST(SweepDriver, CacheIsSemanticsFree) {
 
   ASSERT_EQ(shared.size(), cold.size());
   for (std::size_t i = 0; i < shared.size(); ++i) {
-    SCOPED_TRACE(shared[i].point.label);
+    SCOPED_TRACE(shared[i].point.name);
     EXPECT_EQ(shared[i].total_cycles, cold[i].total_cycles);
     EXPECT_DOUBLE_EQ(shared[i].seconds, cold[i].seconds);
     EXPECT_DOUBLE_EQ(shared[i].energy_j, cold[i].energy_j);
@@ -144,10 +144,34 @@ TEST(SweepDriver, FidelitySamplingAcrossPoints) {
   SweepDriver driver(tiny_net(), opts);
   const auto results = driver.run(test_points());
   for (const auto& r : results) {
-    SCOPED_TRACE(r.point.label);
+    SCOPED_TRACE(r.point.name);
     EXPECT_TRUE(r.fidelity_sampled);
     EXPECT_FALSE(r.fidelity_diverged);
   }
+}
+
+// Point i (from 0) is cross-checked exactly when (i + 1) % n == 0.
+std::vector<bool> sampled_points(const std::vector<ChipSpec>& points,
+                                 std::int64_t n) {
+  SweepOptions opts;
+  opts.fidelity_sample_every_n = n;
+  SweepDriver driver(tiny_net(), opts);
+  std::vector<bool> sampled;
+  for (const auto& r : driver.run(points)) {
+    EXPECT_FALSE(r.fidelity_diverged) << r.point.name;
+    sampled.push_back(r.fidelity_sampled);
+  }
+  return sampled;
+}
+
+TEST(SweepDriver, FidelitySamplingEverySecondPoint) {
+  EXPECT_EQ(sampled_points(test_points(), 2),
+            (std::vector<bool>{false, true, false}));
+}
+
+TEST(SweepDriver, FidelitySamplingEveryThirdDefaultPoint) {
+  EXPECT_EQ(sampled_points(default_sweep_points(), 3),
+            (std::vector<bool>{false, false, true, false, false, true}));
 }
 
 TEST(SweepDriver, CycleAccurateSweepMatchesAnalytical) {
@@ -164,7 +188,7 @@ TEST(SweepDriver, CycleAccurateSweepMatchesAnalytical) {
   const auto sr = slow_driver.run(points);
   ASSERT_EQ(fr.size(), sr.size());
   for (std::size_t i = 0; i < fr.size(); ++i) {
-    SCOPED_TRACE(fr[i].point.label);
+    SCOPED_TRACE(fr[i].point.name);
     std::string why;
     EXPECT_TRUE(network_runs_identical(fr[i].run, sr[i].run, &why)) << why;
     EXPECT_EQ(fr[i].total_cycles, sr[i].total_cycles);
@@ -202,7 +226,7 @@ TEST(SweepDriver, WallTimeExcludesQueueWait) {
   // stamps flow through per point and no point queues behind another.
   SweepDriver driver(net, {});
   for (const auto& r : driver.run(test_points())) {
-    SCOPED_TRACE(r.point.label);
+    SCOPED_TRACE(r.point.name);
     EXPECT_GT(r.wall_ms, 0.0);
     EXPECT_GE(r.queue_ms, 0.0);
     EXPECT_LT(r.queue_ms, r.wall_ms + 100.0);  // no co-tenant here
