@@ -14,6 +14,9 @@
 //                   [--max-points=12000] [--topk=4] [--workers=0]
 //                   [--pareto-json=pareto.json]   ("" = don't write)
 //
+// --workers=1 searches serially on the calling thread; any other value,
+// the default 0 included, fans each wave out over the shared WorkPool.
+//
 // Exit codes: 0 ok; 2 when the frontier is empty, the paper point fell
 // off it, nothing was pruned, or a re-executed point disagrees with the
 // closed forms.

@@ -8,39 +8,21 @@
 
 namespace chainnn::common {
 
-namespace {
-
-// Which pool (if any) the current thread belongs to, and its worker
-// index there. Thread-creation hand-off synchronizes these; they are
-// only ever written by the owning thread itself.
-thread_local const WorkPool* tls_pool = nullptr;
-thread_local std::size_t tls_index = 0;
-
-}  // namespace
-
-WorkPool::WorkPool(std::int64_t num_threads) {
-  CHAINNN_CHECK_MSG(num_threads >= 1,
-                    "WorkPool needs >= 1 thread, got " << num_threads);
-  workers_.reserve(static_cast<std::size_t>(num_threads));
-  for (std::int64_t i = 0; i < num_threads; ++i)
-    workers_.push_back(std::make_unique<Worker>());
-  // Start only after every Worker slot exists: stealing scans all slots.
-  for (std::size_t i = 0; i < workers_.size(); ++i)
-    workers_[i]->thread = std::thread([this, i] { worker_loop(i); });
+WorkPool::WorkPool(std::int64_t batch_threads)
+    : batch_threads_(static_cast<std::size_t>(batch_threads)) {
+  CHAINNN_CHECK_MSG(batch_threads >= 1,
+                    "WorkPool needs >= 1 thread, got " << batch_threads);
 }
 
 WorkPool::~WorkPool() {
-  std::vector<std::thread> blocking;
+  std::vector<std::thread> threads;
   {
     MutexLock lock(mu_);
     stop_ = true;
-    ++work_epoch_;
-    blocking.swap(blocking_threads_);
+    threads.swap(threads_);
   }
-  work_ready_.notify_all();
-  blocking_ready_.notify_all();
-  for (auto& w : workers_) w->thread.join();
-  for (std::thread& t : blocking) t.join();
+  ready_.notify_all();
+  for (std::thread& t : threads) t.join();
 }
 
 WorkPool& WorkPool::shared() {
@@ -49,35 +31,29 @@ WorkPool& WorkPool::shared() {
   return pool;
 }
 
-bool WorkPool::on_worker_thread() const { return tls_pool == this; }
-
 void WorkPool::submit(std::function<void()> fn) {
-  enqueue(std::move(fn));
-}
-
-void WorkPool::submit_blocking(std::function<void()> fn) {
   MutexLock lock(mu_);
-  CHAINNN_CHECK_MSG(!stop_, "submit_blocking on a stopped WorkPool");
-  blocking_queue_.push_back(std::move(fn));
-  // Keep parked threads >= queued tasks: a queued blocking task must
-  // never have to wait for a *running* one (which may be parked on a
-  // user gate that only this task's progress would release).
-  if (blocking_queue_.size() > idle_blocking_)
-    blocking_threads_.emplace_back([this] { blocking_loop(); });
-  blocking_ready_.notify_one();
+  CHAINNN_CHECK_MSG(!stop_, "submit on a stopped WorkPool");
+  // Keep parked threads >= queued tasks: a queued task must never have
+  // to wait for a *running* one (which may be parked on a user gate
+  // that only this task's progress would release). The thread starts
+  // before the task is queued, so a failed start queues nothing.
+  if (queue_.size() >= idle_) threads_.emplace_back([this] { thread_loop(); });
+  queue_.push_back(std::move(fn));
+  ready_.notify_one();
 }
 
-void WorkPool::blocking_loop() {
+void WorkPool::thread_loop() {
   MutexLock lock(mu_);
   for (;;) {
-    while (!stop_ && blocking_queue_.empty()) {
-      ++idle_blocking_;
-      blocking_ready_.wait(mu_);
-      --idle_blocking_;
+    while (!stop_ && queue_.empty()) {
+      ++idle_;
+      ready_.wait(mu_);
+      --idle_;
     }
     if (stop_) return;
-    std::function<void()> task = std::move(blocking_queue_.front());
-    blocking_queue_.pop_front();
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
     lock.Unlock();
     task();
     task = nullptr;  // destroy captures before re-parking
@@ -85,112 +61,47 @@ void WorkPool::blocking_loop() {
   }
 }
 
-void WorkPool::enqueue(std::function<void()> fn) {
-  if (tls_pool == this) {
-    Worker& self = *workers_[tls_index];
-    MutexLock lock(self.mu);
-    self.tasks.push_back(std::move(fn));
-  } else {
-    MutexLock lock(mu_);
-    injected_.push_back(std::move(fn));
-  }
-  {
-    MutexLock lock(mu_);
-    ++work_epoch_;
-  }
-  work_ready_.notify_one();
-}
-
-bool WorkPool::try_pop(std::size_t index, std::function<void()>& out) {
-  Worker& self = *workers_[index];
-  {
-    MutexLock lock(self.mu);
-    if (!self.tasks.empty()) {
-      out = std::move(self.tasks.back());
-      self.tasks.pop_back();
-      return true;
-    }
-  }
-  for (std::size_t k = 1; k < workers_.size(); ++k) {
-    Worker& victim = *workers_[(index + k) % workers_.size()];
-    MutexLock lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      out = std::move(victim.tasks.front());
-      victim.tasks.pop_front();
-      return true;
-    }
-  }
-  {
-    MutexLock lock(mu_);
-    if (!injected_.empty()) {
-      out = std::move(injected_.front());
-      injected_.pop_front();
-      return true;
-    }
-  }
-  return false;
-}
-
-void WorkPool::worker_loop(std::size_t index) {
-  tls_pool = this;
-  tls_index = index;
-  for (;;) {
-    std::int64_t epoch;
-    {
-      MutexLock lock(mu_);
-      epoch = work_epoch_;
-    }
-    std::function<void()> task;
-    if (try_pop(index, task)) {
-      task();
-      continue;
-    }
-    MutexLock lock(mu_);
-    while (!stop_ && work_epoch_ == epoch) work_ready_.wait(mu_);
-    if (stop_) return;
-  }
-}
-
 void WorkPool::run_batch(std::vector<std::function<void()>> tasks) {
   if (tasks.empty()) return;
 
-  // Heap-allocated and shared with the claim tickets: a ticket may be
-  // popped after the batch completed (stale), in which case it must
-  // still be able to read the cursor safely and return without touching
-  // anything the caller's frame owned.
-  struct BatchState {
-    std::vector<std::function<void()>> tasks;
-    std::atomic<std::size_t> next{0};
-    Mutex mu;
-    std::size_t completed CHAINNN_GUARDED_BY(mu) = 0;
-    CondVar done;
+  // Every claimer takes items off one cursor until none remain, so each
+  // item runs on exactly one thread.
+  std::atomic<std::size_t> next{0};
+  const auto claim = [&tasks, &next] {
+    for (std::size_t i = next++; i < tasks.size(); i = next++) tasks[i]();
   };
-  auto state = std::make_shared<BatchState>();
-  state->tasks = std::move(tasks);
-  const std::size_t n = state->tasks.size();
 
-  // Claims items off the shared cursor until none remain. Every claimed
-  // item is executed by exactly one thread; the last finisher signals.
-  auto claim = [](BatchState& s) {
-    for (;;) {
-      const std::size_t i = s.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= s.tasks.size()) return;
-      s.tasks[i]();
-      MutexLock lock(s.mu);
-      if (++s.completed == s.tasks.size()) s.done.notify_all();
+  // The caller is one claimer, so at most n-1 tickets are worth
+  // submitting. It waits for every ticket to exit, not just for the last
+  // item: no ticket outlives the batch, so the batch's state can live in
+  // this frame, and no stale ticket is left queued to make a later
+  // submit start a thread.
+  const std::size_t tickets = std::min(batch_threads_ - 1, tasks.size() - 1);
+  Mutex mu;
+  CondVar ticket_exited;
+  std::size_t exited = 0;  // guarded by mu
+  const auto ticket = [&] {
+    claim();
+    MutexLock lock(mu);
+    ++exited;
+    ticket_exited.notify_all();
+  };
+  std::size_t submitted = 0;
+  for (; submitted < tickets; ++submitted) {
+    try {
+      submit(ticket);
+    } catch (...) {
+      // No thread (or no memory) for this ticket: it is not needed, as
+      // the claimers already running, the caller among them, take its
+      // items.
+      break;
     }
-  };
+  }
 
-  // The caller itself runs one claimer, so only n-1 tickets (capped at
-  // the worker count) are worth queueing.
-  const std::size_t tickets = std::min(workers_.size(), n - 1);
-  for (std::size_t t = 0; t < tickets; ++t)
-    enqueue([state, claim] { claim(*state); });
+  claim();
 
-  claim(*state);
-
-  MutexLock lock(state->mu);
-  while (state->completed != n) state->done.wait(state->mu);
+  MutexLock lock(mu);
+  while (exited != submitted) ticket_exited.wait(mu);
 }
 
 }  // namespace chainnn::common

@@ -33,9 +33,10 @@
 //     tests/serve/test_design_search.cpp pins 1-vs-N worker identity and
 //     frontier equality against an exhaustive-enumeration oracle.
 //
-// Workers come from the process-wide common::WorkPool (run_batch helping
-// semantics): the search owns no threads and composes with a serving
-// fleet on the same pool.
+// A parallel search runs each wave as one common::WorkPool::run_batch
+// on the process-wide pool (helping semantics: the calling thread claims
+// chunks too): the search owns no threads and shares the pool's cached
+// threads with a serving fleet's drains.
 #pragma once
 
 #include <cstdint>
@@ -133,8 +134,10 @@ struct DesignSearchOptions {
   // truncation is canonical-order, so still deterministic). <= 0 means
   // the whole reachable grid.
   std::int64_t max_points = 200000;
-  // <= 1 runs the wave loop serially on the calling thread (the oracle
-  // baseline); anything else fans each wave out over `pool`.
+  // Exactly 1 runs the wave loop serially on the calling thread (the
+  // oracle baseline). Any other value, the default 0 included, fans each
+  // wave out over `pool`; the value itself is not a thread count (the
+  // pool's batch cap bounds the threads a wave occupies).
   std::int64_t num_workers = 0;
   // Pool for parallel waves; nullptr uses WorkPool::shared().
   common::WorkPool* pool = nullptr;

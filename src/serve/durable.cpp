@@ -335,7 +335,6 @@ std::string encode_submit(const SubmitRecord& rec) {
   write_network_model(w, rec.net);
   write_tensor_i16(w, rec.input);
   w.i64(rec.priority);
-  w.u8(rec.verify_against_golden ? 1 : 0);
   w.u8(rec.exec_mode ? 1 : 0);
   if (rec.exec_mode)
     w.u8(*rec.exec_mode == chain::ExecMode::kAnalytical ? 1 : 0);
@@ -351,7 +350,6 @@ SubmitRecord decode_submit(std::string_view payload) {
   rec.net = read_network_model(r);
   rec.input = read_tensor_i16(r);
   rec.priority = r.i64();
-  rec.verify_against_golden = r.u8() != 0;
   if (r.u8() != 0)
     rec.exec_mode = r.u8() != 0 ? chain::ExecMode::kAnalytical
                                 : chain::ExecMode::kCycleAccurate;

@@ -55,7 +55,6 @@ struct SubmitRecord {
   nn::NetworkModel net;
   Tensor<std::int16_t> input;
   std::int64_t priority = 0;
-  bool verify_against_golden = false;
   std::optional<chain::ExecMode> exec_mode;
   std::vector<chain::InterLayerOp> inter_layer;
 };

@@ -250,7 +250,7 @@ void Fleet::Executor::schedule_drains_locked() {
       static_cast<std::int64_t>(queue_.size()) + in_flight_;
   while (scheduled_drains_ < std::min(opts_.num_threads, demand)) {
     ++scheduled_drains_;
-    common::WorkPool::shared().submit_blocking([this] { drain_loop(); });
+    common::WorkPool::shared().submit([this] { drain_loop(); });
   }
 }
 
@@ -278,7 +278,7 @@ chain::NetworkRunResult Fleet::Executor::run_network(
   chain::ChainAccelerator acc(cfg, opts_.plan_cache);
   chain::NetworkRunner runner(acc, opts_.energy);
   chain::NetworkRunOptions ro;
-  ro.verify_against_golden = task.options.verify_against_golden;
+  ro.verify_against_golden = false;  // fidelity sampling checks engines
   ro.inter_layer = task.options.inter_layer;
   ro.weight_init = task.options.weight_init;
   ro.cancel_check = cancel_check;
@@ -653,7 +653,6 @@ std::future<InferenceResult> Fleet::journal_and_enqueue(
       rec.net = net;
       rec.input = input;
       rec.priority = options.priority;
-      rec.verify_against_golden = options.verify_against_golden;
       rec.exec_mode = options.exec_mode;
       rec.inter_layer = options.inter_layer;
       // SUBMIT hits the log *before* the request can reach a chip queue,
@@ -702,10 +701,16 @@ std::future<InferenceResult> Fleet::submit_tagged(
     std::uint64_t tag, std::shared_ptr<chain::RunCheckpoint> resume) {
   // Validation happens here, before routing: a dispatch charges the
   // chip's backlog, so everything that can be refused is refused first.
-  // Routing itself plans every layer, so an unplannable network throws
-  // the planner's error before anything is charged.
-  (void)first_layer(net);
+  // Routing itself resolves every layer (refusing channels that do not
+  // chain) and plans it, so a network that cannot run throws before
+  // anything is charged.
+  const nn::ConvLayerParams& first = first_layer(net);
   CHAINNN_CHECK(input.shape().rank() == 4);
+  CHAINNN_CHECK_MSG(input.shape().dim(1) == first.in_channels,
+                    net.name << "/" << first.name << ": expects "
+                             << first.in_channels
+                             << " channels, the input has "
+                             << input.shape().dim(1));
   const RouteDecision decision = router_->route_and_dispatch(
       net, input.shape().dim(0), input.shape().dim(2), input.shape().dim(3),
       options.inter_layer, admission_deadline_s(options));
@@ -757,7 +762,6 @@ RecoveryReport Fleet::recover(const std::string& journal_path) {
     SubmitRecord& s = req.submit;
     RequestOptions options;
     options.priority = static_cast<std::int32_t>(s.priority);
-    options.verify_against_golden = s.verify_against_golden;
     options.exec_mode = s.exec_mode;
     options.inter_layer = s.inter_layer;
     if (req.checkpoint) ++report.resumed_from_checkpoint;

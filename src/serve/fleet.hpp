@@ -148,7 +148,8 @@ class Fleet {
   // Routes the request to the chip with the earliest modelled finish
   // time and enqueues it there (blocking on that chip's backpressure).
   // Refused before anything is charged: an empty network, a non-4D
-  // input, and a network the planner cannot map (std::logic_error).
+  // input, an input or layer whose channels do not chain, and a network
+  // the planner cannot map (std::logic_error).
   // The resolved InferenceResult carries the chip's name, the modelled
   // seconds the router charged and the request's fleet-wide tag. With
   // RequestOptions::admission and a deadline_ms, a request infeasible on

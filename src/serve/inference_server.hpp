@@ -5,17 +5,17 @@
 // request is priced at submit with the same closed form the fleet router
 // uses (Chain-NN's fixed dataflow makes a run's chain time a function of
 // layer geometry and array shape), then queued on the chip's executor.
-// Drain tasks on the process-wide common::WorkPool (its blocking lane — a
-// request may park on a user hook for arbitrarily long) drain a bounded
-// queue (submit blocks when the queue is full — backpressure, not
-// drops). The server owns no threads: a drain task is scheduled
-// whenever the queue grows and fewer than num_threads are live, runs
-// requests until the queue is empty, and retires, so an idle server
-// costs nothing and a fleet of chips shares one thread cache instead
-// of pinning num_threads threads apiece. Every execution attempt runs a
-// whole network through NetworkRunner on one accelerator of its own,
-// built with the chip's PlanCache and TensorArena; all plan lookups of
-// all drains resolve through that one shared cache, so a request only
+// Drain tasks on the process-wide common::WorkPool (each on a cached
+// thread of its own — a request may park on a user hook for arbitrarily
+// long) drain a bounded queue (submit blocks when the queue is full —
+// backpressure, not drops). The server owns no threads: a drain task is
+// scheduled whenever the queue grows and fewer than num_threads are
+// live, runs requests until the queue is empty, and retires, so an idle
+// server costs nothing and a fleet of chips shares one thread cache
+// instead of pinning num_threads threads apiece. Every execution attempt
+// runs a whole network through NetworkRunner on one accelerator of its
+// own, built with the chip's PlanCache and TensorArena; all plan lookups
+// of all drains resolve through that one shared cache, so a request only
 // pays planning cost the first time its (layer, array) shape is seen by
 // the process.
 //
@@ -117,8 +117,6 @@ struct RequestOptions {
   // with RequestStatus::kRejected, nothing is charged to any backlog,
   // and the request never executes.
   bool admission = false;
-  // Forwarded to NetworkRunOptions.
-  bool verify_against_golden = false;
   std::vector<chain::InterLayerOp> inter_layer;
   std::function<void(std::int64_t, Tensor<std::int16_t>&)> weight_init;
 };

@@ -8,11 +8,22 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 #include "common/check.hpp"
 
 namespace chainnn::serve {
+
+namespace {
+
+// errno through std::error_code::message() rather than std::strerror,
+// which writes a shared static buffer (concurrency-mt-unsafe).
+std::string errno_message() {
+  return std::error_code(errno, std::generic_category()).message();
+}
+
+}  // namespace
 
 void ByteWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
@@ -182,7 +193,7 @@ Journal::Journal(JournalOptions options) : opts_(std::move(options)) {
                         0644);
   if (fd < 0)
     throw JournalError("cannot open journal for writing: " + opts_.path +
-                       " (" + std::strerror(errno) + ")");
+                       " (" + errno_message() + ")");
   ByteWriter header;
   for (const char c : kJournalMagic) header.u8(static_cast<std::uint8_t>(c));
   header.u32(kJournalFormatVersion);
@@ -215,7 +226,7 @@ void Journal::append(std::string_view payload) {
   if (::write(fd_, framed.data(), framed.size()) !=
       static_cast<ssize_t>(framed.size()))
     throw JournalError("journal append failed: " + opts_.path + " (" +
-                       std::strerror(errno) + ")");
+                       errno_message() + ")");
   ++stats_.records_appended;
   stats_.bytes_appended += static_cast<std::int64_t>(framed.size());
   if (opts_.fsync_every_records > 0 &&
@@ -235,7 +246,7 @@ void Journal::fsync_locked() {
   // fsyncs that succeeded.
   if (::fsync(fd_) != 0)
     throw JournalError("journal fsync failed: " + opts_.path + " (" +
-                       std::strerror(errno) + ")");
+                       errno_message() + ")");
   since_fsync_ = 0;
   ++stats_.fsyncs;
 }

@@ -115,7 +115,7 @@ class ByteReader {
 
 // --- record framing --------------------------------------------------------
 
-inline constexpr std::uint32_t kJournalFormatVersion = 6;
+inline constexpr std::uint32_t kJournalFormatVersion = 7;
 inline constexpr char kJournalMagic[8] = {'C', 'N', 'N', 'J',
                                           'R', 'N', 'L', '\0'};
 

@@ -44,6 +44,14 @@ std::vector<nn::ConvLayerParams> resolve_network_layers(
   std::int64_t w = in_width;
   for (std::size_t i = 0; i < net.conv_layers.size(); ++i) {
     nn::ConvLayerParams layer = net.conv_layers[i];
+    if (i > 0) {
+      const std::int64_t emitted = net.conv_layers[i - 1].out_channels;
+      CHAINNN_CHECK_MSG(layer.in_channels == emitted,
+                        net.name << "/" << layer.name << ": expects "
+                                 << layer.in_channels
+                                 << " channels, the layer before emits "
+                                 << emitted);
+    }
     layer.batch = batch;
     layer.in_height = h;
     layer.in_width = w;

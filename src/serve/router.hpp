@@ -53,7 +53,9 @@ struct ChipSpec {
 // The conv layers of `net` as NetworkRunner will actually execute them
 // for a {batch, C0, in_height, in_width} input: per-layer H/W resolved
 // from the flowing activations (pooling in `inter_layer` shrinks the
-// next layer's input, exactly as in NetworkRunner::run).
+// next layer's input, exactly as in NetworkRunner::run). Refuses a
+// layer whose in_channels differ from the previous layer's out_channels,
+// which NetworkRunner would refuse mid-run.
 [[nodiscard]] std::vector<nn::ConvLayerParams> resolve_network_layers(
     const nn::NetworkModel& net, std::int64_t batch, std::int64_t in_height,
     std::int64_t in_width, const std::vector<chain::InterLayerOp>& inter_layer);

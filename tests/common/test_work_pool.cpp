@@ -1,17 +1,19 @@
-// WorkPool — the process-wide work-stealing pool.
+// WorkPool — the process-wide lane of cached threads.
 //
 // These suites run under TSan in CI (`ctest -L concurrency`), so they
 // are written to exercise real interleavings: submit storms from many
-// external threads, tasks that spawn tasks (the own-deque path), nested
-// run_batch on a deliberately starved single-worker pool (the helping
-// semantics that make nested batches deadlock-free), and the blocking
-// lane's guarantee that gated tasks never wait on each other.
+// external threads, nested run_batch on a pool whose batches get one
+// thread (the helping semantics that make nested batches
+// deadlock-free), batches next to gated tasks, and the lane's guarantee
+// that gated tasks never wait on each other.
 #include "common/work_pool.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -57,12 +59,11 @@ TEST(WorkPool, RunBatchExecutesEveryTaskExactlyOnce) {
   for (const auto& r : runs) EXPECT_EQ(r.load(), 1);
 }
 
-TEST(WorkPool, NestedRunBatchCompletesOnSingleWorkerPool) {
+TEST(WorkPool, NestedRunBatchCompletesOnSingleThreadBatches) {
   // The helping semantics under test: every run_batch caller claims
-  // items itself, so even a 1-worker pool saturated with nested batches
-  // makes progress (the wait graph is a DAG by nesting depth). Without
-  // helping, outer batches would own the only worker and the inner
-  // batches could never run.
+  // items itself, so batches capped at one thread — their caller's, with
+  // no ticket — still complete when nested (the wait graph is a DAG by
+  // nesting depth). Without helping, no item of any batch would run.
   WorkPool pool(1);
   std::atomic<std::int64_t> leaf_runs{0};
   std::vector<std::function<void()>> outer;
@@ -79,10 +80,31 @@ TEST(WorkPool, NestedRunBatchCompletesOnSingleWorkerPool) {
   EXPECT_EQ(leaf_runs.load(), 4 * 8);
 }
 
+TEST(WorkPool, RunBatchOccupiesAtMostBatchThreads) {
+  constexpr std::int64_t kBatchThreads = 3;
+  WorkPool pool(kBatchThreads);
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 64; ++i)
+    tasks.push_back([&mu, &ids] {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        ids.insert(std::this_thread::get_id());
+      }
+      // Long enough that every ticket gets a chance to claim items.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+  pool.run_batch(std::move(tasks));
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), static_cast<std::size_t>(kBatchThreads));
+}
+
 TEST(WorkPool, SubmitStormFromManyThreadsRunsEverything) {
+  // Kept small: every task queued while no thread is parked starts one.
   WorkPool pool(3);
   constexpr std::int64_t kThreads = 8;
-  constexpr std::int64_t kPerThread = 50;
+  constexpr std::int64_t kPerThread = 8;
   Latch latch(kThreads * kPerThread);
   std::atomic<std::int64_t> total{0};
   std::vector<std::thread> submitters;
@@ -100,43 +122,20 @@ TEST(WorkPool, SubmitStormFromManyThreadsRunsEverything) {
   EXPECT_EQ(total.load(), kThreads * kPerThread);
 }
 
-TEST(WorkPool, TasksSubmittedFromWorkerThreadsRun) {
-  // submit() from a pool thread takes the own-deque (LIFO) path; the
-  // fan-out below covers it alongside stealing by the other workers.
-  WorkPool pool(2);
-  constexpr std::int64_t kFanout = 16;
-  Latch latch(1 + kFanout);
-  std::atomic<std::int64_t> child_runs{0};
-  std::atomic<bool> parent_on_pool{false};
-  pool.submit([&] {
-    parent_on_pool.store(pool.on_worker_thread());
-    for (std::int64_t i = 0; i < kFanout; ++i)
-      pool.submit([&latch, &child_runs] {
-        child_runs.fetch_add(1, std::memory_order_relaxed);
-        latch.count();
-      });
-    latch.count();
-  });
-  latch.wait();
-  EXPECT_EQ(child_runs.load(), kFanout);
-  EXPECT_TRUE(parent_on_pool.load());
-  EXPECT_FALSE(pool.on_worker_thread());
-}
-
-TEST(WorkPool, BlockingLaneNeverMakesGatedTasksWaitOnEachOther) {
-  // The invariant InferenceServer's drains (and the fleet tests that
-  // gate several chips' requests at once) rely on: K blocking tasks
-  // that all park on one gate must ALL reach the gate, however few
-  // cores the host has — the lane grows a thread per ungated task
-  // instead of queueing behind the parked ones.
-  WorkPool pool(1);  // deliberately starved stealing lane
+TEST(WorkPool, GatedTasksNeverWaitOnEachOther) {
+  // The invariant the fleet chips' drains (and the fleet tests that
+  // gate several chips' requests at once) rely on: K tasks that all
+  // park on one gate must ALL reach the gate, however few cores the
+  // host has — the lane grows a thread per ungated task instead of
+  // queueing behind the parked ones.
+  WorkPool pool(1);
   constexpr std::int64_t kGated = 6;
   Latch all_started(kGated);
   Latch all_done(kGated);
   std::promise<void> open_gate;
   std::shared_future<void> gate = open_gate.get_future().share();
   for (std::int64_t i = 0; i < kGated; ++i)
-    pool.submit_blocking([&all_started, &all_done, gate] {
+    pool.submit([&all_started, &all_done, gate] {
       all_started.count();
       gate.wait();
       all_done.count();
@@ -146,16 +145,47 @@ TEST(WorkPool, BlockingLaneNeverMakesGatedTasksWaitOnEachOther) {
   all_done.wait();
 }
 
-TEST(WorkPool, BlockingLaneReusesParkedThreads) {
+TEST(WorkPool, RunBatchCompletesWhileEveryThreadIsGated) {
+  // Every thread the lane holds is parked on a gate, so the batch's
+  // tickets must start threads of their own rather than queue behind
+  // the gated tasks; the batch must finish before the gate opens.
+  WorkPool pool(4);
+  constexpr std::int64_t kGated = 4;
+  Latch all_started(kGated);
+  Latch all_done(kGated);
+  std::promise<void> open_gate;
+  std::shared_future<void> gate = open_gate.get_future().share();
+  for (std::int64_t i = 0; i < kGated; ++i)
+    pool.submit([&all_started, &all_done, gate] {
+      all_started.count();
+      gate.wait();
+      all_done.count();
+    });
+  all_started.wait();
+
+  std::atomic<std::int64_t> item_runs{0};
+  std::vector<std::function<void()>> items;
+  for (int i = 0; i < 16; ++i)
+    items.push_back([&item_runs] {
+      item_runs.fetch_add(1, std::memory_order_relaxed);
+    });
+  pool.run_batch(std::move(items));
+  EXPECT_EQ(item_runs.load(), 16);
+
+  open_gate.set_value();
+  all_done.wait();
+}
+
+TEST(WorkPool, SubmitReusesParkedThreads) {
   WorkPool pool(1);
-  // Sequential blocking tasks separated by a completion wait: after the
-  // first completes its thread parks, so the rest reuse it rather than
+  // Sequential tasks separated by a completion wait: after the first
+  // completes its thread parks, so the rest reuse it rather than
   // growing the cache — observable as the pool shutting down promptly
   // with no thread left running (the destructor hangs otherwise).
   std::atomic<std::int64_t> runs{0};
   for (int i = 0; i < 10; ++i) {
     Latch done(1);
-    pool.submit_blocking([&runs, &done] {
+    pool.submit([&runs, &done] {
       runs.fetch_add(1, std::memory_order_relaxed);
       done.count();
     });
@@ -164,14 +194,14 @@ TEST(WorkPool, BlockingLaneReusesParkedThreads) {
   EXPECT_EQ(runs.load(), 10);
 }
 
-TEST(WorkPool, RunBatchFromBlockingTaskCompletes) {
-  // A blocking-lane task that fans out a batch calls run_batch from a
-  // non-worker thread; helping semantics must carry it even when the
-  // stealing worker is busy elsewhere.
+TEST(WorkPool, RunBatchFromSubmittedTaskCompletes) {
+  // A submitted task that fans out a batch calls run_batch from a pool
+  // thread; helping semantics must carry it even on a pool whose
+  // batches get no ticket.
   WorkPool pool(1);
   Latch done(1);
   std::atomic<std::int64_t> item_runs{0};
-  pool.submit_blocking([&pool, &item_runs, &done] {
+  pool.submit([&pool, &item_runs, &done] {
     std::vector<std::function<void()>> items;
     for (int i = 0; i < 8; ++i)
       items.push_back([&item_runs] {
@@ -188,7 +218,6 @@ TEST(WorkPool, SharedPoolIsProcessWideSingleton) {
   WorkPool& a = WorkPool::shared();
   WorkPool& b = WorkPool::shared();
   EXPECT_EQ(&a, &b);
-  EXPECT_GE(a.num_threads(), 1);
 }
 
 }  // namespace

@@ -232,6 +232,30 @@ TEST(Fleet, ZeroPoolStrideIsRefusedAtSubmit) {
   expect_router_untouched(fleet);
 }
 
+TEST(Fleet, MismatchedChannelsAreRefusedAtSubmit) {
+  // NetworkRunner refuses channels that do not chain, but only once the
+  // request runs; by then the chip was charged and a journaled fleet has
+  // logged the request. Both mismatches are refused at submit instead.
+  FleetOptions fo;
+  fo.threads_per_chip = 1;
+  {
+    SCOPED_TRACE("layer 2 expects 4 channels, layer 1 emits 3");
+    Fleet fleet(fo);
+    nn::NetworkModel net = tiny_net();
+    net.conv_layers[1].in_channels = 4;
+    EXPECT_THROW((void)fleet.submit(net, 1), std::logic_error);
+    expect_router_untouched(fleet);
+  }
+  {
+    SCOPED_TRACE("a 5-channel input to a 2-channel first layer");
+    Fleet fleet(fo);
+    EXPECT_THROW(
+        (void)fleet.submit(tiny_net(), Tensor<std::int16_t>(Shape{1, 5, 8, 8})),
+        std::logic_error);
+    expect_router_untouched(fleet);
+  }
+}
+
 TEST(Fleet, FailedCompleteAppendFailsOnlyItsRequest) {
   // The chip executor journals COMPLETE before the future resolves. When
   // that append fails, the request fails with the journal's error, its

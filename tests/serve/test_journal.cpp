@@ -248,7 +248,6 @@ TEST(DurableCodecs, SubmitRecordRoundTrips) {
   rec.net = tiny_net(3);
   rec.input = request_input(rec.net, 2, 99);
   rec.priority = -3;
-  rec.verify_against_golden = true;
   rec.exec_mode = chain::ExecMode::kCycleAccurate;
   chain::InterLayerOp op;
   op.relu = true;
@@ -275,7 +274,6 @@ TEST(DurableCodecs, SubmitRecordRoundTrips) {
   }
   EXPECT_TRUE(back.input == rec.input);
   EXPECT_EQ(back.priority, rec.priority);
-  EXPECT_TRUE(back.verify_against_golden);
   ASSERT_TRUE(back.exec_mode.has_value());
   EXPECT_EQ(*back.exec_mode, chain::ExecMode::kCycleAccurate);
   ASSERT_EQ(back.inter_layer.size(), 2u);
@@ -295,7 +293,6 @@ TEST(DurableCodecs, SubmitRecordRoundTrips) {
       decode_submit(std::string_view(plain_enc).substr(1));
   EXPECT_FALSE(plain_back.exec_mode.has_value());
   EXPECT_TRUE(plain_back.inter_layer.empty());
-  EXPECT_FALSE(plain_back.verify_against_golden);
 }
 
 // A real mid-run checkpoint: run one layer, preempt at the boundary.
