@@ -1,5 +1,7 @@
 #include "common/work_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <utility>
@@ -26,9 +28,16 @@ WorkPool::~WorkPool() {
 }
 
 WorkPool& WorkPool::shared() {
-  static WorkPool pool(static_cast<std::int64_t>(
-      std::max(1u, std::thread::hardware_concurrency())));
+  static WorkPool pool(usable_cpus());
   return pool;
+}
+
+std::int64_t usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0)
+    return std::max(1, CPU_COUNT(&set));
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 void WorkPool::submit(std::function<void()> fn) {

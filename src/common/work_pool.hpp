@@ -22,8 +22,10 @@
 // work started.
 //
 // Bit-identity note: the pool schedules *which thread* runs a task, but
-// a design-search wave's result slots are indexed by point, not by
-// thread, so a parallel search stays bit-identical to the serial order
+// a design-search wave hands it only the costing of its points, each
+// into a slot indexed by point and reading models built before the
+// batch; the search does everything else on its calling thread in wave
+// order. A parallel search is therefore bit-identical to the serial one
 // no matter which threads claim its items.
 //
 // Shutdown: the destructor stops and joins the threads. Tasks still
@@ -52,8 +54,9 @@ class WorkPool {
   WorkPool(const WorkPool&) = delete;
   WorkPool& operator=(const WorkPool&) = delete;
 
-  // The process-wide pool, its batches capped at hardware_concurrency
-  // (>= 1) threads. Constructed on first use, lives until process exit.
+  // The process-wide pool, its batches capped at the usable_cpus() of
+  // the thread that first uses it. Constructed on first use, lives until
+  // process exit.
   [[nodiscard]] static WorkPool& shared();
 
   // Fire-and-forget: `fn` gets a thread of its own (see file comment)
@@ -81,5 +84,10 @@ class WorkPool {
   std::vector<std::thread> threads_ CHAINNN_GUARDED_BY(mu_);
   bool stop_ CHAINNN_GUARDED_BY(mu_) = false;
 };
+
+// The CPUs the calling thread may run on (its sched_getaffinity mask),
+// or hardware_concurrency when that call fails; at least 1. A process
+// pinned to one CPU gets batches its caller runs alone.
+[[nodiscard]] std::int64_t usable_cpus();
 
 }  // namespace chainnn::common

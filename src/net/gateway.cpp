@@ -221,7 +221,7 @@ HttpResponse Gateway::handle_submit(const HttpRequest& request) {
   }
 
   JsonObject out;
-  out.emplace_back("id", Json(result.request_id));
+  out.emplace_back("id", Json(static_cast<std::int64_t>(result.tag)));
   out.emplace_back("status", Json(request_status_name(result.status)));
   out.emplace_back("chip", Json(result.chip));
   out.emplace_back("exec_mode", Json(chain::exec_mode_name(result.exec_mode)));

@@ -9,6 +9,8 @@
 //                        "queue_ms", "modelled_seconds", "preemptions",
 //                        "resumed", "deadline_missed", "deadline_expired",
 //                        "completed_layers", "cycles", "digest", ...}.
+//                        `id` is the request's fleet-wide tag, the id
+//                        its journal records carry.
 //                        `cycles` and `digest` (FNV-1a over the final
 //                        activations) make bit-identity checkable over
 //                        the wire: the same request submitted directly

@@ -5,7 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <memory>
+#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -41,6 +41,19 @@ std::uint64_t combo_key(std::int32_t pes, std::int32_t kmem,
 struct IdHash {
   std::size_t operator()(const DesignPointId& id) const { return id.hash(); }
 };
+
+// Insert-if-undominated; evicts members the newcomer dominates. The
+// final content is the unique Pareto-maximal subset of everything ever
+// offered, whatever the arrival order.
+void offer(std::vector<EvaluatedDesignPoint>& frontier,
+           const EvaluatedDesignPoint& p) {
+  for (const EvaluatedDesignPoint& e : frontier)
+    if (e.cost.dominates(p.cost)) return;
+  std::erase_if(frontier, [&p](const EvaluatedDesignPoint& e) {
+    return p.cost.dominates(e.cost);
+  });
+  frontier.push_back(p);
+}
 
 template <typename T>
 std::int32_t index_of(const std::vector<T>& axis, T value) {
@@ -89,57 +102,11 @@ DesignSpaceGrid DesignSpaceGrid::paper_default() {
   return g;
 }
 
-struct DesignSearch::Impl {
-  static constexpr std::size_t kStripes = 64;
-
-  std::vector<nn::ConvLayerParams> layers;
-  DesignPointId paper_id;
-  bool grid_has_paper_point = false;
-
-  struct ComboStripe {
-    Mutex mu;
-    std::unordered_map<std::uint64_t, std::shared_ptr<const ComboModels>>
-        map CHAINNN_GUARDED_BY(mu);
-  };
-  std::array<ComboStripe, kStripes> combos;
-
-  struct VisitStripe {
-    Mutex mu;
-    std::unordered_set<DesignPointId, IdHash> set CHAINNN_GUARDED_BY(mu);
-  };
-  std::array<VisitStripe, kStripes> visited;
-
-  Mutex frontier_mu;
-  std::vector<EvaluatedDesignPoint> frontier CHAINNN_GUARDED_BY(frontier_mu);
-
-  // First sight of a canonical form wins; later discoverers see false.
-  bool visit(const DesignPointId& id) {
-    VisitStripe& s = visited[id.hash() % kStripes];
-    MutexLock lock(s.mu);
-    return s.set.insert(id).second;
-  }
-
-  // Insert-if-undominated; evicts members the newcomer dominates. The
-  // final content is the unique Pareto-maximal subset of everything ever
-  // offered, whatever the arrival order — which is the determinism
-  // argument for concurrent maintenance.
-  void offer(const EvaluatedDesignPoint& p) {
-    MutexLock lock(frontier_mu);
-    for (const EvaluatedDesignPoint& e : frontier)
-      if (e.cost.dominates(p.cost)) return;
-    std::erase_if(frontier, [&p](const EvaluatedDesignPoint& e) {
-      return p.cost.dominates(e.cost);
-    });
-    frontier.push_back(p);
-  }
-};
-
 DesignSearch::DesignSearch(nn::NetworkModel network, DesignSpaceGrid grid,
                            DesignSearchOptions options)
     : net_(std::move(network)),
       grid_(std::move(grid)),
-      opts_(std::move(options)),
-      impl_(std::make_unique<Impl>()) {
+      opts_(std::move(options)) {
   CHAINNN_CHECK_MSG(!net_.conv_layers.empty(),
                     "cannot search an empty network");
   CHAINNN_CHECK_MSG(opts_.batch >= 1,
@@ -158,59 +125,39 @@ DesignSearch::DesignSearch(nn::NetworkModel network, DesignSpaceGrid grid,
                     "increasing");
 
   const nn::ConvLayerParams& first = net_.conv_layers.front();
-  impl_->layers = resolve_network_layers(net_, opts_.batch, first.in_height,
-                                         first.in_width, opts_.inter_layer);
-  CHAINNN_CHECK_MSG(!grid_.per_layer_channel_modes ||
-                        impl_->layers.size() <= 64,
+  layers_ = resolve_network_layers(net_, opts_.batch, first.in_height,
+                                   first.in_width, opts_.inter_layer);
+  CHAINNN_CHECK_MSG(!grid_.per_layer_channel_modes || layers_.size() <= 64,
                     "per-layer channel modes support at most 64 layers, got "
-                        << impl_->layers.size());
+                        << layers_.size());
 }
-
-DesignSearch::~DesignSearch() = default;
 
 DesignSearchResult DesignSearch::run() {
   const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t num_layers = impl_->layers.size();
+  const std::size_t num_layers = layers_.size();
   const std::uint64_t all_dual =
       num_layers >= 64 ? ~0ull : ((1ull << num_layers) - 1);
 
   // The paper point's canonical id, when the grid contains it.
-  {
-    DesignPointId id;
-    id.pes = index_of<std::int64_t>(grid_.num_pes, 576);
-    id.clock = index_of<double>(grid_.clock_hz, 700e6);
-    id.kmem = index_of<std::int64_t>(grid_.kmem_words_per_pe, 256);
-    id.omem = index_of<std::uint64_t>(grid_.omemory_bytes, 25 * 1024);
-    id.mode_mask = all_dual;
-    impl_->grid_has_paper_point =
-        id.pes >= 0 && id.clock >= 0 && id.kmem >= 0 && id.omem >= 0;
-    if (impl_->grid_has_paper_point) impl_->paper_id = id;
-  }
+  DesignPointId paper_id;
+  paper_id.pes = index_of<std::int64_t>(grid_.num_pes, 576);
+  paper_id.clock = index_of<double>(grid_.clock_hz, 700e6);
+  paper_id.kmem = index_of<std::int64_t>(grid_.kmem_words_per_pe, 256);
+  paper_id.omem = index_of<std::uint64_t>(grid_.omemory_bytes, 25 * 1024);
+  paper_id.mode_mask = all_dual;
+  const bool grid_has_paper_point = paper_id.pes >= 0 && paper_id.clock >= 0 &&
+                                    paper_id.kmem >= 0 && paper_id.omem >= 0;
 
-  DesignPointId seed;
-  if (impl_->grid_has_paper_point) {
-    seed = impl_->paper_id;
-  } else {
+  DesignPointId seed = paper_id;
+  if (!grid_has_paper_point) {
     seed.pes = static_cast<std::int32_t>(grid_.num_pes.size() / 2);
     seed.clock = static_cast<std::int32_t>(grid_.clock_hz.size() / 2);
     seed.kmem = static_cast<std::int32_t>(grid_.kmem_words_per_pe.size() / 2);
     seed.omem = static_cast<std::int32_t>(grid_.omemory_bytes.size() / 2);
-    seed.mode_mask = all_dual;
   }
 
-  const auto models_for = [this](const DesignPointId& id)
-      -> std::shared_ptr<const ComboModels> {
-    const std::uint64_t key = combo_key(id.pes, id.kmem, id.omem);
-    Impl::ComboStripe& stripe =
-        impl_->combos[key % Impl::kStripes];
-    {
-      MutexLock lock(stripe.mu);
-      const auto it = stripe.map.find(key);
-      if (it != stripe.map.end()) return it->second;
-    }
-    // Build outside the stripe lock (pure — a racing duplicate build
-    // produces an identical object and is discarded below).
-    auto built = std::make_shared<ComboModels>();
+  const auto build_combo = [this](const DesignPointId& id) {
+    ComboModels built;
     dataflow::ArrayShape array;
     array.num_pes = grid_.num_pes[static_cast<std::size_t>(id.pes)];
     array.kmem_words_per_pe =
@@ -223,9 +170,9 @@ DesignSearchResult DesignSearch::run() {
                            static_cast<std::uint64_t>(
                                array.kmem_words_per_pe) *
                            memory.word_bytes;
-    built->area_gates = opts_.area.total_gates(
+    built.area_gates = opts_.area.total_gates(
         array.num_pes, dataflow::point_sram_bytes(array, memory));
-    for (const nn::ConvLayerParams& layer : impl_->layers) {
+    for (const nn::ConvLayerParams& layer : layers_) {
       try {
         dataflow::ExecutionPlan plan =
             opts_.plan_cache ? opts_.plan_cache->plan_for(layer, array, memory)
@@ -235,20 +182,19 @@ DesignSearchResult DesignSearch::run() {
         modes[0] = dataflow::layer_cost_model(plan);
         plan.array.dual_channel = true;
         modes[1] = dataflow::layer_cost_model(plan);
-        built->layers.push_back(modes);
+        built.layers.push_back(modes);
       } catch (const std::exception& e) {
-        built->feasible = false;
-        built->reason = layer.name + ": " + e.what();
+        built.feasible = false;
+        built.reason = layer.name + ": " + e.what();
         break;
       }
     }
-    MutexLock lock(stripe.mu);
-    const auto [it, inserted] = stripe.map.emplace(key, std::move(built));
-    return it->second;
+    return built;
   };
 
-  const auto evaluate = [this, &models_for,
-                         num_layers](const DesignPointId& id) {
+  const auto evaluate = [this, num_layers, all_dual](
+                            const DesignPointId& id,
+                            const ComboModels& combo) {
     EvaluatedDesignPoint p;
     p.id = id;
     p.array.num_pes = grid_.num_pes[static_cast<std::size_t>(id.pes)];
@@ -274,27 +220,24 @@ DesignSearchResult DesignSearch::run() {
                     static_cast<unsigned long long>(
                         p.memory.omemory_bytes / 1024));
       p.label = buf;
-      const std::uint64_t all =
-          num_layers >= 64 ? ~0ull : ((1ull << num_layers) - 1);
-      if (id.mode_mask != all) {
+      if (id.mode_mask != all_dual) {
         std::snprintf(buf, sizeof(buf), "-m%llx",
                       static_cast<unsigned long long>(id.mode_mask));
         p.label += buf;
       }
     }
-    const std::shared_ptr<const ComboModels> combo = models_for(id);
-    if (!combo->feasible) {
+    if (!combo.feasible) {
       p.cost.feasible = false;
-      p.cost.infeasible_reason = combo->reason;
+      p.cost.infeasible_reason = combo.reason;
       return p;
     }
     std::vector<const dataflow::LayerCostModel*> refs;
     refs.reserve(num_layers);
     for (std::size_t i = 0; i < num_layers; ++i)
-      refs.push_back(&combo->layers[i][p.layer_dual[i]]);
+      refs.push_back(&combo.layers[i][p.layer_dual[i]]);
     p.cost = dataflow::accumulate_point_cost(refs, p.array.clock_hz,
                                              p.array.num_pes, opts_.batch,
-                                             opts_.energy, combo->area_gates);
+                                             opts_.energy, combo.area_gates);
     return p;
   };
 
@@ -337,53 +280,66 @@ DesignSearchResult DesignSearch::run() {
   DesignSearchResult result;
   DesignSearchStats& stats = result.stats;
 
+  // Only the costing leaves this thread, so the search state (these,
+  // and the frontier in `result`) has one owner and lives in this frame:
+  // each run() starts from scratch.
+  std::unordered_map<std::uint64_t, ComboModels> combos;
+  std::unordered_set<DesignPointId, IdHash> visited = {seed};
   std::vector<DesignPointId> wave = {seed};
-  impl_->visit(seed);
+  std::vector<DesignPointId> scratch;
   while (!wave.empty()) {
     ++stats.waves;
+
+    // 1. Models for every combo this wave reaches first.
+    std::vector<const ComboModels*> models(wave.size());
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      const DesignPointId& id = wave[i];
+      const auto [it, fresh] =
+          combos.try_emplace(combo_key(id.pes, id.kmem, id.omem));
+      if (fresh) it->second = build_combo(id);
+      models[i] = &it->second;
+    }
+
+    // 2. Cost every point into its own slot: a pure read of `models`,
+    // and the only work a parallel search hands to the pool.
     std::vector<EvaluatedDesignPoint> evald(wave.size());
     const std::size_t chunk = 64;
     const std::size_t num_chunks = (wave.size() + chunk - 1) / chunk;
-    std::vector<std::vector<DesignPointId>> discovered(num_chunks);
-
-    const auto process = [&](std::size_t c) {
-      std::vector<DesignPointId> scratch;
-      const std::size_t lo = c * chunk;
-      const std::size_t hi = std::min(wave.size(), lo + chunk);
-      for (std::size_t i = lo; i < hi; ++i) {
-        evald[i] = evaluate(wave[i]);
-        if (evald[i].cost.feasible) impl_->offer(evald[i]);
-        // Pruned or not, the point expands: coverage of the reachable
-        // grid is what makes the frontier the exact Pareto set (see
-        // header comment); pruning saves storage, not reachability.
-        neighbors(wave[i], scratch);
-        for (const DesignPointId& n : scratch)
-          if (impl_->visit(n)) discovered[c].push_back(n);
-      }
+    const auto cost_chunk = [&](std::size_t c) {
+      const std::size_t hi = std::min(wave.size(), (c + 1) * chunk);
+      for (std::size_t i = c * chunk; i < hi; ++i)
+        evald[i] = evaluate(wave[i], *models[i]);
     };
     if (serial || num_chunks == 1) {
-      for (std::size_t c = 0; c < num_chunks; ++c) process(c);
+      for (std::size_t c = 0; c < num_chunks; ++c) cost_chunk(c);
     } else {
       std::vector<std::function<void()>> tasks;
       tasks.reserve(num_chunks);
       for (std::size_t c = 0; c < num_chunks; ++c)
-        tasks.push_back([&process, c] { process(c); });
+        tasks.push_back([&cost_chunk, c] { cost_chunk(c); });
       pool->run_batch(std::move(tasks));
     }
 
+    // 3. In wave order: offer, then admit unvisited neighbours. Pruned
+    // or not, a point expands: coverage of the reachable grid is what
+    // makes the frontier the exact Pareto set (see header comment).
+    std::vector<DesignPointId> next;
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      if (evald[i].cost.feasible)
+        offer(result.frontier, evald[i]);
+      else
+        ++stats.infeasible;
+      neighbors(wave[i], scratch);
+      for (const DesignPointId& n : scratch)
+        if (visited.insert(n).second) next.push_back(n);
+    }
     stats.evaluated += static_cast<std::int64_t>(wave.size());
-    for (const EvaluatedDesignPoint& p : evald)
-      if (!p.cost.feasible) ++stats.infeasible;
     if (opts_.collect_evaluated)
       result.evaluated.insert(result.evaluated.end(),
                               std::make_move_iterator(evald.begin()),
                               std::make_move_iterator(evald.end()));
 
-    std::vector<DesignPointId> next;
-    for (std::vector<DesignPointId>& d : discovered)
-      next.insert(next.end(), d.begin(), d.end());
-    // Which chunk won a contended visit() is timing-dependent; the
-    // union is not. Canonical order restores determinism.
+    // Canonical order: a max_points truncation keeps the lowest ids.
     std::sort(next.begin(), next.end());
     if (opts_.max_points > 0) {
       const std::int64_t remaining = opts_.max_points - stats.evaluated;
@@ -394,19 +350,15 @@ DesignSearchResult DesignSearch::run() {
     wave = std::move(next);
   }
 
-  {
-    MutexLock lock(impl_->frontier_mu);
-    result.frontier = impl_->frontier;
-  }
   std::sort(result.frontier.begin(), result.frontier.end(),
             [](const EvaluatedDesignPoint& a, const EvaluatedDesignPoint& b) {
               return a.id < b.id;
             });
   stats.frontier = static_cast<std::int64_t>(result.frontier.size());
   stats.pruned = stats.evaluated - stats.infeasible - stats.frontier;
-  if (impl_->grid_has_paper_point)
+  if (grid_has_paper_point)
     for (const EvaluatedDesignPoint& p : result.frontier)
-      if (p.id == impl_->paper_id) {
+      if (p.id == paper_id) {
         stats.contains_paper_point = true;
         break;
       }

@@ -11,9 +11,8 @@
 //     neighborhood generator steps one axis index (or flips one layer's
 //     channel mode), so exploration expands in waves from the paper's
 //     576-PE / 700 MHz seed;
-//   * canonical-form deduplication: a hash-consed visited set, sharded
-//     and mutex-striped, admits each point exactly once however many
-//     workers discover it simultaneously;
+//   * canonical-form deduplication: a hash-consed visited set admits
+//     each point exactly once;
 //   * per-point cost comes from the tensor-free closed forms
 //     (dataflow::estimate_point_cost's accumulate path) over per-layer
 //     LayerCostModels hash-consed per (chain, kmem, omem, mode) — the
@@ -25,15 +24,17 @@
 //     generated), so the reachable grid is covered exhaustively and the
 //     frontier is exactly the Pareto-maximal set of every evaluated
 //     point — which is what makes the oracle test below possible;
-//   * determinism: the frontier is maintained concurrently under a lock,
-//     but the Pareto-maximal subset of a fixed point set is unique under
-//     strict dominance whatever the insertion order, wave membership is
-//     a pure function of the previous wave, and results are sorted
-//     canonically — so the frontier is independent of worker count.
-//     tests/serve/test_design_search.cpp pins 1-vs-N worker identity and
-//     frontier equality against an exhaustive-enumeration oracle.
+//   * determinism: only the costing of a wave's points leaves the
+//     calling thread, each point into its own slot, reading models
+//     built before it starts. Everything else — building those models,
+//     the visited set, the frontier, the next wave — runs on the
+//     calling thread in canonical order and lives in run()'s frame, so
+//     the result is independent of worker count and a second run()
+//     repeats the first. tests/serve/test_design_search.cpp pins 1-vs-N
+//     worker identity and frontier equality against an
+//     exhaustive-enumeration oracle.
 //
-// A parallel search runs each wave as one common::WorkPool::run_batch
+// A parallel search costs each wave as one common::WorkPool::run_batch
 // on the process-wide pool (helping semantics: the calling thread claims
 // chunks too): the search owns no threads and shares the pool's cached
 // threads with a serving fleet's drains.
@@ -154,27 +155,21 @@ class DesignSearch {
  public:
   DesignSearch(nn::NetworkModel network, DesignSpaceGrid grid,
                DesignSearchOptions options = {});
-  ~DesignSearch();
-
-  DesignSearch(const DesignSearch&) = delete;
-  DesignSearch& operator=(const DesignSearch&) = delete;
 
   // Expands the grid from the seed (the paper point when the grid
   // contains it, the axis midpoints otherwise) until exhaustion or
   // max_points. Deterministic: equal grids and options produce equal
-  // results whatever the worker count.
+  // results whatever the worker count, and every call returns the same.
   [[nodiscard]] DesignSearchResult run();
 
   [[nodiscard]] const nn::NetworkModel& network() const { return net_; }
   [[nodiscard]] const DesignSpaceGrid& grid() const { return grid_; }
 
  private:
-  struct Impl;
-
   nn::NetworkModel net_;
   DesignSpaceGrid grid_;
   DesignSearchOptions opts_;
-  std::unique_ptr<Impl> impl_;
+  std::vector<nn::ConvLayerParams> layers_;  // resolved at opts_.batch
 };
 
 }  // namespace chainnn::serve

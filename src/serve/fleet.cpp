@@ -610,7 +610,6 @@ Fleet::Fleet(FleetOptions options)
     so.energy = options.energy;
     so.name = chip.name;
     so.num_threads = options.threads_per_chip;
-    so.max_queue = options.max_queue_per_chip;
     so.fidelity_sample_every_n = options.fidelity_sample_every_n;
     so.enable_preemption = options.preemption;
     per_chip.push_back(std::move(so));
@@ -619,8 +618,7 @@ Fleet::Fleet(FleetOptions options)
 }
 
 Fleet::Fleet(ServerOptions so)
-    : cache_(so.plan_cache ? so.plan_cache : std::make_shared<PlanCache>()),
-      input_seed_(so.input_seed) {
+    : cache_(so.plan_cache ? so.plan_cache : std::make_shared<PlanCache>()) {
   ChipSpec chip{so.name, so.accelerator.array, so.accelerator.memory};
   std::vector<ServerOptions> per_chip;
   per_chip.push_back(std::move(so));

@@ -50,7 +50,6 @@ struct FleetOptions {
   chain::AcceleratorConfig accelerator = analytical_accelerator_config();
   energy::EnergyModel energy = energy::EnergyModel::paper_calibrated();
   std::int64_t threads_per_chip = 1;
-  std::int64_t max_queue_per_chip = 64;
   // Forwarded to every chip (each samples its own Nth request).
   std::int64_t fidelity_sample_every_n = 0;
   // Preemptive scheduling on every chip (see
@@ -62,8 +61,9 @@ struct FleetOptions {
   bool preemption = false;
   // Fleet-wide plan cache; nullptr creates a fleet-owned one.
   std::shared_ptr<PlanCache> plan_cache;
-  // Seed for inputs generated by submit(net, batch); see
-  // ServerOptions::input_seed.
+  // Seed for inputs generated by submit(net, batch): request `tag` draws
+  // from Rng(input_seed ^ (0x9E3779B97F4A7C15 * tag)). A standalone
+  // InferenceServer draws from seed 7.
   std::uint64_t input_seed = 7;
   // Durable request journal (see serve/journal.hpp). When set, every
   // submit is journaled under its fleet-wide tag (SUBMIT with the
@@ -160,7 +160,7 @@ class Fleet {
       RequestOptions options = {});
   // Convenience: deterministic random input of `batch` images (shaped by
   // the network's first layer), drawn from (input_seed, tag) — see
-  // ServerOptions::input_seed — then submitted as above.
+  // FleetOptions::input_seed — then submitted as above.
   [[nodiscard]] std::future<InferenceResult> submit(
       const nn::NetworkModel& net, std::int64_t batch,
       RequestOptions options = {});

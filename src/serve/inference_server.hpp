@@ -237,9 +237,6 @@ struct ServerOptions {
   // Off by default. Re-enqueueing a checkpoint may transiently exceed
   // max_queue (a worker cannot block on its own backpressure).
   bool enable_preemption = false;
-  // Seed for inputs generated by submit(net, batch): request `tag` draws
-  // from Rng(input_seed ^ (0x9E3779B97F4A7C15 * tag)).
-  std::uint64_t input_seed = 7;
   // TEST HOOK: mutates the fidelity replay before the cross-check, so
   // tests can prove an injected divergence is caught and counted.
   std::function<void(std::int64_t request_id, chain::NetworkRunResult&)>
@@ -266,7 +263,8 @@ class InferenceServer {
                                                     Tensor<std::int16_t> input,
                                                     RequestOptions options = {});
   // Convenience: a deterministic random input of `batch` images shaped
-  // for the network's first layer, drawn from (input_seed, tag).
+  // for the network's first layer, drawn from seed 7 and the request's
+  // tag (see FleetOptions::input_seed).
   [[nodiscard]] std::future<InferenceResult> submit(
       const nn::NetworkModel& net, std::int64_t batch,
       RequestOptions options = {});

@@ -8,6 +8,8 @@
 // that gated tasks never wait on each other.
 #include "common/work_pool.hpp"
 
+#include <sched.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -212,6 +214,25 @@ TEST(WorkPool, RunBatchFromSubmittedTaskCompletes) {
   });
   done.wait();
   EXPECT_EQ(item_runs.load(), 8);
+}
+
+// The shared pool's batch cap: a thread pinned to one CPU counts one,
+// however many CPUs the host has.
+TEST(WorkPool, UsableCpusFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(usable_cpus(), CPU_COUNT(&saved));
+
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::int64_t pinned = usable_cpus();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1);
 }
 
 TEST(WorkPool, SharedPoolIsProcessWideSingleton) {

@@ -4,11 +4,14 @@
 // perturb execution), a /metrics scrape that agrees with FleetStats,
 // and sanitizer-clean concurrent connections.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "net/gateway.hpp"
 #include "net/http_client.hpp"
 #include "net/json.hpp"
+#include "serve/durable.hpp"
 #include "serve/sweep_driver.hpp"
 
 namespace chainnn::net {
@@ -137,8 +141,8 @@ TEST(Gateway, SubmitIsBitIdenticalToDirectFleetSubmit) {
   // Twin fleets, identical options: the gateway drives one over HTTP,
   // the test drives the other directly. Sequential submission (each
   // response awaited before the next submit) makes routing — and
-  // therefore per-server request ids and generated inputs — identical,
-  // so cycles and the activations digest must match bit for bit.
+  // therefore tags and generated inputs — identical, so cycles and the
+  // activations digest must match bit for bit.
   serve::Fleet wire_fleet;
   serve::Fleet direct_fleet;
   Gateway gateway(wire_fleet, quick_gateway_options());
@@ -175,7 +179,9 @@ TEST(Gateway, SubmitIsBitIdenticalToDirectFleetSubmit) {
     ASSERT_EQ(direct.status, serve::RequestStatus::kOk) << c.body;
     EXPECT_EQ(wire->find("status")->as_string(), "ok") << c.body;
     EXPECT_EQ(wire->find("chip")->as_string(), direct.chip) << c.body;
-    EXPECT_EQ(wire->find("id")->as_int(), direct.request_id) << c.body;
+    EXPECT_EQ(wire->find("id")->as_int(),
+              static_cast<std::int64_t>(direct.tag))
+        << c.body;
     EXPECT_EQ(wire->find("cycles")->as_int(), run_cycles(direct.run))
         << c.body;
     EXPECT_EQ(wire->find("digest")->as_string(), hex16(run_digest(direct.run)))
@@ -187,6 +193,68 @@ TEST(Gateway, SubmitIsBitIdenticalToDirectFleetSubmit) {
                      direct.modelled_seconds)
         << c.body;
   }
+}
+
+// Each chip numbers its own requests from 1, so two requests served on
+// different chips share a per-chip id. The wire id is the fleet-wide
+// tag instead: distinct, and the tag the request's SUBMIT record carries.
+TEST(Gateway, IdsAreFleetWideTagsAcrossChips) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("chainnn_gateway_ids_" + std::to_string(::getpid()) + ".jrnl"))
+          .string();
+  serve::FleetOptions fo;
+  fo.journal = std::make_shared<serve::Journal>(serve::JournalOptions{path, 0});
+  serve::Fleet fleet(fo);
+  Gateway gateway(fleet, quick_gateway_options());
+  HttpClient client("127.0.0.1", gateway.port());
+
+  struct Case {
+    const char* body;
+    const char* model;
+    std::int64_t batch;
+  };
+  const Case cases[] = {
+      {"{\"model\": \"lenet\"}", "lenet", 1},
+      {"{\"model\": \"cifar10\"}", "cifar10", 1},
+  };
+  // On an idle fleet the router places the two on different chips.
+  std::string planned[2];
+  for (int i = 0; i < 2; ++i)
+    planned[i] = fleet
+                     .plan_route(serve::channel_reduced_proxy(
+                                     nn::model_by_name(cases[i].model), kScale),
+                                 cases[i].batch)
+                     .chip_name;
+  ASSERT_NE(planned[0], planned[1]);
+
+  std::int64_t ids[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    HttpResponse resp;
+    ASSERT_TRUE(client.post_json("/v1/submit", cases[i].body, &resp))
+        << client.error();
+    ASSERT_EQ(resp.status, 200) << resp.body;
+    const auto wire = Json::parse(resp.body);
+    ASSERT_TRUE(wire.has_value()) << resp.body;
+    EXPECT_EQ(wire->find("chip")->as_string(), planned[i]);
+    ids[i] = wire->find("id")->as_int();
+  }
+  EXPECT_NE(ids[0], ids[1]);
+
+  // Each id names the SUBMIT record of its own request.
+  std::map<std::int64_t, std::string> submitted_on;
+  for (const serve::JournalRecord& rec :
+       serve::read_journal_file(path).records)
+    if (rec.type == serve::RecordType::kSubmit) {
+      const serve::SubmitRecord s = serve::decode_submit(rec.payload);
+      submitted_on[static_cast<std::int64_t>(s.tag)] = s.chip_name;
+    }
+  ASSERT_EQ(submitted_on.size(), 2u);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(submitted_on.count(ids[i]), 1u) << "id " << ids[i];
+    EXPECT_EQ(submitted_on[ids[i]], planned[i]);
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(Gateway, PastDeadlineSubmitResolvesCancelledOverTheWire) {

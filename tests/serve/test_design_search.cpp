@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -295,6 +296,66 @@ TEST(DesignSearch, PaperPointOnDefaultGridFrontier) {
       EXPECT_EQ(p.label, "pes576-clk700-kw256-om25k");
       EXPECT_TRUE(p.cost.feasible);
     }
+}
+
+// The search keeps no state between calls: a second run() starts from
+// the seed again and returns what the first returned.
+TEST(DesignSearch, SecondRunRepeatsTheFirst) {
+  DesignSearchOptions opts;
+  opts.max_points = 2000;
+  opts.num_workers = 1;
+  DesignSearch search(nn::alexnet(), DesignSpaceGrid::paper_default(), opts);
+  const DesignSearchResult first = search.run();
+  const DesignSearchResult second = search.run();
+
+  EXPECT_EQ(first.stats.evaluated, 2000);
+  EXPECT_EQ(second.stats.evaluated, first.stats.evaluated);
+  EXPECT_EQ(second.stats.infeasible, first.stats.infeasible);
+  EXPECT_EQ(second.stats.pruned, first.stats.pruned);
+  EXPECT_EQ(second.stats.frontier, first.stats.frontier);
+  EXPECT_EQ(second.stats.waves, first.stats.waves);
+  EXPECT_EQ(second.stats.contains_paper_point,
+            first.stats.contains_paper_point);
+  ASSERT_EQ(second.frontier.size(), first.frontier.size());
+  for (std::size_t i = 0; i < first.frontier.size(); ++i) {
+    EXPECT_EQ(second.frontier[i].id, first.frontier[i].id);
+    EXPECT_EQ(second.frontier[i].cost.total_cycles,
+              first.frontier[i].cost.total_cycles);
+    EXPECT_DOUBLE_EQ(second.frontier[i].cost.energy_j,
+                     first.frontier[i].cost.energy_j);
+  }
+}
+
+// Each (pes, kmem, omem) combo is planned once per search, also when a
+// wave is costed on several threads: a fresh cache sees one lookup per
+// layer per combo. Every combo of this grid maps, so no build stops at an
+// unmappable layer.
+TEST(DesignSearch, PooledSearchPlansEachComboOnce) {
+  Rng rng(7);
+  const nn::NetworkModel net = tiny_net(rng);
+  DesignSpaceGrid grid;
+  grid.num_pes = {64, 144, 288, 576, 1152, 2304};
+  grid.clock_hz = {200e6, 350e6, 700e6, 900e6, 1100e6};
+  grid.kmem_words_per_pe = {32, 64, 128, 256};
+  grid.omemory_bytes = {4096, 8192, 16384, 25 * 1024};
+
+  common::WorkPool pool(4);
+  DesignSearchOptions opts;
+  opts.max_points = 0;
+  opts.num_workers = 4;
+  opts.pool = &pool;
+  opts.plan_cache = std::make_shared<PlanCache>();
+  DesignSearch search(net, grid, opts);
+  const DesignSearchResult result = search.run();
+
+  const std::int64_t combos = static_cast<std::int64_t>(
+      grid.num_pes.size() * grid.kmem_words_per_pe.size() *
+      grid.omemory_bytes.size());
+  const std::int64_t masks = std::int64_t{1} << net.conv_layers.size();
+  ASSERT_EQ(result.stats.evaluated, grid.configurations() * masks);
+  ASSERT_EQ(result.stats.infeasible, 0);
+  EXPECT_EQ(opts.plan_cache->stats().lookups(),
+            static_cast<std::uint64_t>(combos) * net.conv_layers.size());
 }
 
 TEST(DesignSearch, RejectsMalformedGridsAndNetworks) {
