@@ -82,9 +82,12 @@ LayerRunResult ChainAccelerator::run_layer(
                   Shape({layer.out_channels, layer.channels_per_group(),
                          layer.kernel, layer.kernel}));
     if (cfg_.psum_storage == PsumStorage::kWide) {
-      result.accumulators = nn::conv2d_fixed_accum_dispatch(
-          layer, ifmaps, kernels, nullptr,
-          ArenaAllocator<std::int64_t>(cfg_.arena));
+      // The surface and the kernel's scratch come from the heap, not the
+      // arena: they live for one layer, and malloc recycles one region
+      // across layer shapes where the arena's exact-size freelist would
+      // keep a block per shape for the life of the chip.
+      result.accumulators =
+          nn::conv2d_fixed_accum_dispatch(layer, ifmaps, kernels);
     } else {
       result.accumulators =
           staged_reference(cfg_, result.plan, ifmaps, kernels);
@@ -97,36 +100,36 @@ LayerRunResult ChainAccelerator::run_layer(
         controller.run(ifmaps, kernels, result.stats, result.traffic);
   }
 
-  // Requantize to 16-bit ofmaps. Uninit: the loop below writes every
-  // element; pooled so repeated layer shapes reuse one surface.
+  // Requantize to 16-bit ofmaps, one (n, m) plane at a time. Uninit: every
+  // plane is written; pooled so repeated layer shapes reuse one surface.
+  const std::int64_t plane = layer.out_height() * layer.out_width();
+  CHAINNN_CHECK(result.accumulators.shape() ==
+                Shape({layer.batch, layer.out_channels, layer.out_height(),
+                       layer.out_width()}));
   result.ofmaps =
       Tensor<std::int16_t>(result.accumulators.shape(), Uninit{},
                            ArenaAllocator<std::int16_t>(cfg_.arena));
-  const std::int64_t plane = layer.out_height() * layer.out_width();
-  const int acc_frac = cfg_.ifmap_fmt.frac_bits + cfg_.kernel_fmt.frac_bits;
-  for (std::int64_t i = 0; i < result.accumulators.num_elements(); ++i) {
-    const std::int64_t m = (i / plane) % layer.out_channels;
-    const std::int64_t b = bias ? bias->at_flat(m) : 0;
-    if (cfg_.psum_storage == PsumStorage::kWide) {
-      std::int64_t acc = result.accumulators.at_flat(i);
-      if (bias) {
-        const int align = acc_frac - cfg_.ofmap_fmt.frac_bits;
-        acc += fixed::shift_right_rounded(b, -align, cfg_.rounding);
-      }
-      result.ofmaps.at_flat(i) = fixed::narrow_to_fixed16(
-          acc, acc_frac, cfg_.ofmap_fmt, cfg_.rounding,
-          fixed::Overflow::kSaturate, &result.narrowing);
-    } else {
-      // Staged partials carry psum_fmt fraction bits.
-      const std::int64_t partial = result.accumulators.at_flat(i);
-      result.ofmaps.at_flat(i) = fixed::narrow_to_fixed16(
-          partial + fixed::shift_right_rounded(
-                        b, cfg_.ofmap_fmt.frac_bits - cfg_.psum_fmt.frac_bits,
-                        cfg_.rounding),
-          cfg_.psum_fmt.frac_bits, cfg_.ofmap_fmt, cfg_.rounding,
-          fixed::Overflow::kSaturate, &result.narrowing);
+  // Wide psums carry the product's fraction bits, staged partials
+  // psum_fmt's; the bias (ofmap format) is aligned to them once per plane.
+  const int acc_frac = cfg_.psum_storage == PsumStorage::kWide
+                           ? cfg_.ifmap_fmt.frac_bits +
+                                 cfg_.kernel_fmt.frac_bits
+                           : cfg_.psum_fmt.frac_bits;
+  const std::int64_t* acc = result.accumulators.data().data();
+  std::int16_t* out = result.ofmaps.mutable_data().data();
+  for (std::int64_t n = 0; n < layer.batch; ++n)
+    for (std::int64_t m = 0; m < layer.out_channels; ++m) {
+      const std::int64_t addend =
+          bias ? fixed::shift_right_rounded(
+                     bias->data()[static_cast<std::size_t>(m)],
+                     cfg_.ofmap_fmt.frac_bits - acc_frac, cfg_.rounding)
+               : 0;
+      fixed::narrow_plane_to_fixed16(acc, plane, addend, acc_frac,
+                                     cfg_.ofmap_fmt, cfg_.rounding, out,
+                                     result.narrowing);
+      acc += plane;
+      out += plane;
     }
-  }
   return result;
 }
 

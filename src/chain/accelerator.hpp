@@ -38,7 +38,9 @@ namespace chainnn::chain {
 
 struct LayerRunResult {
   dataflow::ExecutionPlan plan;
-  Tensor<std::int64_t> accumulators;  // wide psums (or staged partials)
+  // Wide psums (or staged partials). A NetworkRunner result holds none:
+  // the runner frees them once the layer is written back.
+  Tensor<std::int64_t> accumulators;
   Tensor<std::int16_t> ofmaps;        // requantized outputs
   RunStats stats;
   dataflow::LayerTraffic traffic;     // bytes moved per memory level

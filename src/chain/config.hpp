@@ -73,10 +73,12 @@ struct AcceleratorConfig {
   // equivalence sweep in tests/chain/test_exec_mode.cpp).
   ExecMode exec_mode = ExecMode::kCycleAccurate;
 
-  // Pooled allocator for the run's working tensors (accumulator and
-  // ofmap surfaces). Semantics-free — results are bit-identical with or
-  // without it; nullptr allocates from the heap as before. Travels with
-  // config copies, so an accelerator built from a copy shares the pool.
+  // Pooled allocator for the run's ofmap surfaces (and the runner's
+  // copies of them), which results hold; the accumulators live for one
+  // layer and come from the heap. Semantics-free — results are
+  // bit-identical with or without it; nullptr allocates from the heap as
+  // before. Travels with config copies, so an accelerator built from a
+  // copy shares the pool.
   std::shared_ptr<TensorArena> arena;
 };
 

@@ -59,7 +59,14 @@ NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
                                     const NetworkRunOptions& options) {
   CHAINNN_CHECK(input.shape().rank() == 4);
   NetworkRunResult result;
-  Tensor<std::int16_t> act = input;
+  // The activations feeding the next layer: the caller's input (or the
+  // checkpoint's) until a layer has run, this run's own `act` after.
+  const Tensor<std::int16_t>* in = &input;
+  Tensor<std::int16_t> act;
+  const auto take_activations = [&in, &act]() -> Tensor<std::int16_t> {
+    if (in == &act) return std::move(act);
+    return *in;
+  };
   Rng rng(0xC0FFEE);
   std::size_t first_layer = 0;
   if (options.resume) {
@@ -78,7 +85,7 @@ NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
     CHAINNN_CHECK(cp.activations.shape().rank() == 4);
     first_layer = static_cast<std::size_t>(cp.next_layer);
     result.layers = cp.layers;
-    act = cp.activations;
+    in = &cp.activations;
     // Re-draw the completed layers' default kernels so the stream stands
     // where the uninterrupted run left it.
     if (!options.weight_init) {
@@ -103,17 +110,17 @@ NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
       auto cp = std::make_shared<RunCheckpoint>();
       cp->next_layer = static_cast<std::int64_t>(i);
       cp->layers = std::move(result.layers);
-      cp->activations = std::move(act);
+      cp->activations = take_activations();
       throw RunPreempted(std::move(cp));
     }
     nn::ConvLayerParams layer = net.conv_layers[i];
-    layer.batch = act.shape().dim(0);
-    layer.in_height = act.shape().dim(2);
-    layer.in_width = act.shape().dim(3);
-    CHAINNN_CHECK_MSG(act.shape().dim(1) == layer.in_channels,
+    layer.batch = in->shape().dim(0);
+    layer.in_height = in->shape().dim(2);
+    layer.in_width = in->shape().dim(3);
+    CHAINNN_CHECK_MSG(in->shape().dim(1) == layer.in_channels,
                       net.name << "/" << layer.name << ": expected "
                                << layer.in_channels << " channels, got "
-                               << act.shape().dim(1));
+                               << in->shape().dim(1));
     layer.validate();
 
     Tensor<std::int16_t> kernels(kernel_shape(layer));
@@ -125,7 +132,7 @@ NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
 
     NetworkLayerResult lr;
     lr.layer = layer;
-    lr.run = acc.run_layer(layer, act, kernels);
+    lr.run = acc.run_layer(layer, *in, kernels);
     if (!options.verify_against_golden) {
       lr.verified = true;
     } else if (cfg.exec_mode == ExecMode::kAnalytical &&
@@ -135,22 +142,29 @@ NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
       lr.verified = true;
     } else {
       lr.verified = lr.run.accumulators ==
-                    nn::conv2d_fixed_accum(layer, act, kernels);
+                    nn::conv2d_fixed_accum(layer, *in, kernels);
     }
+    // The layer is written back (ofmaps, narrowing stats, golden check),
+    // so its wide psums go, as on the chip, where only the 16-bit
+    // write-back leaves the psum chain (§IV.B).
+    lr.run.accumulators = Tensor<std::int64_t>();
     lr.power = energy_.power(energy::rates_from_plan(lr.run.plan),
                              lr.run.plan.array.clock_hz,
                              lr.run.plan.array.num_pes);
 
-    Tensor<std::int16_t> out = lr.run.ofmaps;
+    // Pool first, then ReLU the smaller pooled tensor: ReLU is monotone,
+    // so the max of ReLU'd values is the ReLU of the max.
     const InterLayerOp op = i < options.inter_layer.size()
                                 ? options.inter_layer[i]
                                 : InterLayerOp{};
-    if (op.relu) nn::relu_inplace(out);
-    if (op.pool) out = nn::max_pool(out, op.pool_params);
-    act = std::move(out);
+    Tensor<std::int16_t> next =
+        op.pool ? nn::max_pool(lr.run.ofmaps, op.pool_params) : lr.run.ofmaps;
+    if (op.relu) nn::relu_inplace(next);
+    act = std::move(next);
+    in = &act;
     result.layers.push_back(std::move(lr));
   }
-  result.final_activations = std::move(act);
+  result.final_activations = take_activations();
   return result;
 }
 

@@ -1,9 +1,9 @@
 // NetworkRunner: executes a whole convolutional network on Chain-NN — the
 // conv layers on the chain (cycle-accurately or on the analytical fast
 // path, as AcceleratorConfig::exec_mode selects), the host-side layers
-// (ReLU, pooling) in between — and rolls per-layer results up into the
-// batch-level figures the paper reports (fps, time split, traffic,
-// modelled power/energy).
+// (max pooling, then ReLU on the pooled tensor) in between — and rolls
+// per-layer results up into the batch-level figures the paper reports
+// (fps, time split, traffic, modelled power/energy).
 #pragma once
 
 #include <functional>
@@ -37,7 +37,8 @@ class RunCancelled : public std::runtime_error {
 };
 
 // Host-side processing applied to a layer's output before it feeds the
-// next conv layer.
+// next conv layer. The runner pools first and applies ReLU to the pooled
+// tensor, which equals ReLU then pool: ReLU is monotone.
 struct InterLayerOp {
   bool relu = true;
   bool pool = false;
@@ -46,20 +47,23 @@ struct InterLayerOp {
 
 struct NetworkLayerResult {
   nn::ConvLayerParams layer;  // as actually executed (resolved H/W)
+  // The layer's run, without its accumulators: the runner frees the wide
+  // psums once the ofmaps, narrowing stats and golden check exist.
   LayerRunResult run;
   energy::PowerBreakdown power;  // modelled during this layer
   bool verified = false;         // bit-exact vs golden (when enabled)
 };
 
 // Everything a network run holds at an inter-layer boundary: the fully
-// executed prefix (per-layer results carry their accumulated RunStats,
-// traffic and modelled power verbatim) and the activations feeding the
-// next conv layer. Layer boundaries are the only capture points — a
-// layer is never interrupted mid-flight, so there is no half-written
-// accelerator state to save — which makes the guarantee cheap and
-// absolute: resuming a checkpoint on the same configuration reproduces
-// the uninterrupted run bit for bit (ofmaps, cycles, traffic); resuming
-// on a different ArrayShape re-plans the remaining layers and stays
+// executed prefix (per-layer results carry their ofmaps, narrowing
+// stats, accumulated RunStats, traffic and modelled power verbatim, and
+// no accumulators) and the activations feeding the next conv layer.
+// Layer boundaries are the only capture points — a layer is never
+// interrupted mid-flight, so there is no half-written accelerator state
+// to save — which makes the guarantee cheap and absolute: resuming a
+// checkpoint on the same configuration reproduces the uninterrupted run
+// bit for bit (ofmaps, narrowing stats, cycles, traffic); resuming on a
+// different ArrayShape re-plans the remaining layers and stays
 // value-identical on ofmaps.
 //
 // The default weights are not part of it: they are drawn layer by layer

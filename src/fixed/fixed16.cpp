@@ -20,11 +20,12 @@ void NarrowingStats::merge(const NarrowingStats& other) {
 
 namespace {
 
-// Saturates a wide integer into int16 range, recording the event.
+// Saturates (or wraps) a wide integer into int16 range, counting the
+// event in `saturations`.
 std::int16_t saturate16(std::int64_t v, Overflow overflow,
-                        NarrowingStats* stats) {
+                        std::uint64_t& saturations) {
   if (v > 32767 || v < -32768) {
-    if (stats) ++stats->saturations;
+    ++saturations;
     if (overflow == Overflow::kSaturate)
       return v > 0 ? std::int16_t{32767} : std::int16_t{-32768};
     // Wraparound: keep the low 16 bits, interpreted as two's complement.
@@ -32,6 +33,42 @@ std::int16_t saturate16(std::int64_t v, Overflow overflow,
         static_cast<std::uint64_t>(v) & 0xffffULL));
   }
   return static_cast<std::int16_t>(v);
+}
+
+// Folds one narrowing's error (the exact wide value minus the value its
+// 16-bit word denotes) into the error accumulators. Both units are powers
+// of two, so the two products are exact.
+void fold_error(std::int64_t acc, double acc_unit, std::int16_t raw,
+                double raw_unit, double& max_abs_error,
+                double& sum_sq_error) {
+  const double err = static_cast<double>(acc) * acc_unit -
+                     static_cast<double>(raw) * raw_unit;
+  const double abs_err = std::fabs(err);
+  if (abs_err > max_abs_error) max_abs_error = abs_err;
+  sum_sq_error += err * err;
+}
+
+template <Rounding R>
+void narrow_plane(const std::int64_t* acc, std::int64_t count,
+                  std::int64_t addend, int acc_frac_bits, FixedFormat out_fmt,
+                  std::int16_t* out, NarrowingStats& stats) {
+  const int shift = acc_frac_bits - out_fmt.frac_bits;
+  const double acc_unit = std::ldexp(1.0, -acc_frac_bits);
+  const double raw_unit = std::ldexp(1.0, -out_fmt.frac_bits);
+  std::uint64_t saturations = stats.saturations;
+  double max_abs_error = stats.max_abs_error;
+  double sum_sq_error = stats.sum_sq_error;
+  for (std::int64_t i = 0; i < count; ++i) {
+    const std::int64_t v = acc[i] + addend;
+    const std::int16_t raw = saturate16(shift_right_rounded<R>(v, shift),
+                                        Overflow::kSaturate, saturations);
+    out[i] = raw;
+    fold_error(v, acc_unit, raw, raw_unit, max_abs_error, sum_sq_error);
+  }
+  stats.count += static_cast<std::uint64_t>(count);
+  stats.saturations = saturations;
+  stats.max_abs_error = max_abs_error;
+  stats.sum_sq_error = sum_sq_error;
 }
 
 // Round half to even without consulting the floating-point environment.
@@ -83,9 +120,11 @@ std::int16_t quantize_scalar(double value, FixedFormat fmt,
   if (clamped > 1e18) clamped = 1e18;
   if (clamped < -1e18) clamped = -1e18;
   const auto wide = static_cast<std::int64_t>(clamped);
-  const std::int16_t raw = saturate16(wide, overflow, stats);
+  std::uint64_t saturations = 0;
+  const std::int16_t raw = saturate16(wide, overflow, saturations);
   if (stats) {
     ++stats->count;
+    stats->saturations += saturations;
     if (std::isfinite(value)) {
       const double err = value - static_cast<double>(raw) / fmt.scale();
       const double abs_err = std::fabs(err);
@@ -98,35 +137,15 @@ std::int16_t quantize_scalar(double value, FixedFormat fmt,
 
 std::int64_t shift_right_rounded(std::int64_t v, int shift,
                                  Rounding rounding) {
-  if (shift <= 0) {
-    // Left shift; guard against overflow by clamping to int64 limits.
-    const int left = -shift;
-    if (left >= 63) return v >= 0 ? Accumulator48::kMax : Accumulator48::kMin;
-    return v << left;
-  }
-  if (shift >= 63) return v < 0 ? -1 : 0;
-
-  const std::int64_t floor_shifted = v >> shift;  // arithmetic shift
-  const std::int64_t remainder = v - (floor_shifted << shift);
-  const std::int64_t half = std::int64_t{1} << (shift - 1);
-
   switch (rounding) {
-    case Rounding::kTruncate:
-      // Dropping bits of a two's-complement value is an arithmetic shift,
-      // i.e. floor.
-      return floor_shifted;
+    case Rounding::kNearestEven:
+      return shift_right_rounded<Rounding::kNearestEven>(v, shift);
     case Rounding::kNearestUp:
-      if (v >= 0) return floor_shifted + (remainder >= half ? 1 : 0);
-      // Negative: round half away from zero.
-      return floor_shifted + (remainder > half ? 1 : 0);
-    case Rounding::kNearestEven: {
-      if (remainder > half) return floor_shifted + 1;
-      if (remainder < half) return floor_shifted;
-      // Exactly halfway: round to even.
-      return (floor_shifted % 2 == 0) ? floor_shifted : floor_shifted + 1;
-    }
+      return shift_right_rounded<Rounding::kNearestUp>(v, shift);
+    case Rounding::kTruncate:
+      break;
   }
-  return floor_shifted;
+  return shift_right_rounded<Rounding::kTruncate>(v, shift);
 }
 
 std::int16_t narrow_to_fixed16(std::int64_t acc, int acc_frac_bits,
@@ -134,17 +153,35 @@ std::int16_t narrow_to_fixed16(std::int64_t acc, int acc_frac_bits,
                                Overflow overflow, NarrowingStats* stats) {
   const int shift = acc_frac_bits - out_fmt.frac_bits;
   const std::int64_t shifted = shift_right_rounded(acc, shift, rounding);
-  const std::int16_t raw = saturate16(shifted, overflow, stats);
+  std::uint64_t saturations = 0;
+  const std::int16_t raw = saturate16(shifted, overflow, saturations);
   if (stats) {
     ++stats->count;
-    const double exact = static_cast<double>(acc) /
-                         std::pow(2.0, static_cast<double>(acc_frac_bits));
-    const double err = exact - static_cast<double>(raw) / out_fmt.scale();
-    const double abs_err = std::fabs(err);
-    if (abs_err > stats->max_abs_error) stats->max_abs_error = abs_err;
-    stats->sum_sq_error += err * err;
+    stats->saturations += saturations;
+    fold_error(acc, std::ldexp(1.0, -acc_frac_bits), raw,
+               std::ldexp(1.0, -out_fmt.frac_bits), stats->max_abs_error,
+               stats->sum_sq_error);
   }
   return raw;
+}
+
+void narrow_plane_to_fixed16(const std::int64_t* acc, std::int64_t count,
+                             std::int64_t addend, int acc_frac_bits,
+                             FixedFormat out_fmt, Rounding rounding,
+                             std::int16_t* out, NarrowingStats& stats) {
+  switch (rounding) {
+    case Rounding::kNearestEven:
+      return narrow_plane<Rounding::kNearestEven>(
+          acc, count, addend, acc_frac_bits, out_fmt, out, stats);
+    case Rounding::kNearestUp:
+      return narrow_plane<Rounding::kNearestUp>(acc, count, addend,
+                                                acc_frac_bits, out_fmt, out,
+                                                stats);
+    case Rounding::kTruncate:
+      break;
+  }
+  narrow_plane<Rounding::kTruncate>(acc, count, addend, acc_frac_bits,
+                                    out_fmt, out, stats);
 }
 
 std::int16_t Accumulator48::narrow(FixedFormat operand_fmt,

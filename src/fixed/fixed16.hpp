@@ -100,6 +100,9 @@ struct NarrowingStats {
     return count == 0 ? 0.0 : sum_sq_error / static_cast<double>(count);
   }
   void merge(const NarrowingStats& other);
+
+  friend bool operator==(const NarrowingStats&,
+                         const NarrowingStats&) = default;
 };
 
 // Converts `value` to raw fixed-point under `fmt` with the given rounding
@@ -174,6 +177,41 @@ class Accumulator48 {
   bool saturated_ = false;
 };
 
+// Shifts `v` right by `shift` bits with rounding `R`. `shift` may be
+// negative (left shift, exact). The one definition of the rounding rules:
+// the runtime-mode overload below and the plane write-back instantiate it.
+template <Rounding R>
+[[nodiscard]] constexpr std::int64_t shift_right_rounded(std::int64_t v,
+                                                         int shift) {
+  if (shift <= 0) {
+    // Left shift; guard against overflow by clamping to int64 limits.
+    const int left = -shift;
+    if (left >= 63) return v >= 0 ? Accumulator48::kMax : Accumulator48::kMin;
+    return v << left;
+  }
+  if (shift >= 63) return v < 0 ? -1 : 0;
+
+  const std::int64_t floor_shifted = v >> shift;  // arithmetic shift
+  if constexpr (R == Rounding::kTruncate) {
+    // Dropping bits of a two's-complement value is an arithmetic shift,
+    // i.e. floor.
+    return floor_shifted;
+  } else {
+    const std::int64_t remainder = v - (floor_shifted << shift);
+    const std::int64_t half = std::int64_t{1} << (shift - 1);
+    if constexpr (R == Rounding::kNearestUp) {
+      if (v >= 0) return floor_shifted + (remainder >= half ? 1 : 0);
+      // Negative: round half away from zero.
+      return floor_shifted + (remainder > half ? 1 : 0);
+    } else {
+      if (remainder > half) return floor_shifted + 1;
+      if (remainder < half) return floor_shifted;
+      // Exactly halfway: round to even.
+      return (floor_shifted % 2 == 0) ? floor_shifted : floor_shifted + 1;
+    }
+  }
+}
+
 // Shifts `v` right by `shift` bits with the selected rounding. `shift` may
 // be negative (left shift, exact).
 [[nodiscard]] std::int64_t shift_right_rounded(std::int64_t v, int shift,
@@ -189,5 +227,17 @@ class Accumulator48 {
                                              Rounding rounding,
                                              Overflow overflow,
                                              NarrowingStats* stats = nullptr);
+
+// The write-back of one ofmap plane: narrows `acc[i] + addend` for each
+// of the `count` values into `out[i]`, saturating as the RTL does, and
+// folds every narrowing into `stats`. `addend` is the channel's bias,
+// already aligned to `acc_frac_bits`. The words and all five stats fields
+// are bit-identical to calling narrow_to_fixed16 (Overflow::kSaturate) on
+// each element in order: the stats are kept in locals but folded in
+// element order.
+void narrow_plane_to_fixed16(const std::int64_t* acc, std::int64_t count,
+                             std::int64_t addend, int acc_frac_bits,
+                             FixedFormat out_fmt, Rounding rounding,
+                             std::int16_t* out, NarrowingStats& stats);
 
 }  // namespace chainnn::fixed

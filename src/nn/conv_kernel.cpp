@@ -85,7 +85,7 @@ Tensor<std::int64_t> channel_nest(const ConvLayerParams& p,
   // One block's kernels transposed to [c][ky][kx][m], so one tap's
   // weights for every output channel of the block are contiguous
   // (O(weights) per call). The scratch and the tile come from the
-  // caller's allocator, so a serving arena recycles them like the output
+  // caller's allocator, so a caller's arena recycles them like the output
   // surface. Uninit: each block fills the scratch before reading it, and
   // each (n, oy) zeroes the tile and then writes its whole output row.
   Tensor<std::int16_t> wt(Shape{block_taps, max_lanes}, Uninit{},

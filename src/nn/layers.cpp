@@ -33,23 +33,29 @@ Tensor<T> max_pool_impl(const Tensor<T>& in, const PoolParams& p) {
   const std::int64_t ew = p.out_size(w);
   CHAINNN_CHECK_MSG(eh > 0 && ew > 0, "pool output empty");
 
-  Tensor<T> out(Shape{n, c, eh, ew});
-  for (std::int64_t ni = 0; ni < n; ++ni)
-    for (std::int64_t ci = 0; ci < c; ++ci)
-      for (std::int64_t oy = 0; oy < eh; ++oy)
-        for (std::int64_t ox = 0; ox < ew; ++ox) {
-          T best = std::numeric_limits<T>::lowest();
-          for (std::int64_t ky = 0; ky < p.window; ++ky) {
-            const std::int64_t iy = oy * p.stride + ky - p.pad;
-            if (iy < 0 || iy >= h) continue;
-            for (std::int64_t kx = 0; kx < p.window; ++kx) {
-              const std::int64_t ix = ox * p.stride + kx - p.pad;
-              if (ix < 0 || ix >= w) continue;
-              best = std::max(best, in.at(ni, ci, iy, ix));
-            }
-          }
-          out.at(ni, ci, oy, ox) = best;
+  // Uninit: every output is written. Each window is clipped to the input
+  // once per output; pad < window keeps the clipped window non-empty.
+  Tensor<T> out(Shape{n, c, eh, ew}, Uninit{});
+  const T* src = in.data().data();
+  T* dst = out.mutable_data().data();
+  for (std::int64_t plane = 0; plane < n * c; ++plane, src += h * w)
+    for (std::int64_t oy = 0; oy < eh; ++oy) {
+      const std::int64_t y0 = oy * p.stride - p.pad;
+      const std::int64_t y_lo = std::max<std::int64_t>(y0, 0);
+      const std::int64_t y_hi = std::min(y0 + p.window, h);
+      for (std::int64_t ox = 0; ox < ew; ++ox) {
+        const std::int64_t x0 = ox * p.stride - p.pad;
+        const std::int64_t x_lo = std::max<std::int64_t>(x0, 0);
+        const std::int64_t x_hi = std::min(x0 + p.window, w);
+        T best = std::numeric_limits<T>::lowest();
+        for (std::int64_t iy = y_lo; iy < y_hi; ++iy) {
+          const T* row = src + iy * w;
+          for (std::int64_t ix = x_lo; ix < x_hi; ++ix)
+            best = std::max(best, row[ix]);
         }
+        *dst++ = best;
+      }
+    }
   return out;
 }
 

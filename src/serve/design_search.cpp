@@ -42,17 +42,19 @@ struct IdHash {
   std::size_t operator()(const DesignPointId& id) const { return id.hash(); }
 };
 
-// Insert-if-undominated; evicts members the newcomer dominates. The
-// final content is the unique Pareto-maximal subset of everything ever
+// Insert-if-undominated, split so only admitted points are built: true
+// when no member dominates a point of cost `cost`, after evicting the
+// members it dominates; the caller then appends the point. The final
+// content is the unique Pareto-maximal subset of everything ever
 // offered, whatever the arrival order.
-void offer(std::vector<EvaluatedDesignPoint>& frontier,
-           const EvaluatedDesignPoint& p) {
+bool admit(std::vector<EvaluatedDesignPoint>& frontier,
+           const dataflow::PointCost& cost) {
   for (const EvaluatedDesignPoint& e : frontier)
-    if (e.cost.dominates(p.cost)) return;
-  std::erase_if(frontier, [&p](const EvaluatedDesignPoint& e) {
-    return p.cost.dominates(e.cost);
+    if (e.cost.dominates(cost)) return false;
+  std::erase_if(frontier, [&cost](const EvaluatedDesignPoint& e) {
+    return cost.dominates(e.cost);
   });
-  frontier.push_back(p);
+  return true;
 }
 
 template <typename T>
@@ -192,9 +194,34 @@ DesignSearchResult DesignSearch::run() {
     return built;
   };
 
-  const auto evaluate = [this, num_layers, all_dual](
-                            const DesignPointId& id,
-                            const ComboModels& combo) {
+  // Costs a point; `refs` is the caller's scratch. The costing needs
+  // only the point's clock and chain length, so a wave slot holds just
+  // the cost, and `expand` below builds the full point for the points a
+  // result keeps.
+  const auto cost_point = [this, num_layers](
+                              const DesignPointId& id,
+                              const ComboModels& combo,
+                              std::vector<const dataflow::LayerCostModel*>&
+                                  refs) {
+    dataflow::PointCost cost;
+    if (!combo.feasible) {
+      cost.feasible = false;
+      cost.infeasible_reason = combo.reason;
+      return cost;
+    }
+    refs.clear();
+    for (std::size_t i = 0; i < num_layers; ++i)
+      refs.push_back(&combo.layers[i][(id.mode_mask >> i) & 1]);
+    return dataflow::accumulate_point_cost(
+        refs, grid_.clock_hz[static_cast<std::size_t>(id.clock)],
+        grid_.num_pes[static_cast<std::size_t>(id.pes)], opts_.batch,
+        opts_.energy, combo.area_gates);
+  };
+
+  // The configuration, label and per-layer modes a point denotes.
+  const auto expand = [this, num_layers, all_dual](
+                          const DesignPointId& id,
+                          const dataflow::PointCost& cost) {
     EvaluatedDesignPoint p;
     p.id = id;
     p.array.num_pes = grid_.num_pes[static_cast<std::size_t>(id.pes)];
@@ -209,35 +236,21 @@ DesignSearchResult DesignSearch::run() {
                              p.memory.word_bytes;
     p.layer_dual.resize(num_layers);
     for (std::size_t i = 0; i < num_layers; ++i)
-      p.layer_dual[i] =
-          static_cast<std::uint8_t>((id.mode_mask >> i) & 1);
-    {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "pes%lld-clk%d-kw%lld-om%lluk",
-                    static_cast<long long>(p.array.num_pes),
-                    static_cast<int>(p.array.clock_hz / 1e6),
-                    static_cast<long long>(p.array.kmem_words_per_pe),
-                    static_cast<unsigned long long>(
-                        p.memory.omemory_bytes / 1024));
-      p.label = buf;
-      if (id.mode_mask != all_dual) {
-        std::snprintf(buf, sizeof(buf), "-m%llx",
-                      static_cast<unsigned long long>(id.mode_mask));
-        p.label += buf;
-      }
+      p.layer_dual[i] = static_cast<std::uint8_t>((id.mode_mask >> i) & 1);
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "pes%lld-clk%d-kw%lld-om%lluk",
+                  static_cast<long long>(p.array.num_pes),
+                  static_cast<int>(p.array.clock_hz / 1e6),
+                  static_cast<long long>(p.array.kmem_words_per_pe),
+                  static_cast<unsigned long long>(p.memory.omemory_bytes /
+                                                  1024));
+    p.label = buf;
+    if (id.mode_mask != all_dual) {
+      std::snprintf(buf, sizeof(buf), "-m%llx",
+                    static_cast<unsigned long long>(id.mode_mask));
+      p.label += buf;
     }
-    if (!combo.feasible) {
-      p.cost.feasible = false;
-      p.cost.infeasible_reason = combo.reason;
-      return p;
-    }
-    std::vector<const dataflow::LayerCostModel*> refs;
-    refs.reserve(num_layers);
-    for (std::size_t i = 0; i < num_layers; ++i)
-      refs.push_back(&combo.layers[i][p.layer_dual[i]]);
-    p.cost = dataflow::accumulate_point_cost(refs, p.array.clock_hz,
-                                             p.array.num_pes, opts_.batch,
-                                             opts_.energy, combo.area_gates);
+    p.cost = cost;
     return p;
   };
 
@@ -302,13 +315,15 @@ DesignSearchResult DesignSearch::run() {
 
     // 2. Cost every point into its own slot: a pure read of `models`,
     // and the only work a parallel search hands to the pool.
-    std::vector<EvaluatedDesignPoint> evald(wave.size());
+    std::vector<dataflow::PointCost> costs(wave.size());
     const std::size_t chunk = 64;
     const std::size_t num_chunks = (wave.size() + chunk - 1) / chunk;
     const auto cost_chunk = [&](std::size_t c) {
+      std::vector<const dataflow::LayerCostModel*> refs;
+      refs.reserve(num_layers);
       const std::size_t hi = std::min(wave.size(), (c + 1) * chunk);
       for (std::size_t i = c * chunk; i < hi; ++i)
-        evald[i] = evaluate(wave[i], *models[i]);
+        costs[i] = cost_point(wave[i], *models[i], refs);
     };
     if (serial || num_chunks == 1) {
       for (std::size_t c = 0; c < num_chunks; ++c) cost_chunk(c);
@@ -325,19 +340,17 @@ DesignSearchResult DesignSearch::run() {
     // makes the frontier the exact Pareto set (see header comment).
     std::vector<DesignPointId> next;
     for (std::size_t i = 0; i < wave.size(); ++i) {
-      if (evald[i].cost.feasible)
-        offer(result.frontier, evald[i]);
-      else
+      if (opts_.collect_evaluated)
+        result.evaluated.push_back(expand(wave[i], costs[i]));
+      if (!costs[i].feasible)
         ++stats.infeasible;
+      else if (admit(result.frontier, costs[i]))
+        result.frontier.push_back(expand(wave[i], costs[i]));
       neighbors(wave[i], scratch);
       for (const DesignPointId& n : scratch)
         if (visited.insert(n).second) next.push_back(n);
     }
     stats.evaluated += static_cast<std::int64_t>(wave.size());
-    if (opts_.collect_evaluated)
-      result.evaluated.insert(result.evaluated.end(),
-                              std::make_move_iterator(evald.begin()),
-                              std::make_move_iterator(evald.end()));
 
     // Canonical order: a max_points truncation keeps the lowest ids.
     std::sort(next.begin(), next.end());

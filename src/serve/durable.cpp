@@ -114,17 +114,6 @@ Tensor<std::int16_t> read_tensor_i16(ByteReader& r) {
   return Tensor<std::int16_t>(std::move(shape), std::move(data));
 }
 
-void write_tensor_i64(ByteWriter& w, const Tensor<std::int64_t>& t) {
-  write_shape(w, t.shape());
-  w.i64_span(t.data());
-}
-
-Tensor<std::int64_t> read_tensor_i64(ByteReader& r) {
-  Shape shape = read_shape(r);
-  std::vector<std::int64_t> data = r.i64_vec();
-  return Tensor<std::int64_t>(std::move(shape), std::move(data));
-}
-
 // --- RunCheckpoint ---------------------------------------------------------
 
 void write_run_stats(ByteWriter& w, const chain::RunStats& s) {
@@ -216,7 +205,6 @@ void write_layer_run_result(ByteWriter& w, const chain::LayerRunResult& lr) {
   write_layer_params(w, lr.plan.layer);
   write_array_shape(w, lr.plan.array);
   write_hierarchy(w, lr.plan.memory);
-  write_tensor_i64(w, lr.accumulators);
   write_tensor_i16(w, lr.ofmaps);
   write_run_stats(w, lr.stats);
   write_traffic(w, lr.traffic);
@@ -229,7 +217,6 @@ chain::LayerRunResult read_layer_run_result(ByteReader& r) {
   const mem::HierarchyConfig memory = read_hierarchy(r);
   chain::LayerRunResult lr;
   lr.plan = dataflow::plan_layer(layer, array, memory);
-  lr.accumulators = read_tensor_i64(r);
   lr.ofmaps = read_tensor_i16(r);
   lr.stats = read_run_stats(r);
   lr.traffic = read_traffic(r);

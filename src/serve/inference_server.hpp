@@ -74,9 +74,10 @@
 namespace chainnn::serve {
 
 // True when two network runs agree on every figure the engines must
-// reproduce identically: per-layer ofmaps/accumulators, total cycles,
+// reproduce identically: per-layer ofmaps and narrowing stats (which
+// stand in for the accumulators a run no longer keeps), total cycles,
 // per-level traffic, per-layer power, the final activations, and the
-// whole-run traffic/energy/seconds rollups. `why`, if given, receives a
+// whole-run energy/seconds rollups. `why`, if given, receives a
 // description of the first mismatch.
 [[nodiscard]] bool network_runs_identical(const chain::NetworkRunResult& a,
                                           const chain::NetworkRunResult& b,

@@ -36,11 +36,6 @@ void ByteWriter::i16_span(std::span<const std::int16_t> v) {
   }
 }
 
-void ByteWriter::i64_span(std::span<const std::int64_t> v) {
-  u64(v.size());
-  for (const std::int64_t x : v) i64(x);
-}
-
 std::uint8_t ByteReader::u8() {
   need(1);
   return static_cast<std::uint8_t>(bytes_[pos_++]);
@@ -92,15 +87,6 @@ std::vector<std::int16_t> ByteReader::i16_vec() {
         static_cast<std::uint16_t>(lo | (hi << 8))));
     pos_ += 2;
   }
-  return v;
-}
-
-std::vector<std::int64_t> ByteReader::i64_vec() {
-  const std::uint64_t n = u64();
-  need(8 * n);
-  std::vector<std::int64_t> v;
-  v.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) v.push_back(i64());
   return v;
 }
 

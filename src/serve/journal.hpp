@@ -61,7 +61,6 @@ class ByteWriter {
     buf_.append(s);
   }
   void i16_span(std::span<const std::int16_t> v);
-  void i64_span(std::span<const std::int64_t> v);
 
   [[nodiscard]] const std::string& bytes() const { return buf_; }
   [[nodiscard]] std::string take() { return std::move(buf_); }
@@ -90,7 +89,6 @@ class ByteReader {
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
   [[nodiscard]] std::vector<std::int16_t> i16_vec();
-  [[nodiscard]] std::vector<std::int64_t> i64_vec();
 
   [[nodiscard]] std::size_t remaining() const {
     return bytes_.size() - pos_;
@@ -115,7 +113,7 @@ class ByteReader {
 
 // --- record framing --------------------------------------------------------
 
-inline constexpr std::uint32_t kJournalFormatVersion = 7;
+inline constexpr std::uint32_t kJournalFormatVersion = 8;
 inline constexpr char kJournalMagic[8] = {'C', 'N', 'N', 'J',
                                           'R', 'N', 'L', '\0'};
 

@@ -1,13 +1,16 @@
 // TensorArena — a pooled allocator for the serving hot path's tensors.
 //
 // Every layer of every request allocates the same handful of buffer
-// sizes (a VGG-16 request allocates the same 13 accumulator surfaces and
-// 13 ofmap surfaces as the previous one), but the default allocator
-// hands each of them to the OS and back. A TensorArena keeps released
-// blocks on an exact-size freelist instead: the first request of a shape
-// pays the OS, every later identical allocation is a pop. Blocks come
-// from ::operator new (so alignment suits any tensor element type) and
-// return to the OS only when the arena dies or trim() is called.
+// sizes (a VGG-16 request allocates the same 13 ofmap surfaces as the
+// previous one), but the default allocator hands each of them to the OS
+// and back. A TensorArena keeps released blocks on an exact-size
+// freelist instead: the first request of a shape pays the OS, every
+// later identical allocation is a pop. Blocks come from ::operator new
+// (so alignment suits any tensor element type) and return to the OS only
+// when the arena dies or trim() is called. So the freelist keeps a block
+// of every size it ever served: surfaces that live for one layer (the
+// int64 accumulators, the MAC kernel's scratch) come from the heap
+// instead, where malloc recycles one region across sizes.
 //
 // Lifetime: ArenaAllocator holds the arena by shared_ptr, so a tensor
 // allocated from an arena keeps the arena alive however far it escapes

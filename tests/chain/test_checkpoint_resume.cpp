@@ -1,6 +1,6 @@
 // NetworkRunner checkpoint/resume: a run preempted at any inter-layer
 // boundary and resumed from its RunCheckpoint must be bit-identical to
-// an uninterrupted run — ofmaps, accumulators, cycles, traffic and the
+// an uninterrupted run — ofmaps, narrowing stats, cycles, traffic and the
 // default weight stream all continue exactly where they stopped. Edge
 // cases pinned here: checkpoint at layer 0 (nothing executed yet),
 // checkpoint at the last boundary (one layer left), a chain of

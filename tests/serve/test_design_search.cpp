@@ -24,6 +24,7 @@
 
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -268,6 +269,64 @@ TEST(DesignSearchProperties, FrontierIsWorkerCountIndependent) {
                        parallel.frontier[i].cost.energy_j);
       EXPECT_DOUBLE_EQ(serial.frontier[i].cost.area_gates,
                        parallel.frontier[i].cost.area_gates);
+    }
+  }
+}
+
+// The label and per-layer modes are built only for points a result
+// keeps. Under collect_evaluated every point's must still denote its id,
+// and a frontier point's must be the same whether or not the search
+// collected the evaluated points.
+TEST(DesignSearchProperties, LabelsAndModesMatchTheirIds) {
+  for (const std::uint64_t seed : property_seeds()) {
+    Rng rng(seed);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const nn::NetworkModel net = tiny_net(rng);
+    const DesignSpaceGrid grid = random_grid(rng);
+    const std::size_t num_layers = net.conv_layers.size();
+    const std::uint64_t all_dual = (1ull << num_layers) - 1;
+
+    const auto run_with = [&](bool collect) {
+      DesignSearchOptions opts;
+      opts.max_points = 0;
+      opts.num_workers = 1;
+      opts.collect_evaluated = collect;
+      DesignSearch search(net, grid, opts);
+      return search.run();
+    };
+    const DesignSearchResult collected = run_with(true);
+    const DesignSearchResult plain = run_with(false);
+
+    const auto expected_label = [&grid, all_dual](const DesignPointId& id) {
+      std::ostringstream os;
+      os << "pes" << grid.num_pes[static_cast<std::size_t>(id.pes)] << "-clk"
+         << static_cast<int>(
+                grid.clock_hz[static_cast<std::size_t>(id.clock)] / 1e6)
+         << "-kw" << grid.kmem_words_per_pe[static_cast<std::size_t>(id.kmem)]
+         << "-om"
+         << grid.omemory_bytes[static_cast<std::size_t>(id.omem)] / 1024
+         << "k";
+      if (id.mode_mask != all_dual) os << "-m" << std::hex << id.mode_mask;
+      return os.str();
+    };
+    std::map<DesignPointId, const EvaluatedDesignPoint*> by_id;
+    ASSERT_FALSE(collected.evaluated.empty());
+    for (const EvaluatedDesignPoint& p : collected.evaluated) {
+      EXPECT_EQ(p.label, expected_label(p.id));
+      ASSERT_EQ(p.layer_dual.size(), num_layers) << p.label;
+      for (std::size_t i = 0; i < num_layers; ++i)
+        EXPECT_EQ(p.layer_dual[i], (p.id.mode_mask >> i) & 1) << p.label;
+      by_id[p.id] = &p;
+    }
+    ASSERT_EQ(plain.frontier.size(), collected.frontier.size());
+    for (std::size_t i = 0; i < plain.frontier.size(); ++i) {
+      const EvaluatedDesignPoint& f = plain.frontier[i];
+      EXPECT_EQ(f.id, collected.frontier[i].id);
+      ASSERT_EQ(by_id.count(f.id), 1u) << f.label;
+      EXPECT_EQ(f.label, by_id[f.id]->label);
+      EXPECT_EQ(f.layer_dual, by_id[f.id]->layer_dual) << f.label;
+      EXPECT_EQ(collected.frontier[i].label, f.label);
+      EXPECT_EQ(collected.frontier[i].layer_dual, f.layer_dual) << f.label;
     }
   }
 }

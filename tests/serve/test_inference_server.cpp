@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <future>
 #include <limits>
@@ -242,6 +243,18 @@ TEST(InferenceServer, EnergyAndTrafficDivergencesAreCaught) {
   EXPECT_TRUE(traffic.fidelity.diverged);
   EXPECT_NE(traffic.fidelity.detail.find("traffic"), std::string::npos)
       << traffic.fidelity.detail;
+
+  // Narrowing drift (one ulp of the squared error): caught. A result
+  // keeps no accumulators, so these stats are what would show a psum
+  // that differs behind identical ofmaps.
+  const InferenceResult narrowing = run_with_mutation(
+      [](chain::NetworkRunResult& replay) {
+        double& sum_sq = replay.layers.front().run.narrowing.sum_sq_error;
+        sum_sq = std::nextafter(sum_sq, std::numeric_limits<double>::max());
+      });
+  EXPECT_TRUE(narrowing.fidelity.diverged);
+  EXPECT_NE(narrowing.fidelity.detail.find("narrowing"), std::string::npos)
+      << narrowing.fidelity.detail;
 
   // Identity mutation: clean — the extended cross-check introduces no
   // false positives.

@@ -144,7 +144,7 @@ TEST(JournalFraming, HeaderValidation) {
                JournalError);
 
   // Version mismatch refuses, older (the previous format's CHECKPOINT
-  // records carry a different RunStats/traffic layout) and newer alike.
+  // records carry each layer's accumulators) and newer alike.
   const std::string path = temp_path("version.jrnl");
   for (const std::uint32_t version :
        {kJournalFormatVersion - 1, kJournalFormatVersion + 1}) {
@@ -346,8 +346,7 @@ TEST(DurableCodecs, CheckpointRoundTripsAndResumesBitIdentical) {
     ASSERT_EQ(rcp.layers.size(), cp->layers.size());
     for (std::size_t i = 0; i < cp->layers.size(); ++i) {
       EXPECT_TRUE(rcp.layers[i].run.ofmaps == cp->layers[i].run.ofmaps);
-      EXPECT_TRUE(rcp.layers[i].run.accumulators ==
-                  cp->layers[i].run.accumulators);
+      EXPECT_TRUE(rcp.layers[i].run.narrowing == cp->layers[i].run.narrowing);
       EXPECT_EQ(rcp.layers[i].run.stats.total_cycles(),
                 cp->layers[i].run.stats.total_cycles());
       EXPECT_EQ(rcp.layers[i].run.traffic, cp->layers[i].run.traffic);

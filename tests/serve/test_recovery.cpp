@@ -221,7 +221,7 @@ CutVerdict verify_recovery_at_cut(
       continue;
     }
     // Same chip as before the crash (the pin), hence bit identity —
-    // ofmaps, accumulators, cycles, traffic, final activations.
+    // ofmaps, narrowing stats, cycles, traffic, final activations.
     EXPECT_EQ(replayed.chip, base->second.chip) << "tag " << tag;
     std::string why;
     EXPECT_TRUE(
