@@ -49,10 +49,7 @@ PointCost estimate_point_cost(const std::vector<nn::ConvLayerParams>& layers,
   models.reserve(layers.size());
   for (const nn::ConvLayerParams& layer : layers) {
     try {
-      const ExecutionPlan plan = options.plan_source
-                                     ? options.plan_source(layer, array, memory)
-                                     : plan_layer(layer, array, memory);
-      models.push_back(layer_cost_model(plan));
+      models.push_back(layer_cost_model(plan_layer(layer, array, memory)));
     } catch (const std::exception& e) {
       PointCost cost;
       cost.feasible = false;

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -86,19 +85,10 @@ struct PointCost {
 [[nodiscard]] std::uint64_t point_sram_bytes(
     const ArrayShape& array, const mem::HierarchyConfig& memory);
 
-// Plan provider, so callers with a cache (serve::PlanCache::plan_for has
-// exactly this shape) can inject it; the default builds plans directly
-// with plan_layer. Must throw where plan_layer throws — that is how an
-// unmappable layer becomes an infeasible point.
-using PlanSource = std::function<ExecutionPlan(
-    const nn::ConvLayerParams& layer, const ArrayShape& array,
-    const mem::HierarchyConfig& memory)>;
-
 struct PointCostOptions {
   std::int64_t batch = 1;
   energy::EnergyModel energy = energy::EnergyModel::paper_calibrated();
   energy::AreaModel area;
-  PlanSource plan_source;  // empty = plan_layer
 };
 
 // Closed-form cost of running `layers` (already resolved to the H/W they

@@ -150,9 +150,9 @@ HttpResponse Gateway::handle_submit(const HttpRequest& request) {
   if (const Json* f = body->find("batch")) {
     if (!f->is_integer()) return bad("\"batch\" must be an integer");
     batch = f->as_int();
-    if (batch < 1 || batch > opts_.max_batch)
-      return bad("\"batch\" must be in [1, " +
-                 std::to_string(opts_.max_batch) + "]");
+    if (batch < 1 || batch > kMaxBatch)
+      return bad("\"batch\" must be in [1, " + std::to_string(kMaxBatch) +
+                 "]");
   }
 
   serve::RequestOptions options;

@@ -55,13 +55,14 @@ namespace chainnn::net {
 
 // Scheduling tiers a client may ask for: "priority" is 0..7.
 inline constexpr std::int32_t kPriorityTiers = 8;
+// Batch sizes a client may ask for: "batch" is 1..64.
+inline constexpr std::int64_t kMaxBatch = 64;
 
 struct GatewayOptions {
   HttpServerOptions http;
   // > 1 serves channel-reduced proxies of the named models (see
   // serve::channel_reduced_proxy); 1 serves the full networks.
   std::int64_t model_scale = 1;
-  std::int64_t max_batch = 64;
 };
 
 struct GatewayStats {

@@ -7,7 +7,6 @@
 #include <exception>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.hpp"
@@ -38,10 +37,6 @@ std::uint64_t combo_key(std::int32_t pes, std::int32_t kmem,
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(omem));
 }
 
-struct IdHash {
-  std::size_t operator()(const DesignPointId& id) const { return id.hash(); }
-};
-
 // Insert-if-undominated, split so only admitted points are built: true
 // when no member dominates a point of cost `cost`, after evicting the
 // members it dominates; the caller then appends the point. The final
@@ -65,21 +60,6 @@ std::int32_t index_of(const std::vector<T>& axis, T value) {
 }
 
 }  // namespace
-
-std::size_t DesignPointId::hash() const {
-  // FNV-1a over the canonical fields.
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint32_t>(pes));
-  mix(static_cast<std::uint32_t>(clock));
-  mix(static_cast<std::uint32_t>(kmem));
-  mix(static_cast<std::uint32_t>(omem));
-  mix(mode_mask);
-  return static_cast<std::size_t>(h);
-}
 
 bool EvaluatedDesignPoint::uniform_mode() const {
   if (layer_dual.empty()) return true;
@@ -129,8 +109,8 @@ DesignSearch::DesignSearch(nn::NetworkModel network, DesignSpaceGrid grid,
   const nn::ConvLayerParams& first = net_.conv_layers.front();
   layers_ = resolve_network_layers(net_, opts_.batch, first.in_height,
                                    first.in_width, opts_.inter_layer);
-  CHAINNN_CHECK_MSG(!grid_.per_layer_channel_modes || layers_.size() <= 64,
-                    "per-layer channel modes support at most 64 layers, got "
+  CHAINNN_CHECK_MSG(layers_.size() <= 64,
+                    "a channel-mode mask holds at most 64 layers, got "
                         << layers_.size());
 }
 
@@ -254,34 +234,47 @@ DesignSearchResult DesignSearch::run() {
     return p;
   };
 
-  const auto neighbors = [this, num_layers](const DesignPointId& id,
-                                            std::vector<DesignPointId>& out) {
-    out.clear();
-    const auto step = [&out, &id](std::int32_t DesignPointId::* axis,
-                                  std::int32_t limit) {
+  // A grid move changes a point's distance from the seed (the sum of
+  // |axis index - seed index| plus the mode bits that differ) by exactly
+  // one. A point's parent is the point with its first off-seed component
+  // (pes, clock, kmem, omem, then the mode bits by layer) stepped one
+  // place back toward the seed, so every point but the seed has one
+  // parent, one wave nearer. `children` inverts that: it steps away from
+  // the seed along every component up to and including the first
+  // off-seed one, so the children of a wave are the next wave, each
+  // point once.
+  const auto children = [this, num_layers, &seed](
+                            const DesignPointId& id,
+                            std::vector<DesignPointId>& out) {
+    // Appends the steps away from the seed along `axis`; true when the
+    // axis is off-seed, i.e. the last component with children.
+    const auto step = [&out, &id, &seed](std::int32_t DesignPointId::* axis,
+                                         std::size_t size) {
+      const std::int32_t at = id.*axis;
       DesignPointId n = id;
-      if (id.*axis > 0) {
-        n.*axis = id.*axis - 1;
+      if (at <= seed.*axis && at > 0) {
+        n.*axis = at - 1;
         out.push_back(n);
       }
-      if (id.*axis + 1 < limit) {
-        n.*axis = id.*axis + 1;
+      if (at >= seed.*axis && static_cast<std::size_t>(at) + 1 < size) {
+        n.*axis = at + 1;
         out.push_back(n);
       }
+      return at != seed.*axis;
     };
-    step(&DesignPointId::pes, static_cast<std::int32_t>(grid_.num_pes.size()));
-    step(&DesignPointId::clock,
-         static_cast<std::int32_t>(grid_.clock_hz.size()));
-    step(&DesignPointId::kmem,
-         static_cast<std::int32_t>(grid_.kmem_words_per_pe.size()));
-    step(&DesignPointId::omem,
-         static_cast<std::int32_t>(grid_.omemory_bytes.size()));
-    if (grid_.per_layer_channel_modes) {
-      for (std::size_t i = 0; i < num_layers && i < 64; ++i) {
-        DesignPointId n = id;
-        n.mode_mask = id.mode_mask ^ (1ull << i);
-        out.push_back(n);
-      }
+    if (step(&DesignPointId::pes, grid_.num_pes.size()) ||
+        step(&DesignPointId::clock, grid_.clock_hz.size()) ||
+        step(&DesignPointId::kmem, grid_.kmem_words_per_pe.size()) ||
+        step(&DesignPointId::omem, grid_.omemory_bytes.size()) ||
+        !grid_.per_layer_channel_modes)
+      return;
+    // A flipped mode bit is as far from the seed as it goes.
+    for (std::size_t i = 0; i < num_layers; ++i) {
+      const std::uint64_t bit = 1ull << i;
+      if ((id.mode_mask ^ seed.mode_mask) & bit) return;
+      DesignPointId n = id;
+      n.mode_mask ^= bit;
+      out.push_back(n);
     }
   };
 
@@ -295,11 +288,10 @@ DesignSearchResult DesignSearch::run() {
 
   // Only the costing leaves this thread, so the search state (these,
   // and the frontier in `result`) has one owner and lives in this frame:
-  // each run() starts from scratch.
+  // each run() starts from scratch. Beyond what the result returns, nothing
+  // is kept per evaluated point.
   std::unordered_map<std::uint64_t, ComboModels> combos;
-  std::unordered_set<DesignPointId, IdHash> visited = {seed};
   std::vector<DesignPointId> wave = {seed};
-  std::vector<DesignPointId> scratch;
   while (!wave.empty()) {
     ++stats.waves;
 
@@ -335,9 +327,9 @@ DesignSearchResult DesignSearch::run() {
       pool->run_batch(std::move(tasks));
     }
 
-    // 3. In wave order: offer, then admit unvisited neighbours. Pruned
-    // or not, a point expands: coverage of the reachable grid is what
-    // makes the frontier the exact Pareto set (see header comment).
+    // 3. In wave order: offer, then collect the children. Pruned or
+    // not, a point has children: coverage of the grid is what makes the
+    // frontier the exact Pareto set (see header comment).
     std::vector<DesignPointId> next;
     for (std::size_t i = 0; i < wave.size(); ++i) {
       if (opts_.collect_evaluated)
@@ -346,9 +338,7 @@ DesignSearchResult DesignSearch::run() {
         ++stats.infeasible;
       else if (admit(result.frontier, costs[i]))
         result.frontier.push_back(expand(wave[i], costs[i]));
-      neighbors(wave[i], scratch);
-      for (const DesignPointId& n : scratch)
-        if (visited.insert(n).second) next.push_back(n);
+      children(wave[i], next);
     }
     stats.evaluated += static_cast<std::int64_t>(wave.size());
 

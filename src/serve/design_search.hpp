@@ -7,12 +7,15 @@
 // search, the way the related multi-core reachability work (ltsmin)
 // treats model states:
 //
-//   * points are canonical index tuples into a DesignSpaceGrid; the
-//     neighborhood generator steps one axis index (or flips one layer's
-//     channel mode), so exploration expands in waves from the paper's
-//     576-PE / 700 MHz seed;
-//   * canonical-form deduplication: a hash-consed visited set admits
-//     each point exactly once;
+//   * points are canonical index tuples into a DesignSpaceGrid; a grid
+//     move steps one axis index (or flips one layer's channel mode), so
+//     exploration expands in waves from the paper's 576-PE / 700 MHz
+//     seed, wave k holding the points k moves from it;
+//   * one parent per point instead of a visited set: a point's parent is
+//     the point with its first off-seed component (pes, clock, kmem,
+//     omem, then the mode bits by layer) stepped one place back toward
+//     the seed, so wave k+1 is exactly the children of wave k and each
+//     point is generated once;
 //   * per-point cost comes from the tensor-free closed forms
 //     (dataflow::estimate_point_cost's accumulate path) over per-layer
 //     LayerCostModels hash-consed per (chain, kmem, omem, mode) — the
@@ -20,19 +23,19 @@
 //   * dominance pruning: a point strictly worse on cycles AND energy AND
 //     area than a frontier member is dropped on evaluation — it is
 //     counted, but never stored. Memory stays O(frontier + wave), not
-//     O(points). Pruned points still *expand* (their neighbors are
-//     generated), so the reachable grid is covered exhaustively and the
-//     frontier is exactly the Pareto-maximal set of every evaluated
-//     point — which is what makes the oracle test below possible;
+//     O(points). Pruned points still have children, so the grid is
+//     covered exhaustively and the frontier is exactly the Pareto-maximal
+//     set of every evaluated point — which is what makes the oracle test
+//     below possible;
 //   * determinism: only the costing of a wave's points leaves the
 //     calling thread, each point into its own slot, reading models
 //     built before it starts. Everything else — building those models,
-//     the visited set, the frontier, the next wave — runs on the
-//     calling thread in canonical order and lives in run()'s frame, so
-//     the result is independent of worker count and a second run()
-//     repeats the first. tests/serve/test_design_search.cpp pins 1-vs-N
-//     worker identity and frontier equality against an
-//     exhaustive-enumeration oracle.
+//     the frontier, the next wave and its canonical sort — runs on the
+//     calling thread and lives in run()'s frame, so the result is
+//     independent of worker count and a second run() repeats the first.
+//     tests/serve/test_design_search.cpp pins 1-vs-N worker identity,
+//     the membership of a truncated search's waves, and frontier
+//     equality against an exhaustive-enumeration oracle.
 //
 // A parallel search costs each wave as one common::WorkPool::run_batch
 // on the process-wide pool (helping semantics: the calling thread claims
@@ -54,7 +57,7 @@
 namespace chainnn::serve {
 
 // The axes of the search. Every axis vector must be non-empty and
-// strictly increasing; neighbors step +-1 along an axis.
+// strictly increasing; a grid move steps +-1 along an axis.
 struct DesignSpaceGrid {
   std::vector<std::int64_t> num_pes;
   std::vector<double> clock_hz;
@@ -78,15 +81,14 @@ struct DesignSpaceGrid {
 };
 
 // Canonical form of a point: axis indices plus the per-layer channel
-// mask (bit i set = layer i streams dual-channel). Hash-consing and the
-// visited set key on this, never on the expanded configuration.
+// mask (bit i set = layer i streams dual-channel). Waves and results are
+// sorted by it, and a max_points truncation keeps a wave's lowest ids.
 struct DesignPointId {
   std::int32_t pes = 0, clock = 0, kmem = 0, omem = 0;
   std::uint64_t mode_mask = ~0ull;
 
   friend bool operator==(const DesignPointId&, const DesignPointId&) = default;
   friend auto operator<=>(const DesignPointId&, const DesignPointId&) = default;
-  [[nodiscard]] std::size_t hash() const;
 };
 
 // One evaluated point, expanded back to the configuration it denotes.
@@ -105,7 +107,7 @@ struct EvaluatedDesignPoint {
 };
 
 struct DesignSearchStats {
-  std::int64_t evaluated = 0;   // costed points (== visited)
+  std::int64_t evaluated = 0;   // costed points, each once
   std::int64_t infeasible = 0;  // some layer unmappable at the point
   std::int64_t pruned = 0;      // feasible but Pareto-dominated
   std::int64_t frontier = 0;

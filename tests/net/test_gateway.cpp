@@ -92,6 +92,7 @@ TEST(Gateway, MalformedSubmitBodiesAre400NotCrashes) {
       "{\"model\": \"resnet152\"}",            // unknown model
       "{\"model\": \"lenet\", \"deadline\": 5}",        // typo'd key
       "{\"model\": \"lenet\", \"batch\": 0}",           // batch < 1
+      "{\"model\": \"lenet\", \"batch\": 65}",          // above kMaxBatch
       "{\"model\": \"lenet\", \"batch\": 1e9}",         // batch not integral
       "{\"model\": \"lenet\", \"priority\": \"high\"}",  // wrong type
       "{\"model\": \"lenet\", \"priority\": -1}",  // below tier 0

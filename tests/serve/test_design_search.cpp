@@ -15,13 +15,18 @@
 //
 // Worker-count independence is pinned separately: a serial run and a
 // 4-worker run on a private pool must return identical results, also
-// under max_points truncation.
+// under max_points truncation. A truncated search must evaluate the
+// points nearest the seed, in wave order, and the whole AlexNet paper
+// grid is searched once, as the dse-alexnet benchmark searches it.
 //
 // Seeds: three fixed seeds in tier-1; CHAINNN_SCHED_ROTATE rotates fresh
 // triples in CI's sanitize lane and CHAINNN_SCHED_SEED replays a logged
 // seed exactly (see property_seeds.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -37,11 +42,11 @@
 namespace chainnn::serve {
 namespace {
 
-nn::NetworkModel tiny_net(Rng& rng) {
+nn::NetworkModel tiny_net(Rng& rng, int num_layers = 2) {
   nn::NetworkModel net;
   net.name = "tiny";
   std::int64_t channels = rng.uniform_int(2, 4);
-  for (int i = 0; i < 2; ++i) {
+  for (int i = 0; i < num_layers; ++i) {
     nn::ConvLayerParams l;
     l.name = "c" + std::to_string(i);
     l.in_channels = channels;
@@ -273,6 +278,89 @@ TEST(DesignSearchProperties, FrontierIsWorkerCountIndependent) {
   }
 }
 
+// A search truncated at max_points evaluates the grid's first max_points
+// points by (distance from the seed, canonical id), in that order: wave k
+// is the points k grid moves from the seed, sorted. The distance is
+// enumerated here, not taken from the search: axis-index offsets plus
+// the mode bits that differ from the seed's all-dual mask. Budgets end
+// on a wave boundary and mid-wave, for the 2-layer net and a 4-layer
+// one.
+TEST(DesignSearchProperties, TruncatedSearchEvaluatesTheNearestPoints) {
+  for (const std::uint64_t seed : property_seeds()) {
+    Rng rng(seed);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    for (const int num_layers : {2, 4}) {
+      SCOPED_TRACE(std::to_string(num_layers) + " layers");
+      const nn::NetworkModel net = tiny_net(rng, num_layers);
+      const DesignSpaceGrid grid = random_grid(rng);
+
+      // The seed: the paper point when the grid holds it, the axis
+      // midpoints otherwise.
+      const auto index_of = [](const auto& axis, auto value) {
+        const auto it = std::find(axis.begin(), axis.end(), value);
+        return static_cast<std::int32_t>(
+            it == axis.end() ? -1 : it - axis.begin());
+      };
+      DesignPointId origin;
+      origin.pes = index_of(grid.num_pes, std::int64_t{576});
+      origin.clock = index_of(grid.clock_hz, 700e6);
+      origin.kmem = index_of(grid.kmem_words_per_pe, std::int64_t{256});
+      origin.omem = index_of(grid.omemory_bytes, std::uint64_t{25 * 1024});
+      if (origin.pes < 0 || origin.clock < 0 || origin.kmem < 0 ||
+          origin.omem < 0) {
+        origin.pes = static_cast<std::int32_t>(grid.num_pes.size() / 2);
+        origin.clock = static_cast<std::int32_t>(grid.clock_hz.size() / 2);
+        origin.kmem =
+            static_cast<std::int32_t>(grid.kmem_words_per_pe.size() / 2);
+        origin.omem = static_cast<std::int32_t>(grid.omemory_bytes.size() / 2);
+      }
+      origin.mode_mask = (1ull << num_layers) - 1;
+
+      std::vector<std::pair<std::int64_t, DesignPointId>> order;
+      for (const auto& [id, cost] : enumerate_all(net, grid, 1))
+        order.emplace_back(std::abs(id.pes - origin.pes) +
+                               std::abs(id.clock - origin.clock) +
+                               std::abs(id.kmem - origin.kmem) +
+                               std::abs(id.omem - origin.omem) +
+                               std::popcount(id.mode_mask ^ origin.mode_mask),
+                           id);
+      std::sort(order.begin(), order.end());
+
+      // A wave boundary short of the whole grid, and a budget inside a
+      // wave of two or more points.
+      std::vector<std::int64_t> boundaries, inside;
+      for (std::size_t i = 1; i < order.size(); ++i) {
+        if (order[i].first != order[i - 1].first)
+          boundaries.push_back(static_cast<std::int64_t>(i));
+        else
+          inside.push_back(static_cast<std::int64_t>(i));
+      }
+      ASSERT_FALSE(boundaries.empty());
+      ASSERT_FALSE(inside.empty());
+      const auto pick = [&rng](const std::vector<std::int64_t>& from) {
+        return from[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(from.size()) - 1))];
+      };
+      for (const std::int64_t budget : {pick(boundaries), pick(inside)}) {
+        SCOPED_TRACE("max_points " + std::to_string(budget));
+        DesignSearchOptions opts;
+        opts.max_points = budget;
+        opts.num_workers = 1;
+        opts.collect_evaluated = true;
+        DesignSearch search(net, grid, opts);
+        const DesignSearchResult result = search.run();
+
+        ASSERT_EQ(result.stats.evaluated, budget);
+        ASSERT_EQ(result.evaluated.size(), static_cast<std::size_t>(budget));
+        for (std::size_t i = 0; i < result.evaluated.size(); ++i)
+          EXPECT_EQ(result.evaluated[i].id, order[i].second) << "point " << i;
+        EXPECT_EQ(result.stats.waves,
+                  order[static_cast<std::size_t>(budget) - 1].first + 1);
+      }
+    }
+  }
+}
+
 // The label and per-layer modes are built only for points a result
 // keeps. Under collect_evaluated every point's must still denote its id,
 // and a frontier point's must be the same whether or not the search
@@ -357,6 +445,32 @@ TEST(DesignSearch, PaperPointOnDefaultGridFrontier) {
     }
 }
 
+// The whole paper grid for the paper's workload, as dse-alexnet's
+// benchmark serves it (3x3/2 max pooling after conv1, conv2 and conv5),
+// searched serially without a budget: every point once, in as many waves
+// as the grid's largest distance from the paper point plus one.
+TEST(DesignSearch, WholePaperGridForPooledAlexNet) {
+  const nn::NetworkModel net = nn::alexnet();
+  DesignSearchOptions opts;
+  opts.max_points = 0;
+  opts.num_workers = 1;
+  opts.inter_layer.assign(net.conv_layers.size(), chain::InterLayerOp{});
+  for (const std::size_t i : {0, 1, 4}) {
+    opts.inter_layer[i].pool = true;
+    opts.inter_layer[i].pool_params = nn::PoolParams{3, 2, 0};
+  }
+  DesignSearch search(net, DesignSpaceGrid::paper_default(), opts);
+  const DesignSearchResult result = search.run();
+
+  EXPECT_EQ(result.stats.evaluated, 6720 * 32);  // 215,040
+  // Largest distance: 8 (pes) + 10 (clock) + 2 (kmem) + 4 (omem) + 5
+  // (mode bits) = 29.
+  EXPECT_EQ(result.stats.waves, 30);
+  EXPECT_EQ(result.stats.frontier, 2746);
+  EXPECT_TRUE(result.stats.contains_paper_point);
+  EXPECT_GT(result.stats.pruned, 0);
+}
+
 // The search keeps no state between calls: a second run() starts from
 // the seed again and returns what the first returned.
 TEST(DesignSearch, SecondRunRepeatsTheFirst) {
@@ -429,6 +543,12 @@ TEST(DesignSearch, RejectsMalformedGridsAndNetworks) {
   EXPECT_THROW(DesignSearch(nn::NetworkModel{},
                             DesignSpaceGrid::paper_default()),
                std::logic_error);
+
+  // A mode mask holds 64 layers, also when the mode axis is off.
+  Rng rng(11);
+  DesignSpaceGrid fixed_modes = DesignSpaceGrid::paper_default();
+  fixed_modes.per_layer_channel_modes = false;
+  EXPECT_THROW(DesignSearch(tiny_net(rng, 65), fixed_modes), std::logic_error);
 }
 
 }  // namespace
