@@ -395,25 +395,6 @@ std::string Gateway::metrics_text() const {
   w.gauge("chainnn_plan_cache_hit_rate", "hits / lookups (0 when idle).",
           fleet.plan_cache.hit_rate());
 
-  // -- tensor arena --------------------------------------------------------
-  w.gauge("chainnn_arena_bytes_in_use",
-          "Tensor-pool bytes held by live tensors, summed over chips.",
-          static_cast<double>(fleet.arena.bytes_in_use));
-  w.gauge("chainnn_arena_high_water_bytes",
-          "Sum of per-chip peak tensor-pool bytes in use.",
-          static_cast<double>(fleet.arena.high_water_bytes));
-  w.gauge("chainnn_arena_freelist_bytes",
-          "Tensor-pool bytes retained for reuse, summed over chips.",
-          static_cast<double>(fleet.arena.freelist_bytes));
-  w.counter("chainnn_arena_allocations_total",
-            "Tensor-pool allocations served.",
-            static_cast<double>(fleet.arena.allocations));
-  w.counter("chainnn_arena_reuses_total",
-            "Tensor-pool allocations served from the freelist.",
-            static_cast<double>(fleet.arena.reuses));
-  w.gauge("chainnn_arena_reuse_rate", "reuses / allocations (0 when idle).",
-          fleet.arena.reuse_rate());
-
   // -- per chip ------------------------------------------------------------
   w.family("chainnn_chip_routed_total", "counter",
            "Requests the router placed on this chip.");

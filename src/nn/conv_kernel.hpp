@@ -17,18 +17,24 @@
 // vector; since 2^31 is far below kMax, the reference never clamps
 // either.
 //
-// The fast kernel runs Chain-NN's own dataflow: a block of up to 128
-// output channels of a group stays resident (transposed so one tap's
-// weights for every channel of the block are contiguous) and each ifmap
-// pixel is broadcast against all of them, so the innermost loop
-// multiplies one pixel by a vector of output channels (two input rows per
-// pass, so each accumulator load and store carries two taps).
+// Both fast kernels run Chain-NN's own dataflow: the kernels stay put
+// and each ifmap pixel is broadcast against the weights of many output
+// channels at once. The int32 micro-kernel takes input channels in
+// pairs, so one pair multiply-add (nn/pair_madd.hpp: SSE2's pmaddwd, or
+// its plain C++ twin) does two taps for four output channels. A tile of
+// 1-2 output pixels x 8, 16 or 24 output channels holds its int32
+// accumulators in registers across every tap, fed by weights packed per
+// call as interleaved channel pairs and by a zero-padded, pair-
+// interleaved copy of the input. A pair sum is a partial sum of at most
+// T products, so the int32 proof covers it. The int64 nest keeps a
+// block of up to 128 output channels resident and accumulates an output
+// row's [ox][m] tile in memory, two input rows per pass.
 //
 // The int32 bound at int16's worst case (max|x| = max|w| = 2^15) admits
 // only one-tap layers, so the dispatcher always scans both operands for
 // their real magnitudes (O(ifmap + weights), against O(outputs * taps)
-// MACs). It runs the int32 nest when the scanned bound holds for
-// 2^31 - 1, else the int64 nest when the 48-bit bound holds — statically
+// MACs). It runs the int32 micro-kernel when the scanned bound holds
+// for 2^31 - 1, else the int64 nest when the 48-bit bound holds — statically
 // (T <= kMax / 2^30 = 131071 taps, all of AlexNet/VGG and far beyond) or
 // with the scanned magnitudes — and only when saturation is genuinely
 // possible the exact scalar sticky-clamp path.
@@ -75,8 +81,8 @@ struct ConvDispatch {
 // for the actual operands (the taps are summed in another order, and
 // without saturation every order computes the same exact int64 sum).
 // Callers should go through conv2d_fixed_accum_dispatch, which performs
-// the proof and picks int32 accumulators when it can; this entry point
-// lets the property tests pin the int64 instantiation on its own.
+// the proof and picks the int32 micro-kernel when it can; this entry
+// point lets the property tests pin the int64 nest on its own.
 // `alloc` sources the output surface and the call's scratch (one block's
 // transposed kernels and one output row's accumulators; default: heap);
 // the kernel writes every output element, so the allocation is
@@ -86,8 +92,8 @@ struct ConvDispatch {
     const Tensor<std::int16_t>& kernels,
     ArenaAllocator<std::int64_t> alloc = {});
 
-// Dispatcher used by the analytical engine: the int32 nest when the
-// build enables it and the scanned operands prove int32 exact, else the
+// Dispatcher used by the analytical engine: the int32 micro-kernel when
+// the build enables it and the scanned operands prove int32 exact, else the
 // int64 nest when the layer is provably saturation-free, else the exact
 // scalar sticky-clamp reference. Always bit-identical to
 // conv2d_fixed_accum. `dispatch`, if non-null, receives the routing

@@ -119,8 +119,6 @@ class Fleet::Executor {
   const std::size_t chip_;
   Router& router_;
   Journal* const journal_;  // nullptr = the fleet does not journal
-  const std::shared_ptr<TensorArena> arena_ =
-      std::make_shared<TensorArena>();
 
   mutable Mutex mu_;
   CondVar space_ready_;  // queue dropped below max_queue
@@ -141,7 +139,7 @@ class Fleet::Executor {
   // one urgent arrival cannot stampede every busy worker into a
   // checkpoint it will immediately resume.
   std::int64_t yielding_ CHAINNN_GUARDED_BY(mu_) = 0;
-  ServerStats stats_ CHAINNN_GUARDED_BY(mu_);  // cache/arena filled on read
+  ServerStats stats_ CHAINNN_GUARDED_BY(mu_);  // plan_cache filled on read
 };
 
 struct Fleet::Executor::Task {
@@ -266,7 +264,6 @@ ServerStats Fleet::Executor::stats() const {
     s = stats_;
   }
   s.plan_cache = opts_.plan_cache->stats();
-  s.arena = arena_->stats();
   return s;
 }
 
@@ -300,7 +297,6 @@ std::optional<InferenceResult> Fleet::Executor::execute_request(Task& task) {
       task.checkpoint ? task.checkpoint->layers.size() : 0;
 
   chain::AcceleratorConfig cfg = opts_.accelerator;
-  cfg.arena = arena_;
   if (task.options.exec_mode) cfg.exec_mode = *task.options.exec_mode;
   out.exec_mode = cfg.exec_mode;
 

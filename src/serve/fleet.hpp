@@ -24,7 +24,9 @@
 // seconds and journals the checkpoint, and every terminal outcome
 // retires the rest and journals COMPLETE or CANCEL — all before the
 // request's future resolves. FleetStats sums the chips' ServerStats
-// next to the routing counters.
+// next to the routing counters. Chips keep no tensor pool: their ofmaps
+// come from the heap (unless the chip's config names an arena), where
+// malloc recycles one region across the shapes of every model served.
 #pragma once
 
 #include <atomic>

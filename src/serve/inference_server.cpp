@@ -71,11 +71,6 @@ ServerStats& ServerStats::operator+=(const ServerStats& chip) {
   fidelity_samples += chip.fidelity_samples;
   fidelity_divergences += chip.fidelity_divergences;
   peak_queue_depth += chip.peak_queue_depth;
-  arena.bytes_in_use += chip.arena.bytes_in_use;
-  arena.high_water_bytes += chip.arena.high_water_bytes;
-  arena.freelist_bytes += chip.arena.freelist_bytes;
-  arena.allocations += chip.arena.allocations;
-  arena.reuses += chip.arena.reuses;
   return *this;
 }
 

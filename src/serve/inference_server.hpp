@@ -14,10 +14,10 @@
 // server costs nothing and a fleet of chips shares one thread cache
 // instead of pinning num_threads threads apiece. Every execution attempt
 // runs a whole network through NetworkRunner on one accelerator of its
-// own, built with the chip's PlanCache and TensorArena; all plan lookups
-// of all drains resolve through that one shared cache, so a request only
-// pays planning cost the first time its (layer, array) shape is seen by
-// the process.
+// own, built with the chip's PlanCache; all plan lookups of all drains
+// resolve through that one shared cache, so a request only pays planning
+// cost the first time its (layer, array) shape is seen by the process.
+// Its tensors come from the heap unless the chip's config names an arena.
 //
 // Scheduling: the queue is a priority heap, not a FIFO. Higher
 // RequestOptions::priority tiers always dequeue first; within a tier the
@@ -189,14 +189,14 @@ struct ServerStats {
   std::int64_t fidelity_divergences = 0;
   std::int64_t peak_queue_depth = 0;
   PlanCacheStats plan_cache;
-  // The chip's tensor pool (filled on read, like plan_cache).
+  // Always zero: a chip keeps no tensor pool of its own (see
+  // ServerOptions::accelerator). Kept so that readers of the field build.
   ArenaStats arena;
 
-  // Adds another chip's counters and arena figures: a fleet's totals are
-  // this sum over its chips (summed peak_queue_depth and
-  // arena.high_water_bytes bound the simultaneous peaks from above).
-  // plan_cache is left alone — chips share one cache, so its figures do
-  // not add up.
+  // Adds another chip's counters: a fleet's totals are this sum over its
+  // chips (a summed peak_queue_depth bounds the simultaneous peak from
+  // above). plan_cache is left alone — chips share one cache, so its
+  // figures do not add up.
   ServerStats& operator+=(const ServerStats& chip);
 };
 
@@ -211,8 +211,8 @@ struct ServerStats {
 
 struct ServerOptions {
   // The chip: its array and memory are what every request runs on and is
-  // priced against. Requests may override exec_mode only, and the chip's
-  // own tensor pool replaces the config's arena.
+  // priced against. Requests may override exec_mode only. A chip's
+  // tensors come from the heap unless the config names an arena.
   chain::AcceleratorConfig accelerator = analytical_accelerator_config();
   energy::EnergyModel energy = energy::EnergyModel::paper_calibrated();
   // Name stamped on every InferenceResult::chip — lets fleet members be

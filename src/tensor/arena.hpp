@@ -20,10 +20,12 @@
 // destroyed during and at the end of the request, ready for the next
 // one — not that the arena frees memory mid-flight.
 //
-// Thread safety: all arena operations lock a single mutex. The serving
-// layer gives each chip its own arena, so contention stays within a
-// chip, where the chip's concurrent requests share it; the annotations
-// below let clang's -Wthread-safety prove the locking.
+// Thread safety: all arena operations lock a single mutex, so runs on
+// several threads may share one arena; the annotations below let
+// clang's -Wthread-safety prove the locking. The serving fleet's chips
+// keep no arena: a freelist that holds a block of every ofmap size a
+// chip ever served grows with the mix of models, while malloc recycles
+// one region across sizes.
 #pragma once
 
 #include <cstddef>

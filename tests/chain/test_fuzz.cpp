@@ -6,8 +6,8 @@
 
 #include "chain/accelerator.hpp"
 #include "common/rng.hpp"
+#include "im2col.hpp"
 #include "nn/golden.hpp"
-#include "nn/im2col.hpp"
 #include "nn/sparsity.hpp"
 
 namespace chainnn::chain {

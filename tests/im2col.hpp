@@ -1,12 +1,23 @@
-#include "nn/im2col.hpp"
+// im2col + matrix-multiply convolution — an independent second reference
+// implementation the tests use to cross-check the direct golden model
+// (two references that agree make a much stronger oracle for the cycle
+// simulator). A test oracle only, so it lives here, header-only, and not
+// in the library.
+#pragma once
+
+#include <cstdint>
 
 #include "common/check.hpp"
+#include "nn/conv_params.hpp"
+#include "tensor/tensor.hpp"
 
 namespace chainnn::nn {
 
-Tensor<float> im2col_image(const ConvLayerParams& p,
-                           const Tensor<float>& ifmaps, std::int64_t n,
-                           std::int64_t group) {
+// Unfolds one image (and one group) of the ifmaps into a
+// {C/g*K*K, E_h*E_w} patch matrix. Padding positions are zero-filled.
+inline Tensor<float> im2col_image(const ConvLayerParams& p,
+                                  const Tensor<float>& ifmaps, std::int64_t n,
+                                  std::int64_t group) {
   p.validate();
   const std::int64_t cg = p.channels_per_group();
   const std::int64_t eh = p.out_height();
@@ -34,10 +45,11 @@ Tensor<float> im2col_image(const ConvLayerParams& p,
   return cols;
 }
 
-Tensor<float> conv2d_im2col(const ConvLayerParams& p,
-                            const Tensor<float>& ifmaps,
-                            const Tensor<float>& kernels,
-                            const Tensor<float>* bias) {
+// Full conv via im2col + GEMM; output layout matches conv2d_float.
+inline Tensor<float> conv2d_im2col(const ConvLayerParams& p,
+                                   const Tensor<float>& ifmaps,
+                                   const Tensor<float>& kernels,
+                                   const Tensor<float>* bias = nullptr) {
   p.validate();
   CHAINNN_CHECK(ifmaps.shape() ==
                 Shape({p.batch, p.in_channels, p.in_height, p.in_width}));

@@ -24,6 +24,7 @@
 #include "common/rng.hpp"
 #include "fixed/fixed16.hpp"
 #include "nn/golden.hpp"
+#include "nn/pair_madd.hpp"
 #include "property_seeds.hpp"
 
 namespace chainnn::nn {
@@ -75,6 +76,36 @@ ConvLayerParams random_layer(Rng& rng) {
       std::max<std::int64_t>(1, p.kernel - 2 * p.pad_h), 12);
   p.in_width = rng.uniform_int(
       std::max<std::int64_t>(1, p.kernel - 2 * p.pad_w), 12);
+  p.validate();
+  return p;
+}
+
+// A layer that reaches every edge of the int32 nest's tiles: 1-33 input
+// channels per group (an odd count pairs its last channel with a zero
+// one), 1-40 output channels per group (every tile width, partial and
+// several tiles), a 1-11 kernel at stride 1-4, its own padding per axis,
+// and output widths from 1 to about 9, past twice a tile's largest pixel
+// count (2), so partial pixel tiles read the padded copy's right edge.
+ConvLayerParams tile_edge_layer(Rng& rng) {
+  ConvLayerParams p;
+  p.name = "tile-edge";
+  p.groups = rng.uniform_int(1, 3);
+  p.in_channels = p.groups * rng.uniform_int(1, 33);
+  p.out_channels = p.groups * rng.uniform_int(1, 40);
+  p.kernel = rng.uniform_int(1, 11);
+  p.stride = rng.uniform_int(1, 4);
+  p.pad_h = rng.uniform_int(0, p.kernel / 2);
+  p.pad_w = rng.uniform_int(0, p.kernel / 2);
+  p.batch = rng.uniform_int(1, 3);
+  // The input that gives about oh x ow outputs, with up to stride - 1
+  // trailing pixels that no window reaches.
+  const auto extent = [&](std::int64_t out, std::int64_t pad) {
+    return std::max<std::int64_t>(1, (out - 1) * p.stride + p.kernel -
+                                         2 * pad +
+                                         rng.uniform_int(0, p.stride - 1));
+  };
+  p.in_height = extent(rng.uniform_int(1, 3), p.pad_h);
+  p.in_width = extent(rng.uniform_int(1, 9), p.pad_w);
   p.validate();
   return p;
 }
@@ -254,6 +285,105 @@ TEST(ConvKernelProperty, WideGroupsSpanSeveralChannelBlocks) {
     }
   }
 }
+
+TEST(ConvKernelProperty, Int32TilesMatchScalarOracleAtEveryEdge) {
+  // Tile-edge layers with operand peaks near the int32 bound on either
+  // side: the dispatcher must take the int32 nest exactly when the
+  // scanned bound holds, and every route must match the oracle bit for
+  // bit, the int64 nest included.
+  for (const std::uint64_t seed : property_seeds()) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    int admitted = 0;
+    for (int iter = 0; iter < 40; ++iter) {
+      const ConvLayerParams p = tile_edge_layer(rng);
+      const std::int64_t peak_w = rng.uniform_int(1, 32768);
+      const std::int64_t peak_x = std::clamp<std::int64_t>(
+          kInt32Limit / (taps_of(p) * peak_w) * rng.uniform_int(1, 4) / 2, 1,
+          32768);
+
+      Tensor<std::int16_t> x(
+          Shape{p.batch, p.in_channels, p.in_height, p.in_width});
+      Tensor<std::int16_t> w(Shape{p.out_channels, p.channels_per_group(),
+                                   p.kernel, p.kernel});
+      fill_to_peak(x, rng, peak_x);
+      fill_to_peak(w, rng, peak_w);
+
+      const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
+      ConvDispatch d;
+      expect_bit_identical(oracle, conv2d_fixed_accum_dispatch(p, x, w, &d),
+                           p);
+      EXPECT_EQ(d.int32, int32_expected(p, x, w)) << p.to_string();
+      EXPECT_EQ(d.fast, simd_kernel_enabled());
+      expect_bit_identical(oracle, conv2d_fixed_accum_fast(p, x, w), p);
+      admitted += d.int32 ? 1 : 0;
+    }
+    if (simd_kernel_enabled()) EXPECT_GT(admitted, 0);
+  }
+}
+
+#if defined(__SSE2__)
+TEST(PairMadd, PortableBodyMatchesSse2LaneForLane) {
+  // Runs of pair multiply-adds that the int32 proof admits: `steps` steps
+  // of two products each, with 2 * steps * max|x| * max|w| <= 2^31 - 1.
+  // After every step both bodies must hold the same four lanes, and
+  // those must be the exact running sums. Half the steps broadcast one
+  // pixel pair, as the kernel does; the rest take eight free lanes.
+  using P = PortablePairMadd;
+  using S = Sse2PairMadd;
+  for (const std::uint64_t seed : property_seeds()) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    for (int run = 0; run < 200; ++run) {
+      const std::int64_t steps = rng.uniform_int(1, 64);
+      const std::int64_t peak_w = rng.uniform_int(1, 32768);
+      const std::int64_t peak_x =
+          std::min<std::int64_t>(32768, kInt32Limit / (2 * steps * peak_w));
+      const auto draw = [&rng](std::int64_t peak) {
+        return static_cast<std::int16_t>(
+            rng.uniform_int(-peak, std::min<std::int64_t>(peak, 32767)));
+      };
+      P::I32x4 pa = P::zero();
+      S::I32x4 sa = S::zero();
+      std::int64_t exact[4] = {0, 0, 0, 0};
+      for (std::int64_t step = 0; step < steps; ++step) {
+        alignas(16) std::int16_t w[8];
+        alignas(16) std::int16_t x[8];
+        for (std::int16_t& v : w) v = draw(peak_w);
+        P::I16x8 px;
+        S::I16x8 sx;
+        if (rng.uniform_int(0, 1) == 0) {
+          x[0] = draw(peak_x);
+          x[1] = draw(peak_x);
+          for (int i = 2; i < 8; ++i) x[i] = x[i % 2];
+          const std::uint32_t pair =
+              std::uint32_t{static_cast<std::uint16_t>(x[0])} |
+              std::uint32_t{static_cast<std::uint16_t>(x[1])} << 16;
+          px = P::broadcast(pair);
+          sx = S::broadcast(pair);
+        } else {
+          for (std::int16_t& v : x) v = draw(peak_x);
+          px = P::load(x);
+          sx = S::load(x);
+        }
+        pa = P::madd(pa, P::load(w), px);
+        sa = S::madd(sa, S::load(w), sx);
+        for (int j = 0; j < 4; ++j)
+          exact[j] += std::int64_t{w[2 * j]} * x[2 * j] +
+                      std::int64_t{w[2 * j + 1]} * x[2 * j + 1];
+        std::int32_t portable[4];
+        std::int32_t sse2[4];
+        P::store(portable, pa);
+        S::store(sse2, sa);
+        for (int j = 0; j < 4; ++j) {
+          ASSERT_EQ(portable[j], sse2[j]) << "lane " << j << " step " << step;
+          ASSERT_EQ(portable[j], exact[j]) << "lane " << j << " step " << step;
+        }
+      }
+    }
+  }
+}
+#endif
 
 TEST(ConvKernelDispatch, Int32NestHoldsTheLargestAdmittedSum) {
   // 2^31 - 1 is prime, so no tap count times two int16 magnitudes equals

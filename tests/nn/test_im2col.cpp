@@ -1,4 +1,4 @@
-#include "nn/im2col.hpp"
+#include "im2col.hpp"
 
 #include <gtest/gtest.h>
 
