@@ -171,7 +171,6 @@ bool run_kernel_phase(const CliFlags& flags, std::ostringstream& json) {
   double dispatch_seconds = 0.0;
   std::int64_t macs = 0;
   std::int64_t fast_dispatches = 0;
-  std::int64_t data_scans = 0;
   bool identical = true;
   for (const nn::ConvLayerParams& p : net.conv_layers) {
     Tensor<std::int16_t> x(Shape{1, p.in_channels, p.in_height, p.in_width});
@@ -192,7 +191,6 @@ bool run_kernel_phase(const CliFlags& flags, std::ostringstream& json) {
     dispatch_seconds += std::chrono::duration<double>(t2 - t1).count();
     macs += p.macs_per_image();
     if (d.fast) ++fast_dispatches;
-    if (d.data_scanned) ++data_scans;
     identical = identical && ref == got;
   }
   const auto gmacs = [macs](double seconds) {
@@ -211,7 +209,7 @@ bool run_kernel_phase(const CliFlags& flags, std::ostringstream& json) {
        << ", \"speedup\": "
        << (scalar_gmacs == 0.0 ? 0.0 : dispatch_gmacs / scalar_gmacs)
        << ", \"fast_dispatches\": " << fast_dispatches
-       << ", \"data_scans\": " << data_scans << ", \"dispatch_rate\": "
+       << ", \"dispatch_rate\": "
        << static_cast<double>(fast_dispatches) / static_cast<double>(layers)
        << ", \"bit_identical\": " << (identical ? "true" : "false") << "}";
   return identical;

@@ -55,7 +55,6 @@ def serve_doc():
             "dispatch_gmacs": 0.8,
             "speedup": 4.0,
             "fast_dispatches": 13,
-            "data_scans": 0,
             "dispatch_rate": 1.0,
             "bit_identical": True,
         },

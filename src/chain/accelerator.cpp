@@ -72,10 +72,12 @@ LayerRunResult ChainAccelerator::run_layer(
   result.plan = plan_cache_->plan_for(layer, cfg_.array, cfg_.memory);
 
   if (cfg_.exec_mode == ExecMode::kAnalytical) {
-    // Fast path: the golden fixed-point model produces the exact
-    // accumulator surface the chain would (it is the oracle the
-    // cycle-accurate datapath is verified against), and the plan's closed
-    // forms reproduce the controller's cycle and traffic accounting.
+    // Fast path: the accumulator surface the chain would produce comes
+    // from the dispatched MAC kernel for wide psums (its own computation,
+    // proven and tested bit-identical to the golden model the
+    // cycle-accurate datapath is verified against) or from
+    // staged_reference for staged ones, and the plan's closed forms
+    // reproduce the controller's cycle and traffic accounting.
     CHAINNN_CHECK(ifmaps.shape() == Shape({layer.batch, layer.in_channels,
                                            layer.in_height, layer.in_width}));
     CHAINNN_CHECK(kernels.shape() ==

@@ -16,11 +16,13 @@ enum class ExecMode {
   // Register-level simulation: the LayerController drives the systolic
   // chain slot by slot. Ground truth for cycles and traffic; slow.
   kCycleAccurate,
-  // Analytical fast path: ofmaps come from the golden fixed-point model
-  // (bit-identical arithmetic), cycles and per-level traffic from the
-  // plan's closed forms — which the test suite proves equal the measured
-  // counts of the cycle-accurate controller. Orders of magnitude faster;
-  // use it for sweeps, DSE and full-network profiling.
+  // Analytical fast path: wide accumulators come from the dispatched MAC
+  // kernel (nn/conv_kernel.hpp), a separate computation proven and tested
+  // bit-identical to the golden fixed-point model, and staged ones from
+  // staged_reference; cycles and per-level traffic from the plan's closed
+  // forms — which the test suite proves equal the measured counts of the
+  // cycle-accurate controller. Orders of magnitude faster; use it for
+  // sweeps, DSE and full-network profiling.
   kAnalytical,
 };
 

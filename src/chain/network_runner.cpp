@@ -133,17 +133,9 @@ NetworkRunResult NetworkRunner::run(const nn::NetworkModel& net,
     NetworkLayerResult lr;
     lr.layer = layer;
     lr.run = acc.run_layer(layer, *in, kernels);
-    if (!options.verify_against_golden) {
-      lr.verified = true;
-    } else if (cfg.exec_mode == ExecMode::kAnalytical &&
-               cfg.psum_storage == PsumStorage::kWide) {
-      // The analytical wide path computes its accumulators *with* the
-      // golden model; re-deriving the oracle would compare it to itself.
-      lr.verified = true;
-    } else {
-      lr.verified = lr.run.accumulators ==
-                    nn::conv2d_fixed_accum(layer, *in, kernels);
-    }
+    lr.verified = !options.verify_against_golden ||
+                  lr.run.accumulators ==
+                      nn::conv2d_fixed_accum(layer, *in, kernels);
     // The layer is written back (ofmaps, narrowing stats, golden check),
     // so its wide psums go, as on the chip, where only the 16-bit
     // write-back leaves the psum chain (§IV.B).

@@ -1,13 +1,11 @@
 // The vectorized analytical MAC kernel (nn/conv_kernel.hpp) against the
 // scalar sticky-saturation oracle it must match bit-for-bit.
 //
-// The contract under test: whenever a saturation-free proof admits a
-// layer, the clamp-free output-channel nest computes exactly what
-// conv2d_fixed_accum computes — in int32 lanes when taps * max|x| *
-// max|w| <= 2^31 - 1, in int64 lanes when the 48-bit bound holds;
-// whenever saturation is actually possible the bound check must say so
-// and the dispatcher must route to the scalar path (whose sticky clamps
-// the fast nest cannot reproduce).
+// The contract under test: the dispatcher runs the int32 micro-kernel
+// exactly when the scanned operands prove taps * max|x| * max|w| <=
+// 2^31 - 1, and the scalar reference otherwise (whose sticky clamps the
+// fast kernel cannot reproduce); either way the result is exactly what
+// conv2d_fixed_accum computes.
 //
 // The randomized cases draw their seeds from property_seeds(): fixed in
 // tier-1, rotated per run by CHAINNN_SCHED_ROTATE in CI's sanitize lane.
@@ -22,18 +20,12 @@
 #include <string>
 
 #include "common/rng.hpp"
-#include "fixed/fixed16.hpp"
 #include "nn/golden.hpp"
 #include "nn/pair_madd.hpp"
 #include "property_seeds.hpp"
 
 namespace chainnn::nn {
 namespace {
-
-// Smallest tap count the static bound rejects: one more than
-// kMax / 2^30 (the worst-case |product| of two int16 operands).
-constexpr std::int64_t kStaticTapLimit =
-    fixed::Accumulator48::kMax / (std::int64_t{1} << 30);  // 131071
 
 // Largest partial sum an int32 accumulator holds exactly.
 constexpr std::int64_t kInt32Limit = std::numeric_limits<std::int32_t>::max();
@@ -50,8 +42,8 @@ std::int64_t max_abs_of(const Tensor<std::int16_t>& t) {
 }
 
 // What the dispatcher must report for these operands: the int32 nest
-// exactly when taps * max|x| * max|w| <= 2^31 - 1 (taps stay tiny here,
-// so the product cannot overflow int64).
+// (ConvDispatch::fast) exactly when taps * max|x| * max|w| <= 2^31 - 1
+// (taps stay tiny here, so the product cannot overflow int64).
 bool int32_expected(const ConvLayerParams& p, const Tensor<std::int16_t>& x,
                     const Tensor<std::int16_t>& w) {
   return simd_kernel_enabled() &&
@@ -128,8 +120,9 @@ void expect_bit_identical(const Tensor<std::int64_t>& oracle,
         << "site " << i << " of " << p.to_string();
 }
 
-// A 1x1-output layer with more taps than the static bound admits:
-// C * K * K = 14564 * 9 = 131076 > 131071.
+// A 1x1-output layer whose int16-extreme sums pass Accumulator48::kMax:
+// C * K * K = 14564 * 9 = 131076 taps of 2^30 each, and 131076 * 2^30 >
+// 2^47 - 1.
 ConvLayerParams oversized_taps_layer() {
   ConvLayerParams p;
   p.name = "oversized";
@@ -141,59 +134,47 @@ ConvLayerParams oversized_taps_layer() {
   return p;
 }
 
-TEST(ConvKernelBound, StaticBoundMath) {
+TEST(ConvKernelBound, Int32BoundMath) {
   ConvLayerParams p;
   p.in_height = p.in_width = 64;
   p.kernel = 3;
-  // VGG's deepest conv: 512 * 3 * 3 = 4608 taps — far inside the bound.
+  // VGG's deepest conv: 512 * 3 * 3 = 4608 taps. At |w| <= 16 it stays
+  // int32-exact up to max|x| = 29127 (4608 * 29127 * 16 = 2^31 - 8192).
   p.in_channels = 512;
   p.out_channels = 512;
-  EXPECT_TRUE(saturation_free(p));
+  EXPECT_TRUE(saturation_free(p, 29127, 16));
+  EXPECT_FALSE(saturation_free(p, 29128, 16));
 
-  // Exactly at the limit: taps == kMax / 2^30 is still provably safe.
+  // At int16's worst case only a one-tap layer fits (2^30 <= 2^31 - 1 <
+  // 2 * 2^30), so the dispatcher must scan.
   ConvLayerParams edge;
   edge.kernel = 1;
   edge.in_height = edge.in_width = 1;
-  edge.in_channels = kStaticTapLimit;
+  edge.in_channels = 1;
   edge.out_channels = 1;
-  EXPECT_TRUE(saturation_free(edge));
-  edge.in_channels = kStaticTapLimit + 1;
-  EXPECT_FALSE(saturation_free(edge));
-
-  // Tighter operand magnitudes stretch the admissible tap count, and a
-  // provably-zero operand admits anything.
-  EXPECT_TRUE(saturation_free(edge, 1, 1));
-  EXPECT_TRUE(saturation_free(edge, 0, 32768));
+  EXPECT_TRUE(saturation_free(edge, 32768, 32768));
+  edge.in_channels = 2;
   EXPECT_FALSE(saturation_free(edge, 32768, 32768));
-
-  // The int32 limit: at int16's worst case only a one-tap layer fits
-  // (2^30 <= 2^31 - 1 < 2 * 2^30), so the dispatcher must scan.
-  ConvLayerParams one_tap = edge;
-  one_tap.in_channels = 1;
-  EXPECT_TRUE(saturation_free(one_tap, 32768, 32768, kInt32Limit));
-  one_tap.in_channels = 2;
-  EXPECT_FALSE(saturation_free(one_tap, 32768, 32768, kInt32Limit));
-  // Exactly on the limit is admitted, one tap past it is not.
+  // Exactly on the limit is admitted, one tap past it is not, and a
+  // provably-zero operand admits anything.
   edge.in_channels = kInt32Limit;
-  EXPECT_TRUE(saturation_free(edge, 1, 1, kInt32Limit));
-  edge.in_channels = kInt32Limit + 1;
-  EXPECT_FALSE(saturation_free(edge, 1, 1, kInt32Limit));
-  // The default limit is Accumulator48's.
   EXPECT_TRUE(saturation_free(edge, 1, 1));
+  edge.in_channels = kInt32Limit + 1;
+  EXPECT_FALSE(saturation_free(edge, 1, 1));
+  EXPECT_TRUE(saturation_free(edge, 0, 32768));
+  EXPECT_TRUE(saturation_free(edge, 32768, 0));
 }
 
 TEST(ConvKernelProperty, FastMatchesScalarOracleOnRandomLayers) {
-  // Random layer geometries with full-range int16 operands. Tap counts
-  // stay tiny, so the static 48-bit proof holds and the int64 nest must
-  // reproduce the sticky-clamp oracle exactly — every clamp is provably
-  // dead. The dispatcher takes the int32 nest only where the scanned
-  // operands prove it exact.
+  // Random layer geometries with full-range int16 operands. At these
+  // magnitudes only layers of one or two taps can fit the int32 bound, so
+  // most cases are refused and take the scalar reference; whichever route
+  // the dispatcher takes must reproduce the sticky-clamp oracle exactly.
   for (const std::uint64_t seed : property_seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
     for (int iter = 0; iter < 40; ++iter) {
       const ConvLayerParams p = random_layer(rng);
-      ASSERT_TRUE(saturation_free(p));
 
       Tensor<std::int16_t> x(
           Shape{p.batch, p.in_channels, p.in_height, p.in_width});
@@ -202,16 +183,11 @@ TEST(ConvKernelProperty, FastMatchesScalarOracleOnRandomLayers) {
       x.fill_random(rng, -32768, 32767);
       w.fill_random(rng, -32768, 32767);
 
-      const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
-      expect_bit_identical(oracle, conv2d_fixed_accum_fast(p, x, w), p);
-
       ConvDispatch d;
       const Tensor<std::int64_t> routed =
           conv2d_fixed_accum_dispatch(p, x, w, &d);
-      EXPECT_EQ(d.fast, simd_kernel_enabled());
-      EXPECT_FALSE(d.data_scanned);
-      EXPECT_EQ(d.int32, int32_expected(p, x, w)) << p.to_string();
-      expect_bit_identical(oracle, routed, p);
+      EXPECT_EQ(d.fast, int32_expected(p, x, w)) << p.to_string();
+      expect_bit_identical(conv2d_fixed_accum(p, x, w), routed, p);
     }
   }
 }
@@ -219,7 +195,7 @@ TEST(ConvKernelProperty, FastMatchesScalarOracleOnRandomLayers) {
 TEST(ConvKernelProperty, Int32NestOnBothSidesOfTheBound) {
   // Operand magnitudes drawn so taps * max|x| * max|w| lands within a
   // factor of two of 2^31 - 1, on either side: the dispatcher must take
-  // the int32 nest exactly when the product fits, the int64 nest
+  // the int32 nest exactly when the product fits, the scalar reference
   // otherwise, and both must match the oracle bit for bit.
   for (const std::uint64_t seed : property_seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -245,8 +221,7 @@ TEST(ConvKernelProperty, Int32NestOnBothSidesOfTheBound) {
       const Tensor<std::int64_t> routed =
           conv2d_fixed_accum_dispatch(p, x, w, &d);
       const bool want_int32 = int32_expected(p, x, w);
-      EXPECT_EQ(d.int32, want_int32) << p.to_string();
-      EXPECT_EQ(d.fast, simd_kernel_enabled());
+      EXPECT_EQ(d.fast, want_int32) << p.to_string();
       expect_bit_identical(conv2d_fixed_accum(p, x, w), routed, p);
       (want_int32 ? admitted : refused) += 1;
     }
@@ -258,9 +233,9 @@ TEST(ConvKernelProperty, Int32NestOnBothSidesOfTheBound) {
 }
 
 TEST(ConvKernelProperty, WideGroupsSpanSeveralChannelBlocks) {
-  // More output channels per group than one 128-lane block: the nest
-  // transposes and sweeps each group block by block, the last block
-  // partial. Both accumulator widths must match the oracle.
+  // 129-300 output channels per group: the int32 nest packs and sweeps
+  // each group as many channel tiles, the last one partial, and must
+  // match the oracle.
   for (const std::uint64_t seed : property_seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
@@ -276,12 +251,10 @@ TEST(ConvKernelProperty, WideGroupsSpanSeveralChannelBlocks) {
       fill_to_peak(x, rng, 64);
       fill_to_peak(w, rng, 16);
 
-      const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
-      expect_bit_identical(oracle, conv2d_fixed_accum_fast(p, x, w), p);
       ConvDispatch d;
-      expect_bit_identical(oracle, conv2d_fixed_accum_dispatch(p, x, w, &d),
-                           p);
-      EXPECT_EQ(d.int32, int32_expected(p, x, w)) << p.to_string();
+      expect_bit_identical(conv2d_fixed_accum(p, x, w),
+                           conv2d_fixed_accum_dispatch(p, x, w, &d), p);
+      EXPECT_EQ(d.fast, int32_expected(p, x, w)) << p.to_string();
     }
   }
 }
@@ -289,12 +262,13 @@ TEST(ConvKernelProperty, WideGroupsSpanSeveralChannelBlocks) {
 TEST(ConvKernelProperty, Int32TilesMatchScalarOracleAtEveryEdge) {
   // Tile-edge layers with operand peaks near the int32 bound on either
   // side: the dispatcher must take the int32 nest exactly when the
-  // scanned bound holds, and every route must match the oracle bit for
-  // bit, the int64 nest included.
+  // scanned bound holds, and both routes must match the oracle bit for
+  // bit.
   for (const std::uint64_t seed : property_seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
     int admitted = 0;
+    int refused = 0;
     for (int iter = 0; iter < 40; ++iter) {
       const ConvLayerParams p = tile_edge_layer(rng);
       const std::int64_t peak_w = rng.uniform_int(1, 32768);
@@ -309,16 +283,17 @@ TEST(ConvKernelProperty, Int32TilesMatchScalarOracleAtEveryEdge) {
       fill_to_peak(x, rng, peak_x);
       fill_to_peak(w, rng, peak_w);
 
-      const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
       ConvDispatch d;
-      expect_bit_identical(oracle, conv2d_fixed_accum_dispatch(p, x, w, &d),
-                           p);
-      EXPECT_EQ(d.int32, int32_expected(p, x, w)) << p.to_string();
-      EXPECT_EQ(d.fast, simd_kernel_enabled());
-      expect_bit_identical(oracle, conv2d_fixed_accum_fast(p, x, w), p);
-      admitted += d.int32 ? 1 : 0;
+      expect_bit_identical(conv2d_fixed_accum(p, x, w),
+                           conv2d_fixed_accum_dispatch(p, x, w, &d), p);
+      const bool want_int32 = int32_expected(p, x, w);
+      EXPECT_EQ(d.fast, want_int32) << p.to_string();
+      (want_int32 ? admitted : refused) += 1;
     }
-    if (simd_kernel_enabled()) EXPECT_GT(admitted, 0);
+    if (simd_kernel_enabled()) {
+      EXPECT_GT(admitted, 0);
+      EXPECT_GT(refused, 0);
+    }
   }
 }
 
@@ -403,20 +378,20 @@ TEST(ConvKernelDispatch, Int32NestHoldsTheLargestAdmittedSum) {
 
   ConvDispatch d;
   const Tensor<std::int64_t> routed = conv2d_fixed_accum_dispatch(p, x, w, &d);
-  EXPECT_EQ(d.int32, simd_kernel_enabled());
+  EXPECT_EQ(d.fast, simd_kernel_enabled());
   const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
   expect_bit_identical(oracle, routed, p);
   EXPECT_EQ(routed.at_flat(0), kInt32Limit - 1);
 
   // One step up in max|w| and the same layer no longer fits.
-  EXPECT_FALSE(saturation_free(p, 21846, 32768, kInt32Limit));
+  EXPECT_FALSE(saturation_free(p, 21846, 32768));
 }
 
 TEST(ConvKernelDispatch, Int32WrapIsRefusedAndStillExact) {
   // All-extreme operands: three taps of (-2^15)^2 = 2^30 sum to 3 * 2^30,
-  // which an int32 accumulator would wrap. The scan must refuse the
-  // int32 nest; the 48-bit bound still holds, so the int64 nest runs and
-  // matches the oracle.
+  // which an int32 accumulator would wrap but Accumulator48 holds without
+  // clamping. The scan must refuse the int32 nest, and the scalar
+  // reference runs and matches the oracle.
   ConvLayerParams p;
   p.name = "int32-wrap";
   p.in_channels = 3;
@@ -429,8 +404,7 @@ TEST(ConvKernelDispatch, Int32WrapIsRefusedAndStillExact) {
 
   ConvDispatch d;
   const Tensor<std::int64_t> routed = conv2d_fixed_accum_dispatch(p, x, w, &d);
-  EXPECT_FALSE(d.int32);
-  EXPECT_EQ(d.fast, simd_kernel_enabled());
+  EXPECT_FALSE(d.fast);
   const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
   expect_bit_identical(oracle, routed, p);
   EXPECT_EQ(routed.at_flat(0), 3 * (std::int64_t{1} << 30));
@@ -465,8 +439,6 @@ TEST(ConvKernelDispatch, AdversarialSaturatingTapsRouteToScalar) {
   const Tensor<std::int64_t> routed =
       conv2d_fixed_accum_dispatch(p, x, w, &d);
   EXPECT_FALSE(d.fast);
-  EXPECT_FALSE(d.int32);
-  EXPECT_EQ(d.data_scanned, simd_kernel_enabled());
 
   const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
   ASSERT_EQ(routed.num_elements(), 1);
@@ -477,9 +449,9 @@ TEST(ConvKernelDispatch, AdversarialSaturatingTapsRouteToScalar) {
 }
 
 TEST(ConvKernelDispatch, OperandScanAdmitsSmallMagnitudes) {
-  // Same oversized-tap geometry, but the data is tiny: the static bound
-  // fails, the scan proves |x|,|w| <= 2 and re-admits the fast path —
-  // in int32, since 131076 taps * 2 * 2 is far below 2^31 - 1.
+  // Same oversized-tap geometry, but the data is tiny: the scan proves
+  // |x|,|w| <= 2 and admits the int32 nest, since 131076 taps * 2 * 2 is
+  // far below 2^31 - 1.
   const ConvLayerParams p = oversized_taps_layer();
   Rng rng(7);
   Tensor<std::int16_t> x(
@@ -492,8 +464,6 @@ TEST(ConvKernelDispatch, OperandScanAdmitsSmallMagnitudes) {
   const Tensor<std::int64_t> routed =
       conv2d_fixed_accum_dispatch(p, x, w, &d);
   EXPECT_EQ(d.fast, simd_kernel_enabled());
-  EXPECT_EQ(d.int32, simd_kernel_enabled());
-  EXPECT_EQ(d.data_scanned, simd_kernel_enabled());
 
   const Tensor<std::int64_t> oracle = conv2d_fixed_accum(p, x, w);
   for (std::int64_t i = 0; i < oracle.num_elements(); ++i)
