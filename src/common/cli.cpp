@@ -104,34 +104,4 @@ bool parse_exec_mode_selection(const std::string& value, bool allow_compare,
   return true;
 }
 
-bool consume_exec_mode_flag(int* argc, char** argv, bool allow_compare,
-                            bool allow_none, ExecModeSelection* out,
-                            std::string* error) {
-  const std::string prefix = "--exec-mode";
-  int kept = 1;
-  bool ok = true;
-  for (int i = 1; i < *argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (strings::starts_with(arg, prefix + "=")) {
-      value = arg.substr(prefix.size() + 1);
-    } else if (arg == prefix) {
-      if (i + 1 >= *argc) {
-        if (error) *error = "flag --exec-mode is missing a value";
-        ok = false;
-        continue;
-      }
-      value = argv[++i];
-    } else {
-      argv[kept++] = argv[i];
-      continue;
-    }
-    if (!parse_exec_mode_selection(value, allow_compare, allow_none, out,
-                                   error))
-      ok = false;
-  }
-  *argc = kept;
-  return ok;
-}
-
 }  // namespace chainnn

@@ -1,6 +1,6 @@
 // Tiny command-line flag parser for the example binaries, plus the
-// shared --exec-mode / --workers handling every bench/example binary
-// uses (one implementation instead of a copy per binary).
+// --exec-mode value parsing shared by the binaries that take that flag
+// (vgg16_profile, design_space).
 #pragma once
 
 #include <cstdint>
@@ -60,15 +60,5 @@ struct ExecModeSelection {
                                              bool allow_none,
                                              ExecModeSelection* out,
                                              std::string* error);
-
-// For binaries whose remaining argv belongs to another parser
-// (google-benchmark): removes "--exec-mode=X" / "--exec-mode X" from
-// argv, updating *argc, and parses the value. Absent flag leaves `out`
-// untouched and succeeds.
-[[nodiscard]] bool consume_exec_mode_flag(int* argc, char** argv,
-                                          bool allow_compare,
-                                          bool allow_none,
-                                          ExecModeSelection* out,
-                                          std::string* error);
 
 }  // namespace chainnn

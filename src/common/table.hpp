@@ -1,7 +1,5 @@
-// ASCII / markdown table rendering for bench output.
-//
-// Every bench binary reproduces one paper table or figure; TextTable gives
-// them a common, aligned, diff-friendly presentation.
+// ASCII / markdown table rendering for the example binaries and the
+// reproduction ledger: a common, aligned, diff-friendly presentation.
 #pragma once
 
 #include <string>

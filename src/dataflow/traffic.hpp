@@ -4,8 +4,8 @@
 // model_traffic computes it, the analytical engine returns it as the
 // layer's traffic, and the cycle-accurate controller counts the same ten
 // fields pass by pass (pinned equal, field for field, by
-// Accelerator.MeasuredTrafficMatchesAnalyticModel). bench_table4_memory
-// prints it against the paper.
+// Accelerator.MeasuredTrafficMatchesAnalyticModel). report::fidelity_ledger()
+// sets it against the paper's Table IV.
 //
 // Counting rules (from §V.C and the Table IV data itself):
 //   iMemory reads  — every real (non-padding) ifmap pixel streamed into

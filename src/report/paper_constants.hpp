@@ -1,6 +1,6 @@
-// Every number the paper reports, as named constants, so the bench
-// binaries can print "paper vs measured" rows and the tests can pin the
-// reproduction targets. Section/table references are given per constant.
+// Every number the paper reports, as named constants. Each has a row in
+// report::fidelity_ledger() (comparison.hpp), which sets it against the
+// reproduced value. Section/table references are given per constant.
 #pragma once
 
 #include <array>
@@ -33,8 +33,7 @@ struct Table2Row {
   double efficiency_pct;  // as printed in the paper
 };
 // Note: the paper prints 100% for the 9x9 row although 567/576 = 98.4% —
-// kept verbatim here; bench_table2_utilization prints both figures and
-// notes the discrepancy.
+// kept verbatim here; the ledger's 9x9 efficiency row names the misprint.
 inline constexpr std::array<Table2Row, 5> kTable2 = {{
     {3, 9, 64, 576, 100.0},
     {5, 25, 23, 575, 99.8},

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "nn/models.hpp"
-#include "report/paper_constants.hpp"
 
 namespace chainnn::baseline {
 namespace {
@@ -12,19 +11,6 @@ TEST(MemoryCentric, PeakThroughputMatchesPublished) {
   const MemoryCentricModel m;
   // 288x16 MACs @ 606 MHz x 2 ops = 5584.9 GOPS (Table V).
   EXPECT_NEAR(m.peak_ops_per_s() / 1e9, 5584.9, 1.0);
-}
-
-TEST(MemoryCentric, EfficiencyMatchesTable5) {
-  const MemoryCentricModel m;
-  EXPECT_NEAR(m.efficiency_gops_per_w(),
-              report::kDaDianNao.efficiency_gops_per_w, 1.0);
-}
-
-TEST(MemoryCentric, CoreOnlyEfficiencyMatchesFig10) {
-  const MemoryCentricModel m;
-  // Fig. 10: 3035.3 GOPS/W when only the 1.84W core is counted.
-  EXPECT_NEAR(m.core_only_efficiency_gops_per_w(),
-              report::kDaDianNaoCoreOnlyGopsPerW, 5.0);
 }
 
 TEST(MemoryCentric, MemoryDominatesEnergy) {

@@ -119,53 +119,5 @@ TEST(ExecModeFlag, ErrorListsAcceptedValues) {
   EXPECT_EQ(err.find("compare"), std::string::npos);
 }
 
-TEST(ExecModeFlag, ConsumeStripsFlagFromArgv) {
-  char a0[] = "prog", a1[] = "--exec-mode=compare", a2[] = "--other=1";
-  char* argv[] = {a0, a1, a2};
-  int argc = 3;
-  ExecModeSelection sel;
-  std::string err;
-  ASSERT_TRUE(consume_exec_mode_flag(&argc, argv, true, false, &sel, &err));
-  EXPECT_TRUE(sel.compare);
-  ASSERT_EQ(argc, 2);
-  EXPECT_STREQ(argv[1], "--other=1");
-}
-
-TEST(ExecModeFlag, ConsumeHandlesSpaceFormAndAbsence) {
-  {
-    char a0[] = "prog", a1[] = "--exec-mode", a2[] = "cycle";
-    char* argv[] = {a0, a1, a2};
-    int argc = 3;
-    ExecModeSelection sel;
-    std::string err;
-    ASSERT_TRUE(consume_exec_mode_flag(&argc, argv, false, false, &sel,
-                                       &err));
-    EXPECT_EQ(sel.mode, chain::ExecMode::kCycleAccurate);
-    EXPECT_EQ(argc, 1);
-  }
-  {
-    char a0[] = "prog", a1[] = "--benchmark_min_time=0.01";
-    char* argv[] = {a0, a1};
-    int argc = 2;
-    ExecModeSelection sel;  // defaults survive an absent flag
-    std::string err;
-    ASSERT_TRUE(consume_exec_mode_flag(&argc, argv, false, false, &sel,
-                                       &err));
-    EXPECT_EQ(sel.mode, chain::ExecMode::kAnalytical);
-    EXPECT_EQ(argc, 2);
-    EXPECT_STREQ(argv[1], "--benchmark_min_time=0.01");
-  }
-  {
-    char a0[] = "prog", a1[] = "--exec-mode";
-    char* argv[] = {a0, a1};
-    int argc = 2;
-    ExecModeSelection sel;
-    std::string err;
-    EXPECT_FALSE(consume_exec_mode_flag(&argc, argv, false, false, &sel,
-                                        &err));
-    EXPECT_NE(err.find("missing a value"), std::string::npos);
-  }
-}
-
 }  // namespace
 }  // namespace chainnn

@@ -20,15 +20,10 @@ nn::ConvLayerParams simple_layer(std::int64_t k, std::int64_t hw = 16,
 }
 
 TEST(UtilizationRow, ReproducesPaperTable2) {
-  // Table II of the paper, including the 9x9 row where the paper prints
-  // 100% but 567/576 is actually 98.4% — we assert the raw counts.
+  // Table II's raw counts are rows of report::fidelity_ledger(). Here:
+  // the efficiencies, including the 9x9 row where the paper prints 100%
+  // but 567/576 is actually 98.4%.
   const ArrayShape array;
-  for (const auto& row : report::kTable2) {
-    const UtilizationRow r = utilization_row(array, row.kernel);
-    EXPECT_EQ(r.pes_per_primitive, row.pes_per_primitive) << row.kernel;
-    EXPECT_EQ(r.active_primitives, row.active_primitives) << row.kernel;
-    EXPECT_EQ(r.active_pes, row.active_pes) << row.kernel;
-  }
   // Efficiency values the paper prints correctly:
   EXPECT_DOUBLE_EQ(utilization_row(array, 3).efficiency, 1.0);
   EXPECT_NEAR(utilization_row(array, 5).efficiency, 0.998, 0.0005);
@@ -115,38 +110,20 @@ TEST(Plan, KernelLoadCyclesEqualWeightCount) {
   }
 }
 
-TEST(Plan, PaperModelMatchesFig9) {
-  // Every Fig. 9 layer time is reproduced within 17% by one of the two
-  // documented models: the paper's idealized model (MACs/active-PEs x
-  // stride — exact for conv1/3/4/5) or our strip-schedule closed form
-  // (which captures the grouped-conv m-group overhead the idealized
-  // model misses on conv2).
-  const ArrayShape array;
-  const auto layers = nn::alexnet().conv_layers;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const ExecutionPlan plan = plan_layer(layers[i], array);
-    const double paper =
-        report::kFig9[i].conv_ms + report::kFig9[i].kernel_load_ms;
-    const double idealized =
-        plan.paper_model_seconds_per_batch(128) * 1e3;
-    const double ours =
-        static_cast<double>(layer_cycles(plan, array).total(128)) /
-        array.clock_hz * 1e3;
-    const double err = std::min(std::abs(idealized / paper - 1.0),
-                                std::abs(ours / paper - 1.0));
-    EXPECT_LT(err, 0.17) << layers[i].name << ": idealized " << idealized
-                         << "ms, ours " << ours << "ms vs paper " << paper
-                         << "ms";
-  }
-}
-
 TEST(Plan, PaperModelConv1IsStrideTimesBound) {
+  // The idealized model is the paper's own, not the executed schedule
+  // (report::fidelity_ledger() holds the executed Fig. 9 times). For
+  // conv1 it charges S=4x the stride-1 bound and gives Fig. 9's time.
   const auto conv1 = nn::alexnet().conv_layers[0];
   const ExecutionPlan plan = plan_layer(conv1, ArrayShape{});
   const std::int64_t bound =
       (conv1.macs_per_image() + 483) / 484;  // 484 active PEs for 11x11
   EXPECT_NEAR(static_cast<double>(plan.paper_model_cycles_per_image()),
               4.0 * static_cast<double>(bound), 4.0);
+  const double conv_ms =
+      static_cast<double>(plan.paper_model_cycles_per_image()) * 128 /
+      plan.array.clock_hz * 1e3;
+  EXPECT_NEAR(conv_ms, report::kFig9[0].conv_ms, 0.01);
 }
 
 TEST(Plan, SingleChannelIsKTimesSlower) {

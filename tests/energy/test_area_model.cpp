@@ -2,16 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "report/paper_constants.hpp"
 
 namespace chainnn::energy {
 namespace {
-
-TEST(AreaModel, ReproducesPaperGateCount) {
-  // Table V: 3751k gates for the 576-PE instantiation at 6.51k/PE.
-  const AreaModel m;
-  EXPECT_NEAR(m.total_gates(576) / 1e3, report::kGateCountK, 1.0);
-}
 
 TEST(AreaModel, ScalesLinearlyWithPes) {
   const AreaModel m;
@@ -20,19 +13,6 @@ TEST(AreaModel, ScalesLinearlyWithPes) {
   EXPECT_NEAR((g2 - m.control_overhead_gates) /
                   (g1 - m.control_overhead_gates),
               2.0, 1e-9);
-}
-
-TEST(AreaModel, AreaEfficiencyRatioVsEyeriss) {
-  // §V.D: "these contribute to the 1.7 times area efficiency".
-  const double ratio =
-      area_efficiency_ratio(report::kGatesPerPeK, report::kEyerissGatesPerPeK);
-  EXPECT_NEAR(ratio, report::kAreaEfficiencyRatio, 0.01);
-}
-
-TEST(TechScaling, EyerissTo28nmMatchesPaperFootnote) {
-  // Table V footnote: 245.6 GOPS/W at 65nm -> expected 570.1 at 28nm.
-  const double scaled = scale_efficiency_to_node(245.6, 65.0, 28.0);
-  EXPECT_NEAR(scaled, report::kEyerissScaledTo28nmGopsPerW, 1.0);
 }
 
 TEST(TechScaling, IdentityAtSameNode) {

@@ -13,11 +13,6 @@
 namespace chainnn {
 namespace {
 
-TEST(PaperClaims, PeakThroughput806GopsAt700MHz) {
-  const dataflow::ArrayShape array;
-  EXPECT_NEAR(array.peak_ops_per_s() / 1e9, report::kPeakGops, 0.1);
-}
-
 TEST(PaperClaims, Utilization84To100ForMainstreamKernels) {
   // §III.B: "84-100% PE utilization ratio considering the mainstreaming
   // CNN parameters".
@@ -98,11 +93,6 @@ TEST(PaperClaims, KernelLoadOncePerBatchAmortizes) {
       static_cast<double>(cycles.kernel_load) /
       static_cast<double>(cycles.total(4));
   EXPECT_GT(load_share_4, 10.0 * load_share_128);
-}
-
-TEST(PaperClaims, GateCount3751k) {
-  const energy::AreaModel area;
-  EXPECT_NEAR(area.total_gates(576) / 1e3, report::kGateCountK, 1.0);
 }
 
 TEST(PaperClaims, MemoryPowerShareSmall) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "report/paper_constants.hpp"
-
 namespace chainnn::mem {
 namespace {
 
@@ -18,8 +16,6 @@ TEST(Hierarchy, PaperCapacities) {
   EXPECT_EQ(cfg.omemory_bytes, 25u * 1024);
   EXPECT_EQ(cfg.kmemory_bytes, 295u * 1024);
   EXPECT_EQ(cfg.word_bytes, 2u);
-  EXPECT_EQ(static_cast<double>(onchip_bytes(cfg)) / 1024.0,
-            report::kOnChipKiB);
 }
 
 TEST(Hierarchy, CustomConfig) {

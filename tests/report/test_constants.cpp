@@ -57,7 +57,7 @@ TEST(PaperConstants, Fig9TotalsAndFps) {
   EXPECT_NEAR(fps, kFpsBatch128, 3.0);
   // Note: the printed batch time 349.92ms is inconsistent with the
   // printed per-layer times (which sum to 390.1ms); we pin both values
-  // (bench_fig9_layer_time prints the per-layer times against ours).
+  // (report::fidelity_ledger() sets each against the executed schedule).
   EXPECT_NEAR(conv_total, 390.1, 0.1);
 }
 
