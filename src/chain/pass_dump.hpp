@@ -11,11 +11,6 @@
 
 namespace chainnn::chain {
 
-struct PassDumpConfig {
-  std::int64_t taps_phys = 9;
-  std::int64_t kmem_words_per_pe = 4;
-};
-
 // Runs a single primitive over `strip` ({rows, cols} raw pixels) with the
 // given scan-ordered kernel ({K_r, K_c}) and returns the VCD text with
 // signals:

@@ -39,8 +39,8 @@
 //
 // A parallel search costs each wave as one common::WorkPool::run_batch
 // on the process-wide pool (helping semantics: the calling thread claims
-// chunks too): the search owns no threads and shares the pool's cached
-// threads with a serving fleet's drains.
+// chunks too): the search owns no threads, and each wave starts and
+// joins the helpers it runs on.
 #pragma once
 
 #include <cstdint>

@@ -7,13 +7,13 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "common/thread_annotations.hpp"
-#include "common/work_pool.hpp"
 
 namespace chainnn::serve {
 
@@ -72,15 +72,16 @@ std::optional<double> admission_deadline_s(const RequestOptions& options) {
 }
 }  // namespace
 
-// One chip's scheduler: a priority/EDF heap drained by tasks on the
-// shared WorkPool (see inference_server.hpp for the behaviour). It
+// One chip's scheduler: a priority/EDF heap drained by the chip's own
+// num_threads workers (see inference_server.hpp for the behaviour). It
 // retires the router backlog its requests were charged and journals
 // their checkpoints and terminal records itself.
 class Fleet::Executor {
  public:
   Executor(ServerOptions options, std::size_t chip, Router& router,
            Journal* journal);
-  // Pending requests still execute; returns once the last drain retired.
+  // Pending requests still execute; returns once the workers have run
+  // the queue empty and been joined.
   ~Executor();
 
   Executor(const Executor&) = delete;
@@ -109,11 +110,11 @@ class Fleet::Executor {
       const std::function<bool()>& cancel_check,
       const std::function<bool()>& preempt_check = {},
       std::shared_ptr<const chain::RunCheckpoint> resume = nullptr);
-  // Schedules drains up to the concurrency cap for the current demand.
-  void schedule_drains_locked() CHAINNN_REQUIRES(mu_);
-  // One drain task: pops and runs requests until the queue is empty,
-  // then retires (a later enqueue schedules a fresh drain).
-  void drain_loop();
+  // One worker: pops and runs requests, parks while the queue is empty,
+  // and returns once stop_ is set and the queue is empty.
+  void worker_loop();
+  // Sets stop_ and joins every started worker.
+  void stop_workers();
 
   const ServerOptions opts_;
   const std::size_t chip_;
@@ -122,17 +123,12 @@ class Fleet::Executor {
 
   mutable Mutex mu_;
   CondVar space_ready_;  // queue dropped below max_queue
-  CondVar idle_;         // in-flight work finished / drains retired
+  CondVar work_ready_;   // queue grew, or stop_ was set
+  CondVar idle_;         // in-flight work finished
   // Heap ordered by Task::scheduled_after.
   std::vector<Task> queue_ CHAINNN_GUARDED_BY(mu_);
   std::int64_t next_id_ CHAINNN_GUARDED_BY(mu_) = 0;
   std::int64_t in_flight_ CHAINNN_GUARDED_BY(mu_) = 0;
-  // Drain tasks live on the shared WorkPool for this chip. The invariant
-  // a drain's exit protocol maintains: the queue is non-empty only while
-  // at least one drain is scheduled (a drain retires under mu_ in the
-  // same critical section that observes the queue empty, so any later
-  // enqueue sees the decremented count and schedules afresh).
-  std::int64_t scheduled_drains_ CHAINNN_GUARDED_BY(mu_) = 0;
   // Workers that have committed to yield (preempt_check returned true)
   // but have not yet re-enqueued their checkpointed task. Caps
   // simultaneous yields at the number of waiting higher-tier tasks, so
@@ -140,6 +136,11 @@ class Fleet::Executor {
   // checkpoint it will immediately resume.
   std::int64_t yielding_ CHAINNN_GUARDED_BY(mu_) = 0;
   ServerStats stats_ CHAINNN_GUARDED_BY(mu_);  // plan_cache filled on read
+  // Set by the destructor: workers exit once the queue is empty.
+  bool stop_ CHAINNN_GUARDED_BY(mu_) = false;
+  // Declared last, so the workers start only once every member they
+  // read exists. Only the constructor and destructor touch the vector.
+  std::vector<std::thread> workers_;
 };
 
 struct Fleet::Executor::Task {
@@ -192,16 +193,26 @@ Fleet::Executor::Executor(ServerOptions options, std::size_t chip,
                     "num_threads must be >= 1, got " << opts_.num_threads);
   CHAINNN_CHECK_MSG(opts_.max_queue >= 1,
                     "max_queue must be >= 1, got " << opts_.max_queue);
+  // A joinable std::thread destroyed unjoined terminates the process, so
+  // a failed start joins the workers already running before rethrowing.
+  try {
+    for (std::int64_t i = 0; i < opts_.num_threads; ++i)
+      workers_.emplace_back([this] { worker_loop(); });
+  } catch (...) {
+    stop_workers();
+    throw;
+  }
 }
 
-Fleet::Executor::~Executor() {
-  // Pending requests still execute (their drains are already scheduled);
-  // wait for the last drain to retire so no pool task references this
-  // executor afterwards. Drains never sleep — they retire the moment the
-  // queue is empty — so this terminates.
-  MutexLock lock(mu_);
-  while (!(queue_.empty() && in_flight_ == 0 && scheduled_drains_ == 0))
-    idle_.wait(mu_);
+Fleet::Executor::~Executor() { stop_workers(); }
+
+void Fleet::Executor::stop_workers() {
+  {
+    MutexLock lock(mu_);
+    stop_ = true;
+  }
+  work_ready_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 std::future<InferenceResult> Fleet::Executor::submit(
@@ -236,20 +247,8 @@ std::future<InferenceResult> Fleet::Executor::submit(
   std::push_heap(queue_.begin(), queue_.end(), Task::scheduled_after);
   stats_.peak_queue_depth = std::max(
       stats_.peak_queue_depth, static_cast<std::int64_t>(queue_.size()));
-  schedule_drains_locked();
+  work_ready_.notify_one();
   return future;
-}
-
-void Fleet::Executor::schedule_drains_locked() {
-  // The demand is the queued tasks plus the ones drains are already
-  // executing (each in-flight request occupies one drain), so a second
-  // drain spins up for a task that arrives while the first is mid-run.
-  const std::int64_t demand =
-      static_cast<std::int64_t>(queue_.size()) + in_flight_;
-  while (scheduled_drains_ < std::min(opts_.num_threads, demand)) {
-    ++scheduled_drains_;
-    common::WorkPool::shared().submit([this] { drain_loop(); });
-  }
 }
 
 void Fleet::Executor::wait_idle() {
@@ -438,22 +437,13 @@ std::optional<InferenceResult> Fleet::Executor::execute_request(Task& task) {
   return out;
 }
 
-void Fleet::Executor::drain_loop() {
+void Fleet::Executor::worker_loop() {
   MutexLock lock(mu_);
   for (;;) {
-    if (queue_.empty()) {
-      // Retire. The decrement happens in the same critical section that
-      // observed the queue empty, so an enqueue can never race a drain
-      // out of existence: it either sees the task-less queue before the
-      // push (and the push's spawn loop schedules afresh against the
-      // decremented count) or the still-counted drain picks its task up
-      // on the next iteration. The idle signal is for the destructor,
-      // which waits for the drain count to hit zero before releasing
-      // the state a drain dereferences.
-      --scheduled_drains_;
-      idle_.notify_all();
-      return;
-    }
+    while (!stop_ && queue_.empty()) work_ready_.wait(mu_);
+    // Stopping with requests queued runs them first: only an empty queue
+    // ends a worker.
+    if (queue_.empty()) return;
     std::pop_heap(queue_.begin(), queue_.end(), Task::scheduled_after);
     Task task = std::move(queue_.back());
     queue_.pop_back();
@@ -517,7 +507,7 @@ void Fleet::Executor::drain_loop() {
       lock.Lock();
       if (is_resume) ++stats_.resumes;
       // Give the checkpointed request its queue slot back (bypassing
-      // backpressure — a drain cannot block on its own submit gate).
+      // backpressure — a worker cannot block on its own submit gate).
       ++stats_.preemptions;
       // Restart the queue clock: queue_ms on the final attempt measures
       // the wait since this re-enqueue, not the request's own earlier
@@ -528,9 +518,9 @@ void Fleet::Executor::drain_loop() {
       stats_.peak_queue_depth = std::max(
           stats_.peak_queue_depth, static_cast<std::int64_t>(queue_.size()));
       --in_flight_;
-      // The queue just grew: top drains back up to the cap (this drain
-      // continues — by now it may pick up the urgent request itself).
-      schedule_drains_locked();
+      // The queue just grew: wake a parked worker (this one continues,
+      // and may pick up the urgent request itself).
+      work_ready_.notify_one();
       continue;
     }
     // Every outcome retires the rest of the routed backlog and journals

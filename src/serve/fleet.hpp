@@ -51,6 +51,7 @@ struct FleetOptions {
   std::vector<ChipSpec> chips;
   chain::AcceleratorConfig accelerator = analytical_accelerator_config();
   energy::EnergyModel energy = energy::EnergyModel::paper_calibrated();
+  // Worker threads each chip owns (its ServerOptions::num_threads).
   std::int64_t threads_per_chip = 1;
   // Forwarded to every chip (each samples its own Nth request).
   std::int64_t fidelity_sample_every_n = 0;
@@ -208,7 +209,7 @@ class Fleet {
   }
 
  private:
-  class Executor;  // one chip's queue and drains (fleet.cpp)
+  class Executor;  // one chip's queue and workers (fleet.cpp)
   friend class InferenceServer;
 
   // The one-chip fleet behind a standalone InferenceServer: the chip is
@@ -252,7 +253,7 @@ class Fleet {
   std::atomic<std::uint64_t> next_tag_{0};
   std::atomic<std::int64_t> recovered_{0};
   std::atomic<std::int64_t> handoffs_{0};
-  // Destruction order matters: the executors' drains call the router and
+  // Destruction order matters: the executors' workers call the router and
   // append to the journal, so both must outlive executors_ (members are
   // destroyed in reverse declaration order).
   std::unique_ptr<Router> router_;

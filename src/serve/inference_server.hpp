@@ -5,18 +5,17 @@
 // request is priced at submit with the same closed form the fleet router
 // uses (Chain-NN's fixed dataflow makes a run's chain time a function of
 // layer geometry and array shape), then queued on the chip's executor.
-// Drain tasks on the process-wide common::WorkPool (each on a cached
-// thread of its own — a request may park on a user hook for arbitrarily
-// long) drain a bounded queue (submit blocks when the queue is full —
-// backpressure, not drops). The server owns no threads: a drain task is
-// scheduled whenever the queue grows and fewer than num_threads are
-// live, runs requests until the queue is empty, and retires, so an idle
-// server costs nothing and a fleet of chips shares one thread cache
-// instead of pinning num_threads threads apiece. Every execution attempt
-// runs a whole network through NetworkRunner on one accelerator of its
-// own, built with the chip's PlanCache; all plan lookups of all drains
-// resolve through that one shared cache, so a request only pays planning
-// cost the first time its (layer, array) shape is seen by the process.
+// The chip owns num_threads worker threads, started with the server and
+// joined by its destructor, which drain a bounded queue (submit blocks
+// when the queue is full — backpressure, not drops). A worker parks
+// while the queue is empty and wakes on a submit or on a preempted
+// request's re-enqueue; a request may park its worker on a user hook for
+// arbitrarily long without holding up another chip, as each chip's
+// workers are its own. Every execution attempt runs a whole network
+// through NetworkRunner on one accelerator of its own, built with the
+// chip's PlanCache; all plan lookups of all workers resolve through that
+// one shared cache, so a request only pays planning cost the first time
+// its (layer, array) shape is seen by the process.
 // Its tensors come from the heap unless the chip's config names an arena.
 //
 // Scheduling: the queue is a priority heap, not a FIFO. Higher
@@ -218,8 +217,8 @@ struct ServerOptions {
   // Name stamped on every InferenceResult::chip — lets fleet members be
   // told apart downstream. Empty for a standalone server.
   std::string name;
-  // Maximum drain tasks live on the shared WorkPool for this server —
-  // the server's concurrency cap (it owns no threads of its own).
+  // Worker threads the chip owns for its whole life: the most requests
+  // it runs at once.
   std::int64_t num_threads = 2;
   std::int64_t max_queue = 64;  // submit() blocks while this many queued
   // Re-run every Nth request (by submission id) on the other engine and
@@ -249,8 +248,8 @@ class Fleet;
 class InferenceServer {
  public:
   explicit InferenceServer(ServerOptions options = {});
-  // Drains the queue (pending requests still execute), then waits for
-  // every drain task to retire before releasing the server state.
+  // Pending requests still execute: the workers run the queue empty,
+  // then are joined before the server state is released.
   ~InferenceServer();
 
   InferenceServer(const InferenceServer&) = delete;

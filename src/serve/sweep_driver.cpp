@@ -50,6 +50,8 @@ std::vector<SweepPointResult> SweepDriver::run(
     const bool sampled =
         n > 0 && (static_cast<std::int64_t>(i) + 1) % n == 0;
     so.fidelity_sample_every_n = sampled ? 1 : 0;
+    // The point's request and its fidelity replay run on one worker.
+    so.num_threads = 1;
     // Points run one after another, so the sweep's cache carry-over
     // between points is deterministic.
     InferenceServer server(so);

@@ -1,11 +1,13 @@
-// WorkPool — the process-wide lane of cached threads.
+// WorkPool — batches run by their caller and the helper threads each
+// batch starts.
 //
 // These suites run under TSan in CI (`ctest -L concurrency`), so they
-// are written to exercise real interleavings: submit storms from many
-// external threads, nested run_batch on a pool whose batches get one
-// thread (the helping semantics that make nested batches
-// deadlock-free), batches next to gated tasks, and the lane's guarantee
-// that gated tasks never wait on each other.
+// are written to exercise real interleavings: nested run_batch on a pool
+// whose batches get one thread (the helping semantics that make nested
+// batches deadlock-free), a batch beside threads parked on a gate, and a
+// batch run from a thread other than the pool's builder. That gated
+// requests on different chips never wait on each other is a property of
+// the chips' own workers, pinned in tests/serve/test_fleet.cpp.
 #include "common/work_pool.hpp"
 
 #include <sched.h>
@@ -24,8 +26,7 @@
 namespace chainnn::common {
 namespace {
 
-// Counts completions and lets the test block until a target is reached —
-// submit() is fire-and-forget, so completion needs its own signal.
+// Counts arrivals and lets the test block until a target is reached.
 class Latch {
  public:
   explicit Latch(std::int64_t target) : target_(target) {}
@@ -64,7 +65,7 @@ TEST(WorkPool, RunBatchExecutesEveryTaskExactlyOnce) {
 TEST(WorkPool, NestedRunBatchCompletesOnSingleThreadBatches) {
   // The helping semantics under test: every run_batch caller claims
   // items itself, so batches capped at one thread — their caller's, with
-  // no ticket — still complete when nested (the wait graph is a DAG by
+  // no helper — still complete when nested (the wait graph is a DAG by
   // nesting depth). Without helping, no item of any batch would run.
   WorkPool pool(1);
   std::atomic<std::int64_t> leaf_runs{0};
@@ -94,7 +95,7 @@ TEST(WorkPool, RunBatchOccupiesAtMostBatchThreads) {
         std::lock_guard<std::mutex> lock(mu);
         ids.insert(std::this_thread::get_id());
       }
-      // Long enough that every ticket gets a chance to claim items.
+      // Long enough that every helper gets a chance to claim items.
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     });
   pool.run_batch(std::move(tasks));
@@ -102,66 +103,19 @@ TEST(WorkPool, RunBatchOccupiesAtMostBatchThreads) {
   EXPECT_LE(ids.size(), static_cast<std::size_t>(kBatchThreads));
 }
 
-TEST(WorkPool, SubmitStormFromManyThreadsRunsEverything) {
-  // Kept small: every task queued while no thread is parked starts one.
-  WorkPool pool(3);
-  constexpr std::int64_t kThreads = 8;
-  constexpr std::int64_t kPerThread = 8;
-  Latch latch(kThreads * kPerThread);
-  std::atomic<std::int64_t> total{0};
-  std::vector<std::thread> submitters;
-  submitters.reserve(kThreads);
-  for (std::int64_t t = 0; t < kThreads; ++t)
-    submitters.emplace_back([&pool, &latch, &total] {
-      for (std::int64_t i = 0; i < kPerThread; ++i)
-        pool.submit([&latch, &total] {
-          total.fetch_add(1, std::memory_order_relaxed);
-          latch.count();
-        });
-    });
-  for (std::thread& t : submitters) t.join();
-  latch.wait();
-  EXPECT_EQ(total.load(), kThreads * kPerThread);
-}
-
-TEST(WorkPool, GatedTasksNeverWaitOnEachOther) {
-  // The invariant the fleet chips' drains (and the fleet tests that
-  // gate several chips' requests at once) rely on: K tasks that all
-  // park on one gate must ALL reach the gate, however few cores the
-  // host has — the lane grows a thread per ungated task instead of
-  // queueing behind the parked ones.
-  WorkPool pool(1);
-  constexpr std::int64_t kGated = 6;
-  Latch all_started(kGated);
-  Latch all_done(kGated);
-  std::promise<void> open_gate;
-  std::shared_future<void> gate = open_gate.get_future().share();
-  for (std::int64_t i = 0; i < kGated; ++i)
-    pool.submit([&all_started, &all_done, gate] {
-      all_started.count();
-      gate.wait();
-      all_done.count();
-    });
-  all_started.wait();  // deadlocks here if gated tasks queue behind
-  open_gate.set_value();
-  all_done.wait();
-}
-
-TEST(WorkPool, RunBatchCompletesWhileEveryThreadIsGated) {
-  // Every thread the lane holds is parked on a gate, so the batch's
-  // tickets must start threads of their own rather than queue behind
-  // the gated tasks; the batch must finish before the gate opens.
+TEST(WorkPool, RunBatchCompletesWhileOtherThreadsAreGated) {
+  // Threads parked on a gate hold no claim on the pool: the batch's
+  // caller and the helpers it starts finish it before the gate opens.
   WorkPool pool(4);
   constexpr std::int64_t kGated = 4;
   Latch all_started(kGated);
-  Latch all_done(kGated);
   std::promise<void> open_gate;
   std::shared_future<void> gate = open_gate.get_future().share();
+  std::vector<std::thread> gated;
   for (std::int64_t i = 0; i < kGated; ++i)
-    pool.submit([&all_started, &all_done, gate] {
+    gated.emplace_back([&all_started, gate] {
       all_started.count();
       gate.wait();
-      all_done.count();
     });
   all_started.wait();
 
@@ -175,44 +129,24 @@ TEST(WorkPool, RunBatchCompletesWhileEveryThreadIsGated) {
   EXPECT_EQ(item_runs.load(), 16);
 
   open_gate.set_value();
-  all_done.wait();
+  for (std::thread& t : gated) t.join();
 }
 
-TEST(WorkPool, SubmitReusesParkedThreads) {
+TEST(WorkPool, RunBatchFromAnotherThreadCompletes) {
+  // A batch run from a thread other than the one that built the pool;
+  // helping semantics must carry it even on a pool whose batches start
+  // no helper.
   WorkPool pool(1);
-  // Sequential tasks separated by a completion wait: after the first
-  // completes its thread parks, so the rest reuse it rather than
-  // growing the cache — observable as the pool shutting down promptly
-  // with no thread left running (the destructor hangs otherwise).
-  std::atomic<std::int64_t> runs{0};
-  for (int i = 0; i < 10; ++i) {
-    Latch done(1);
-    pool.submit([&runs, &done] {
-      runs.fetch_add(1, std::memory_order_relaxed);
-      done.count();
-    });
-    done.wait();
-  }
-  EXPECT_EQ(runs.load(), 10);
-}
-
-TEST(WorkPool, RunBatchFromSubmittedTaskCompletes) {
-  // A submitted task that fans out a batch calls run_batch from a pool
-  // thread; helping semantics must carry it even on a pool whose
-  // batches get no ticket.
-  WorkPool pool(1);
-  Latch done(1);
   std::atomic<std::int64_t> item_runs{0};
-  pool.submit([&pool, &item_runs, &done] {
+  std::thread caller([&pool, &item_runs] {
     std::vector<std::function<void()>> items;
     for (int i = 0; i < 8; ++i)
       items.push_back([&item_runs] {
         item_runs.fetch_add(1, std::memory_order_relaxed);
       });
     pool.run_batch(std::move(items));
-    done.count();
   });
-  done.wait();
+  caller.join();
   EXPECT_EQ(item_runs.load(), 8);
 }
 

@@ -99,7 +99,7 @@ TEST(Traffic, Table4ShapeReproduced) {
   for (std::size_t i = 1; i < layers.size(); ++i) {  // conv2..conv5
     const ExecutionPlan plan = plan_layer(layers[i], ArrayShape{});
     const LayerTraffic t = model_traffic(plan, 4);
-    const double mb = 1024.0 * 1024.0;
+    const double mb = 1e6;  // Table IV's MB
     const auto& paper = report::kTable4[i];
     EXPECT_NEAR(static_cast<double>(t.kmem_reads) / mb / paper.kmem_mb, 1.0,
                 0.30)
@@ -113,7 +113,7 @@ TEST(Traffic, Table4ShapeReproduced) {
 TEST(Traffic, Conv3IMemoryNearPaper) {
   const ExecutionPlan plan =
       plan_layer(nn::alexnet().conv_layers[2], ArrayShape{});
-  const double mb = 1024.0 * 1024.0;
+  const double mb = 1e6;  // Table IV's MB
   // With materialized padding streamed from iMemory (the accounting the
   // paper's 4.8 MB corresponds to): every strip's rows x columns of the
   // padded grid, per channel, m-group and image, 2 bytes each.

@@ -12,9 +12,14 @@
 #include <csignal>
 #include <filesystem>
 #include <future>
+#include <latch>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "chain/network_runner.hpp"
@@ -101,6 +106,99 @@ TEST(Fleet, SpreadsIdenticalRequestsAcrossChips) {
   // only when shapes coincide; at minimum the per-chip second requests
   // hit. Entries cover (2 layers) x (3 arrays).
   EXPECT_GT(stats.plan_cache.hits, 0u);
+}
+
+TEST(Fleet, GatedRequestOnEveryChipRunsAtOnce) {
+  // Each chip runs on workers of its own, so a request parked on a user
+  // hook holds up no other chip: with one worker per chip, one gated
+  // request per chip must all reach the gate before it opens, however
+  // few cores the host has.
+  FleetOptions fo;
+  fo.threads_per_chip = 1;
+  // Three identical chips, so identical requests spread one per chip.
+  for (const char* name : {"chip0", "chip1", "chip2"}) {
+    ChipSpec chip = default_fleet_chips().front();
+    chip.name = name;
+    fo.chips.push_back(chip);
+  }
+  Fleet fleet(fo);
+  const std::size_t chips = fleet.chips().size();
+  ASSERT_EQ(chips, 3u);
+
+  const nn::NetworkModel net = tiny_net();
+  std::latch at_gate(static_cast<std::ptrdiff_t>(chips));
+  std::promise<void> open_gate;
+  std::shared_future<void> gate = open_gate.get_future().share();
+  RequestOptions gated;
+  gated.weight_init = [&at_gate, gate](std::int64_t layer,
+                                       Tensor<std::int16_t>& kernels) {
+    if (layer == 0) {
+      at_gate.count_down();
+      gate.wait();
+    }
+    Rng rng(7);
+    kernels.fill_random(rng, -16, 16);
+  };
+  std::vector<std::future<InferenceResult>> futures;
+  for (std::size_t i = 0; i < chips; ++i)
+    futures.push_back(fleet.submit(net, /*batch=*/1, gated));
+  // Identical requests spread one per chip (nothing retires while they
+  // are gated); wait at the gate only once that holds.
+  bool one_per_chip = true;
+  for (const FleetChipStats& chip : fleet.stats().chips)
+    one_per_chip = one_per_chip && chip.routed == 1;
+  EXPECT_TRUE(one_per_chip);
+  if (one_per_chip) at_gate.wait();  // hangs if a chip waits on another's
+  open_gate.set_value();
+  for (auto& f : futures) EXPECT_EQ(f.get().status, RequestStatus::kOk);
+}
+
+TEST(Fleet, EachChipRunsItsRequestsOnItsOwnThread) {
+  // With one worker per chip, every request a chip runs runs on that
+  // chip's one thread, and no two chips share a thread.
+  FleetOptions fo;
+  fo.threads_per_chip = 1;
+  Fleet fleet(fo);
+  const nn::NetworkModel net = tiny_net();
+
+  constexpr int kRequests = 9;
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on(kRequests);
+  // Gated until all nine are routed, so they spread over every chip (as
+  // in SpreadsIdenticalRequestsAcrossChips).
+  std::promise<void> open_gate;
+  std::shared_future<void> gate = open_gate.get_future().share();
+  std::vector<std::future<InferenceResult>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    RequestOptions ro;
+    ro.weight_init = [&mu, &ran_on, gate, i](std::int64_t layer,
+                                             Tensor<std::int16_t>& kernels) {
+      if (layer == 0) {
+        gate.wait();
+        std::lock_guard<std::mutex> lock(mu);
+        ran_on[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+      }
+      Rng rng(7);
+      kernels.fill_random(rng, -16, 16);
+    };
+    futures.push_back(fleet.submit(net, /*batch=*/1, ro));
+  }
+  open_gate.set_value();
+
+  std::map<std::string, std::set<std::thread::id>> threads_of_chip;
+  for (int i = 0; i < kRequests; ++i) {
+    const InferenceResult r = futures[static_cast<std::size_t>(i)].get();
+    ASSERT_EQ(r.status, RequestStatus::kOk);
+    std::lock_guard<std::mutex> lock(mu);
+    threads_of_chip[r.chip].insert(ran_on[static_cast<std::size_t>(i)]);
+  }
+  ASSERT_EQ(threads_of_chip.size(), fleet.chips().size());
+  std::set<std::thread::id> all;
+  for (const auto& [chip, ids] : threads_of_chip) {
+    EXPECT_EQ(ids.size(), 1u) << chip << " ran on more than one thread";
+    all.insert(ids.begin(), ids.end());
+  }
+  EXPECT_EQ(all.size(), threads_of_chip.size()) << "two chips share a thread";
 }
 
 TEST(Fleet, FleetVsDirectBitIdentityUnderFullFidelitySampling) {

@@ -107,6 +107,35 @@ TEST(InferenceServer, DrainsQueueAndCountsRequests) {
   EXPECT_EQ(stats.plan_cache.entries, 2u);
 }
 
+TEST(InferenceServer, DestructionRunsQueuedRequests) {
+  // The destructor's promise: requests still queued when it starts run
+  // before the workers are joined.
+  std::promise<void> blocker_started;
+  std::promise<void> release_blocker;
+  std::shared_future<void> release = release_blocker.get_future().share();
+  std::vector<std::future<InferenceResult>> futures;
+  {
+    ServerOptions so;
+    so.num_threads = 1;
+    InferenceServer server(so);
+    const nn::NetworkModel net = tiny_net();
+    RequestOptions blocker;
+    blocker.weight_init = [&](std::int64_t layer,
+                              Tensor<std::int16_t>& kernels) {
+      if (layer == 0) {
+        blocker_started.set_value();
+        release.wait();
+      }
+      seeded_weights(layer, kernels);
+    };
+    futures.push_back(server.submit(net, 1, blocker));
+    blocker_started.get_future().wait();
+    for (int i = 0; i < 3; ++i) futures.push_back(server.submit(net, 1));
+    release_blocker.set_value();
+  }  // destroyed with three requests queued behind the blocker
+  for (auto& f : futures) EXPECT_EQ(f.get().status, RequestStatus::kOk);
+}
+
 TEST(InferenceServer, PerRequestExecModeMatchesBitForBit) {
   InferenceServer server{ServerOptions{}};
   const nn::NetworkModel net = tiny_net();
