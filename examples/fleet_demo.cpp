@@ -15,8 +15,7 @@
 //
 // Fidelity sampling defaults to off here: a cycle-accurate replay of a
 // VGG-proxy request takes minutes of host time and stalls its chip's
-// worker long enough to blow realistic deadlines (bench_micro --fleet
-// keeps sampling on, over proxies small enough to replay quickly).
+// worker long enough to blow realistic deadlines.
 #include <future>
 #include <iostream>
 #include <vector>

@@ -16,17 +16,6 @@ const Json* Json::find(std::string_view key) const {
   return nullptr;
 }
 
-void Json::set(std::string key, Json value) {
-  auto& obj = std::get<JsonObject>(value_);
-  for (auto& [k, v] : obj) {
-    if (k == key) {
-      v = std::move(value);
-      return;
-    }
-  }
-  obj.emplace_back(std::move(key), std::move(value));
-}
-
 namespace {
 
 // Recursive-descent parser over a string_view with an explicit cursor.

@@ -1,18 +1,16 @@
 // Json — a minimal, dependency-free JSON value: parse + dump.
 //
-// Just enough JSON for the gateway's wire format and for splicing the
-// soak driver's "gateway" section into BENCH_serve.json: null / bool /
-// number / string / array / object, strict parsing (trailing garbage,
-// unterminated strings, bad escapes and malformed numbers are errors —
-// the HTTP front door must answer 400, never guess), and round-trip
-// dumping (integers stay integers; doubles print via std::to_chars, the
-// shortest representation that parses back to the same value, so a
-// parse-edit-dump cycle over a bench JSON does not rewrite untouched
-// numbers).
+// Just enough JSON for the gateway's wire format and the benchmark's
+// reports: null / bool / number / string / array / object, strict
+// parsing (trailing garbage, unterminated strings, bad escapes and
+// malformed numbers are errors — the HTTP front door must answer 400,
+// never guess), and round-trip dumping (integers stay integers; doubles
+// print via std::to_chars, the shortest representation that parses back
+// to the same value).
 //
-// Objects preserve insertion order (a vector of pairs, not a map):
-// dumped output stays diffable against the committed baselines. Lookup
-// is linear — fine for the handful of keys a request body carries.
+// Objects preserve insertion order (a vector of pairs, not a map), so
+// dumped output keeps the order it was built in. Lookup is linear —
+// fine for the handful of keys a request body carries.
 #pragma once
 
 #include <cstdint>
@@ -97,8 +95,6 @@ class Json {
 
   // Object member by key; nullptr when absent (or not an object).
   [[nodiscard]] const Json* find(std::string_view key) const;
-  // Sets (or replaces) an object member, preserving insertion order.
-  void set(std::string key, Json value);
 
   // Strict parse of a complete JSON document. Returns nullopt and fills
   // `error` (position + reason) on any syntax violation, including

@@ -66,7 +66,7 @@ struct ConvDispatch {
 // the build enables it and the scanned operands prove it exact, else the
 // exact scalar sticky-clamp reference. Always bit-identical to
 // conv2d_fixed_accum. `dispatch`, if non-null, receives the routing
-// decision (the benchmark's replay and bench_micro report it).
+// decision (the benchmark's replay reports it, and the tests assert it).
 // `alloc` sources the micro-kernel's output surface and scratch (the
 // scalar reference owns its allocation); results are bit-identical
 // either way.

@@ -855,7 +855,6 @@ FleetTraceReport run_fleet_trace(Fleet& fleet,
           e.options.inter_layer);
   }
 
-  const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::future<InferenceResult>> futures;
   futures.reserve(trace.size());
   for (const FleetTraceEntry& e : trace)
@@ -870,8 +869,6 @@ FleetTraceReport run_fleet_trace(Fleet& fleet,
         report.busy_seconds[c] += r.modelled_seconds;
     }
   }
-  const auto t1 = std::chrono::steady_clock::now();
-  report.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return report;
 }
 

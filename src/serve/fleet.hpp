@@ -262,10 +262,10 @@ class Fleet {
 
 // --- fleet-vs-single-chip trace evaluation ---------------------------------
 //
-// bench_micro --fleet and examples/fleet_demo both push a request trace
-// through a fleet and compare its modelled makespan against each chip
-// serving the whole trace alone; this shared rollup keeps the two
-// front-ends from drifting apart on the comparison semantics.
+// examples/fleet_demo and tests/serve/test_fleet.cpp both push a request
+// trace through a fleet and compare its modelled makespan against each
+// chip serving the whole trace alone; this shared rollup keeps the two
+// from drifting apart on the comparison semantics.
 
 struct FleetTraceEntry {
   const nn::NetworkModel* net = nullptr;
@@ -281,7 +281,6 @@ struct FleetTraceReport {
   // failed entry is priced into neither, so it cannot tilt the speedup.
   std::vector<double> busy_seconds;
   std::vector<double> single_chip_seconds;
-  double wall_seconds = 0.0;  // submit of first -> resolution of last
 
   // Modelled makespan of the routed trace: the busiest chip.
   [[nodiscard]] double fleet_makespan_seconds() const;

@@ -78,6 +78,10 @@ Router::Router(std::vector<ChipSpec> chips, std::shared_ptr<PlanCache> cache)
       routed_(chips_.size(), 0) {
   CHAINNN_CHECK_MSG(!chips_.empty(), "a fleet needs at least one chip");
   CHAINNN_CHECK_MSG(cache_ != nullptr, "router needs a shared PlanCache");
+  for (std::size_t c = 0; c < chips_.size(); ++c)
+    for (std::size_t d = c + 1; d < chips_.size(); ++d)
+      CHAINNN_CHECK_MSG(chips_[c].name != chips_[d].name,
+                        "two chips are named \"" << chips_[c].name << "\"");
 }
 
 std::int64_t Router::cycles_for_resolved(

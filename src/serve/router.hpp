@@ -81,6 +81,8 @@ struct RouteDecision {
 
 class Router {
  public:
+  // Results, /metrics and recovery name a chip by ChipSpec::name, so two
+  // chips with one name are refused.
   Router(std::vector<ChipSpec> chips, std::shared_ptr<PlanCache> cache);
 
   [[nodiscard]] const std::vector<ChipSpec>& chips() const { return chips_; }

@@ -406,6 +406,9 @@ TEST(Gateway, ConcurrentConnectionsServeCleanly) {
   // Sanitizer target (runs under ASan/UBSan in sanitize.yml): several
   // client threads hammer submits and scrapes over their own keep-alive
   // connections; every exchange must succeed and the books must balance.
+  // Client 0 opens with a request already past its deadline (cancelled)
+  // and client 1 closes with one no chip can meet under admission
+  // (rejected), so every verdict is counted.
   serve::Fleet fleet;
   Gateway gateway(fleet, quick_gateway_options());
 
@@ -414,12 +417,17 @@ TEST(Gateway, ConcurrentConnectionsServeCleanly) {
   std::vector<std::thread> threads;
   std::atomic<int> ok{0};
   for (int t = 0; t < kClients; ++t)
-    threads.emplace_back([&gateway, &ok] {
+    threads.emplace_back([&gateway, &ok, t] {
       HttpClient client("127.0.0.1", gateway.port());
       for (int i = 0; i < kRequestsEach; ++i) {
+        const char* body = "{\"model\": \"lenet\"}";
+        if (t == 0 && i == 0)
+          body = "{\"model\": \"lenet\", \"deadline_ms\": -1}";
+        if (t == 1 && i == kRequestsEach - 1)
+          body = "{\"model\": \"lenet\", \"deadline_ms\": 1e-3, "
+                 "\"admission\": true}";
         HttpResponse resp;
-        if (!client.post_json("/v1/submit", "{\"model\": \"lenet\"}", &resp) ||
-            resp.status != 200)
+        if (!client.post_json("/v1/submit", body, &resp) || resp.status != 200)
           return;
         if (!client.get("/metrics", &resp) || resp.status != 200) return;
         ++ok;
@@ -429,10 +437,13 @@ TEST(Gateway, ConcurrentConnectionsServeCleanly) {
   EXPECT_EQ(ok.load(), kClients * kRequestsEach);
 
   const GatewayStats stats = gateway.stats();
-  EXPECT_EQ(stats.submits_ok, kClients * kRequestsEach);
+  EXPECT_EQ(stats.submits_ok, kClients * kRequestsEach - 2);
+  EXPECT_EQ(stats.submits_cancelled, 1);
+  EXPECT_EQ(stats.submits_rejected, 1);
+  EXPECT_EQ(stats.submits_failed, 0);
   EXPECT_EQ(stats.http.parse_errors, 0);
   EXPECT_EQ(stats.http.responses_5xx, 0);
-  EXPECT_EQ(fleet.stats().completed, kClients * kRequestsEach);
+  EXPECT_EQ(fleet.stats().completed, kClients * kRequestsEach - 2);
   gateway.stop();  // explicit stop with threads recently active
 }
 

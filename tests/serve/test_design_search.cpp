@@ -420,9 +420,9 @@ TEST(DesignSearchProperties, LabelsAndModesMatchTheirIds) {
 }
 
 // The paper's instantiation stays Pareto-optimal on the default grid for
-// the paper's workload — the same invariant bench_micro's "dse" section
-// gates in CI, pinned here at a smaller budget (dominators of the seed
-// can only shrink with the budget, so 12000-point CI runs imply this).
+// the paper's workload, with a non-empty frontier and pruning that
+// eliminates points — the invariants `examples/design_search` also exits
+// non-zero on, checked here at a 3000-point budget.
 TEST(DesignSearch, PaperPointOnDefaultGridFrontier) {
   DesignSearchOptions opts;
   opts.max_points = 3000;

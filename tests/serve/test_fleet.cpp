@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <future>
@@ -25,6 +26,7 @@
 #include "chain/network_runner.hpp"
 #include "common/rng.hpp"
 #include "serve/fleet.hpp"
+#include "serve/sweep_driver.hpp"
 
 namespace chainnn::serve {
 namespace {
@@ -106,6 +108,72 @@ TEST(Fleet, SpreadsIdenticalRequestsAcrossChips) {
   // only when shapes coincide; at minimum the per-chip second requests
   // hit. Entries cover (2 layers) x (3 arrays).
   EXPECT_GT(stats.plan_cache.hits, 0u);
+}
+
+TEST(Fleet, RoutedTraceBeatsBestSingleChip) {
+  // A mixed trace over the default heterogeneous fleet: LeNet/2 and
+  // CIFAR/2 proxies, batches 1/2/4, tier 1 on every fourth request and a
+  // generous deadline on every other. Layer 0 of every request waits at a
+  // gate until all are routed, so no request retires backlog mid-trace
+  // and placement is a pure function of the closed forms.
+  FleetOptions fo;
+  fo.threads_per_chip = 1;
+  fo.preemption = true;
+  Fleet fleet(fo);
+  const nn::NetworkModel lenet = channel_reduced_proxy(nn::lenet_mnist(), 2);
+  const nn::NetworkModel cifar = channel_reduced_proxy(nn::cifar10_quick(), 2);
+
+  constexpr std::int64_t kRequests = 24;
+  std::promise<void> open_gate;
+  std::shared_future<void> gate = open_gate.get_future().share();
+  std::vector<FleetTraceEntry> trace;
+  for (std::int64_t i = 0; i < kRequests; ++i) {
+    FleetTraceEntry e;
+    e.net = (i % 3 == 2) ? &cifar : &lenet;
+    e.batch = std::int64_t{1} << (i % 3);
+    if (i % 4 == 0) e.options.priority = 1;
+    if (i % 2 == 1) e.options.deadline_ms = 600e3;
+    e.options.weight_init = [gate](std::int64_t layer,
+                                   Tensor<std::int16_t>& kernels) {
+      if (layer == 0) gate.wait();
+      Rng rng(7);
+      kernels.fill_random(rng, -16, 16);
+    };
+    trace.push_back(e);
+  }
+  auto routed = std::async(std::launch::async,
+                           [&] { return run_fleet_trace(fleet, trace); });
+  // Open the gate once every request is routed, or once the trace threw.
+  while (fleet.stats().submitted < kRequests &&
+         routed.wait_for(std::chrono::milliseconds(1)) !=
+             std::future_status::ready) {
+  }
+  open_gate.set_value();
+  const FleetTraceReport report = routed.get();
+
+  EXPECT_EQ(report.completed, kRequests);
+  // The routed makespan (the busiest chip) beats the best chip serving
+  // the whole trace alone...
+  EXPECT_GT(report.modelled_speedup(), 1.0);
+  // ...and stays within 25% of a split in proportion to each chip's
+  // speed on the whole trace, which would finish in 1 / sum_c(1 / T_c).
+  double trace_rate = 0.0;
+  for (const double seconds : report.single_chip_seconds)
+    trace_rate += 1.0 / seconds;
+  EXPECT_LE(report.fleet_makespan_seconds(), 1.25 / trace_rate);
+  EXPECT_EQ(fleet.stats().failed, 0);
+}
+
+TEST(Fleet, DuplicateChipNamesAreRefused) {
+  // Results, /metrics and recovery name a chip by ChipSpec::name. Two
+  // chips named "x" would have a trace rollup credit each request to
+  // both, the scrape emit one series twice, and a replay pin itself to
+  // whichever comes first, so the fleet refuses them.
+  FleetOptions fo;
+  fo.chips = {ChipSpec{"x", {}, {}}, ChipSpec{"x", {}, {}}};
+  EXPECT_THROW({ Fleet fleet(fo); }, std::logic_error);
+  fo.chips[1].name = "y";
+  EXPECT_NO_THROW({ Fleet fleet(fo); });
 }
 
 TEST(Fleet, GatedRequestOnEveryChipRunsAtOnce) {

@@ -474,6 +474,9 @@ TEST(SchedProperties, AdmissionNeverIncreasesMissedDeadlines) {
 
     EXPECT_EQ(off.rejected, 0);
     EXPECT_EQ(on.rejected, doomed_count);
+    // A doomed request expires, finishes late or is rejected; none fails.
+    EXPECT_EQ(off.failed, 0);
+    EXPECT_EQ(on.failed, 0);
     // Rejected requests never reached a chip server.
     EXPECT_EQ(on.submitted,
               static_cast<std::int64_t>(entries.size()) - doomed_count);
